@@ -2,7 +2,6 @@
 //!
 //! ```sh
 //! experiments [names...] [--csv-dir DIR] [--series] [--threads N]
-//!             [--bench-json PATH] [--sources N] [--sessions N]
 //! ```
 //!
 //! With no names, runs everything. Series tables (thousands of rows,
@@ -10,57 +9,24 @@
 //! unless `--series` is given.
 //!
 //! Sweep-heavy figures fan out over `--threads` workers (default: all
-//! cores; output is bit-identical for any value). Every run times each
-//! figure and writes a `BENCH_sweep.json` perf report recording the
-//! thread count with its provenance, the git commit, a serial re-run of
-//! *every* figure when the main run was parallel (so per-figure speedups
-//! are tracked suite-wide), and hot-path throughput (pictures/sec for the
-//! incremental engine vs the naive reference on a synthetic 1M-picture
-//! trace at H = 32, plus a parallel batch over the same workload) and
-//! multiplexer-sweep throughput (events/sec for the streaming k-way-merge
-//! engine vs the frozen quadratic `mux::reference`, over a source-count
-//! ladder up to 10k — or at exactly `--sources N` when given) and
-//! session-engine throughput (aggregate decisions/sec for a fleet of
-//! concurrent live sessions, over a session ladder up to 1M — or at
-//! exactly `--sessions N` when given) and event-driven churn throughput
-//! (the timing-wheel dynamic engine on a 24/25/30/60 fps mix under
-//! ~1 %/s live churn, recorded as `churn_throughput[]`) and a
-//! cores-vs-throughput scaling curve (the same fleet at a 1, 2, 4, …
-//! worker ladder with pinned workers and first-touch shard placement,
-//! recorded as `scaling[]`).
+//! cores; output is bit-identical for any value). Performance is measured
+//! by the repository benchmark (`crates/bench/src/bin/benchmark/`), not
+//! here.
 
-use std::time::Instant;
-
-use smooth_bench::churnbench;
 use smooth_bench::experiments;
-use smooth_bench::fleetmuxbench;
-use smooth_bench::muxbench;
-use smooth_bench::scalebench;
-use smooth_bench::sessionbench;
-use smooth_bench::throughput;
-use smooth_sweep::bench::SweepBenchReport;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut names: Vec<String> = Vec::new();
     let mut csv_dir = String::from("results");
-    let mut bench_json = String::from("BENCH_sweep.json");
     let mut print_series = false;
     let mut threads_opt: Option<usize> = None;
-    let mut sources_opt: Option<usize> = None;
-    let mut sessions_opt: Option<usize> = None;
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--csv-dir" => {
                 csv_dir = it.next().unwrap_or_else(|| {
                     eprintln!("--csv-dir requires a value");
-                    std::process::exit(2);
-                })
-            }
-            "--bench-json" => {
-                bench_json = it.next().unwrap_or_else(|| {
-                    eprintln!("--bench-json requires a value");
                     std::process::exit(2);
                 })
             }
@@ -74,32 +40,9 @@ fn main() {
                     std::process::exit(2);
                 }));
             }
-            "--sources" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--sources requires a value");
-                    std::process::exit(2);
-                });
-                sources_opt = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--sources: cannot parse {v:?}");
-                    std::process::exit(2);
-                }));
-            }
-            "--sessions" => {
-                let v = it.next().unwrap_or_else(|| {
-                    eprintln!("--sessions requires a value");
-                    std::process::exit(2);
-                });
-                sessions_opt = Some(v.parse().unwrap_or_else(|_| {
-                    eprintln!("--sessions: cannot parse {v:?}");
-                    std::process::exit(2);
-                }));
-            }
             "--series" => print_series = true,
             "--help" | "-h" => {
-                println!(
-                    "usage: experiments [names...] [--csv-dir DIR] [--series] \
-                     [--threads N] [--bench-json PATH] [--sources N] [--sessions N]"
-                );
+                println!("usage: experiments [names...] [--csv-dir DIR] [--series] [--threads N]");
                 println!(
                     "names: {}",
                     experiments::all()
@@ -114,8 +57,7 @@ fn main() {
         }
     }
 
-    let (threads, thread_source) = smooth_sweep::resolve_threads_with_source(threads_opt);
-    smooth_sweep::set_default_threads(threads);
+    smooth_sweep::set_default_threads(smooth_sweep::resolve_threads(threads_opt));
 
     let all = experiments::all();
     let selected: Vec<&experiments::Experiment> = if names.is_empty() {
@@ -135,11 +77,9 @@ fn main() {
             .collect()
     };
 
-    let mut report = SweepBenchReport::with_thread_source(threads, thread_source);
     for &&(name, gen) in &selected {
         println!("==================== {name} ====================");
-        let tables = report.time(name, gen);
-        for table in tables {
+        for table in gen() {
             match table.save_csv(&csv_dir) {
                 Ok(path) => {
                     let is_series = table.title.contains("series");
@@ -162,179 +102,5 @@ fn main() {
             }
             println!();
         }
-    }
-
-    // Serial re-runs of every selected figure so BENCH_sweep.json records
-    // per-figure parallel speedups suite-wide. When the main run was
-    // already serial, each figure is its own baseline — copy the wall time
-    // instead of paying for a second identical run.
-    if threads > 1 {
-        smooth_sweep::set_default_threads(1);
-        for &&(name, gen) in &selected {
-            let t0 = Instant::now();
-            std::hint::black_box(gen());
-            report.set_serial_baseline(name, t0.elapsed().as_secs_f64());
-        }
-        smooth_sweep::set_default_threads(threads);
-    } else {
-        let copies: Vec<(String, f64)> = report
-            .figures
-            .iter()
-            .map(|f| (f.name.clone(), f.wall_seconds))
-            .collect();
-        for (name, wall) in copies {
-            report.set_serial_baseline(&name, wall);
-        }
-    }
-
-    // Hot-path throughput: the acceptance gauge for the incremental
-    // lookahead engine (see crates/bench/src/throughput.rs).
-    println!("==================== throughput ====================");
-    for record in throughput::standard_suite(threads) {
-        println!(
-            "{}: {:.0} pictures/s ({} pictures, {:.3}s, {} thread(s))",
-            record.name,
-            record.pictures_per_sec,
-            record.pictures,
-            record.wall_seconds,
-            record.threads
-        );
-        report.record_throughput(record);
-    }
-    println!();
-
-    // Multiplexer-sweep throughput: the acceptance gauge for the
-    // streaming k-way-merge mux (see crates/bench/src/muxbench.rs).
-    println!("==================== mux throughput ====================");
-    let mux_records = match sources_opt {
-        Some(sources) => muxbench::scaled_mux_suite(threads, sources),
-        None => muxbench::standard_mux_suite(threads),
-    };
-    for record in mux_records {
-        let speedup = record
-            .speedup
-            .map(|s| format!(", {s:.1}x vs reference"))
-            .unwrap_or_default();
-        println!(
-            "{}: {:.0} events/s ({} sources, {} events, {:.4}s{speedup}, {} thread(s))",
-            record.name,
-            record.events_per_sec,
-            record.sources,
-            record.events,
-            record.wall_seconds,
-            record.threads
-        );
-        report.record_mux_throughput(record);
-    }
-    println!();
-
-    // Session-engine throughput: the acceptance gauge for the
-    // million-session fleet engine (see crates/bench/src/sessionbench.rs).
-    println!("==================== session throughput ====================");
-    let session_records = match sessions_opt {
-        Some(sessions) => sessionbench::scaled_session_suite(threads, sessions),
-        None => sessionbench::standard_session_suite(threads),
-    };
-    for record in session_records {
-        println!(
-            "{}: {:.0} decisions/s ({} sessions, {} ticks, {} decisions, {:.3}s, {} thread(s))",
-            record.name,
-            record.decisions_per_second,
-            record.sessions,
-            record.ticks,
-            record.decisions,
-            record.wall_seconds,
-            record.threads
-        );
-        report.record_session_throughput(record);
-    }
-    println!();
-
-    // Churn throughput: the acceptance gauge for the event-driven
-    // dynamic engine — heterogeneous fps mix under ~1 %/s live churn
-    // (see crates/bench/src/churnbench.rs).
-    println!("==================== churn throughput ====================");
-    let churn_records = match sessions_opt {
-        Some(sessions) => churnbench::scaled_churn_suite(threads, sessions),
-        None => churnbench::standard_churn_suite(threads),
-    };
-    for record in churn_records {
-        println!(
-            "{}: {:.0} decisions/s ({} sessions, {} ppm/s churn, {} joined, {} ticks, {} decisions, {:.3}s, {} thread(s))",
-            record.name,
-            record.decisions_per_second,
-            record.sessions,
-            record.churn_ppm_per_sec,
-            record.joined,
-            record.ticks,
-            record.decisions,
-            record.wall_seconds,
-            record.threads
-        );
-        report.record_churn_throughput(record);
-    }
-    println!();
-
-    // Fused fleet-to-link throughput: the session engine streaming its
-    // decisions into the online link aggregator, vs the offline
-    // run-engine-then-sweep baseline (see
-    // crates/bench/src/fleetmuxbench.rs).
-    println!("==================== fleet mux throughput ====================");
-    let fleet_mux_records = match sessions_opt {
-        Some(sessions) => fleetmuxbench::scaled_fleet_mux_suite(threads, sessions),
-        None => fleetmuxbench::standard_fleet_mux_suite(threads),
-    };
-    for record in fleet_mux_records {
-        let mut speedup = record
-            .speedup
-            .map(|s| format!(", {s:.1}x vs offline"))
-            .unwrap_or_default();
-        if let Some(m) = record.mux_pass_speedup {
-            speedup.push_str(&format!(", {m:.1}x mux pass"));
-        }
-        println!(
-            "{}: {:.0} decisions/s ({} sessions, {} ticks, {:.3}s fused{speedup}, {} thread(s))",
-            record.name,
-            record.decisions_per_second,
-            record.sessions,
-            record.ticks,
-            record.wall_seconds,
-            record.threads
-        );
-        report.record_fleet_mux_throughput(record);
-    }
-    println!();
-
-    // Cores-vs-throughput scaling: the megasession engine with
-    // cache-aware shard placement over a 1,2,4,… worker ladder (see
-    // crates/bench/src/scalebench.rs). On a 1-core box the curve is one
-    // point.
-    println!("==================== scaling ====================");
-    let scaling_records = match sessions_opt {
-        Some(sessions) => scalebench::scaling_suite(sessions, sessionbench::SESSION_TICKS),
-        None => scalebench::standard_scaling_suite(),
-    };
-    for record in scaling_records {
-        println!(
-            "{}: {:.0} decisions/s ({} sessions, T={}, {:.3}s, pinned={}, first_touch={})",
-            record.name,
-            record.decisions_per_second,
-            record.sessions,
-            record.threads,
-            record.wall_seconds,
-            record.pinned,
-            record.first_touch
-        );
-        report.record_scaling(record);
-    }
-    println!();
-
-    match report.save(std::path::Path::new(&bench_json)) {
-        Ok(()) => println!(
-            "perf report ({} figures, {} threads) -> {bench_json}",
-            report.figures.len(),
-            report.threads
-        ),
-        Err(e) => eprintln!("failed to write {bench_json}: {e}"),
     }
 }

@@ -10,19 +10,13 @@
 //! cargo run --release -p smooth-bench --bin experiments fig6     # one figure
 //! ```
 //!
-//! Criterion benches (`benches/`) time the same generators plus the
-//! underlying substrates.
+//! Performance is measured by one path only, the repository benchmark
+//! (`src/bin/benchmark/`, declared by the root `BENCHMARK.json`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod churnbench;
 pub mod experiments;
-pub mod fleetmuxbench;
-pub mod muxbench;
-pub mod scalebench;
-pub mod sessionbench;
 pub mod table;
-pub mod throughput;
 
 pub use table::Table;

@@ -54,7 +54,7 @@
 //! index-ordered [`smooth_sweep::par_map`], and the fleet digest folds
 //! per-session digests in session-id order — so a churn trace replays
 //! bit-identically for any thread count, and against the brute-force
-//! scan-all reference ([`crate::scanref`]), which is frozen as the
+//! scan-all reference (`tests/scanref`), which is frozen as the
 //! proptest oracle.
 
 use std::collections::VecDeque;
@@ -82,9 +82,10 @@ pub struct DynamicClass {
     pub period_ticks: u64,
 }
 
-/// Scheduler ticks per simulated second used by the standard mixes and
-/// the churn bench: 600 divides evenly by 24, 25, 30, and 60 fps, so
-/// every broadcast picture clock lands on integer ticks.
+/// Scheduler ticks per simulated second used by the standard mixes,
+/// `mpeg-smooth churn` and the benchmark: 600 divides evenly by 24, 25,
+/// 30, and 60 fps, so every broadcast picture clock lands on integer
+/// ticks.
 pub const TICKS_PER_SEC: u64 = 600;
 
 /// The standard class for an `fps` picture clock on the

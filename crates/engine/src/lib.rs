@@ -46,10 +46,12 @@
 //!   and the per-session [`digest`](SessionEngine::digest) that
 //!   fingerprints them — is bit-identical to serial for any thread
 //!   count, the same discipline as the netsim mux's `ShardPlan`.
-//! * **Mux adapter.** [`mux::mux_sessions`] streams every session's rate
-//!   schedule into the [`smooth_netsim::RateSweep`] k-way merge as lazy
-//!   [`smooth_metrics::RateCursor`]s, without materializing a
-//!   [`smooth_metrics::StepFunction`] per source.
+//! * **Link aggregation.** [`SessionEngine::run_fused`] streams every
+//!   decision into a [`LiveMux`] lane, which keeps the link aggregate,
+//!   fluid-queue stats and per-session (σ, ρ) online without
+//!   materializing a [`smooth_metrics::StepFunction`] per source.
+//!   [`mux::materialize_schedules`] is the materializing oracle it is
+//!   pinned to.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -66,7 +68,6 @@ use smooth_sweep::{par_map, par_map_pinned};
 pub mod dynamic;
 pub mod livemux;
 pub mod mux;
-pub mod scanref;
 pub mod synthetic;
 
 pub use livemux::{mux_digest, LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor};
@@ -143,10 +144,9 @@ pub enum EngineError {
         /// The class's slot size.
         ring_cap: usize,
     },
-    /// A mux adapter was handed an engine that already advanced: the
-    /// fused and lazy paths replay the fleet from picture 0, so a
-    /// partially-run engine would silently multiplex a truncated
-    /// schedule.
+    /// A fused run was handed an engine that already advanced: it
+    /// must see the fleet from picture 0, so a partially-run engine
+    /// would silently multiplex a truncated schedule.
     StaleEngine {
         /// Ticks the engine has already been fed.
         ticks: u64,
@@ -193,7 +193,7 @@ impl std::fmt::Display for EngineError {
             ),
             EngineError::StaleEngine { ticks, finished } => write!(
                 f,
-                "mux adapters need a fresh engine (this one has {ticks} ticks, \
+                "a fused run needs a fresh engine (this one has {ticks} ticks, \
                  finished: {finished})"
             ),
         }
@@ -448,8 +448,8 @@ impl Shard {
     /// independent state machines, so every decision and digest is
     /// bit-identical to `ticks` calls of [`advance`] (pinned by
     /// proptests); only the interleaving a sink would observe differs,
-    /// which is why this path takes none — lockstep consumers (the mux
-    /// adapter) use [`advance`].
+    /// which is why this path takes none — lockstep consumers (the
+    /// materializing oracle) use [`advance`].
     fn advance_batch<S: SizeSource>(
         &mut self,
         classes: &[ClassInfo],
@@ -887,8 +887,8 @@ impl SessionEngine {
     /// [`digest`](Self::digest)) is bit-identical to calling
     /// [`tick`](Self::tick) `ticks` times then [`finish`](Self::finish)
     /// — pinned by proptests — for any thread count. This is the
-    /// throughput path; lockstep consumers (the mux adapter) need the
-    /// per-tick barrier and use [`tick`](Self::tick). Returns the number
+    /// throughput path; lockstep consumers (the materializing oracle)
+    /// need the per-tick barrier and use [`tick`](Self::tick). Returns the number
     /// of decisions made.
     ///
     /// # Panics
@@ -924,9 +924,9 @@ impl SessionEngine {
     /// lockstep pumping. Returns the window's aggregate stats; the
     /// per-session (σ, ρ) descriptors stay readable on `mux`.
     ///
-    /// Bit-identical to running the engine and then multiplexing with
-    /// [`mux::mux_sessions`] over [`smooth_netsim::RateSweep`], for any
-    /// thread count (pinned by the `livemux_props` proptests).
+    /// Bit-identical to multiplexing [`mux::materialize_schedules`]'
+    /// output with [`smooth_netsim::RateSweep`], for any thread count
+    /// (pinned by the `livemux_props` proptests).
     ///
     /// # Errors
     ///
@@ -970,10 +970,6 @@ impl SessionEngine {
             remaining -= chunk;
             let fin = remaining == 0;
             let mux_ref = &*mux;
-            // `SMOOTH_MUX_PROF=1` prints per-chunk advance walls and
-            // per-pass ingest phase timings — the knob behind the
-            // hot-path numbers in EXPERIMENTS.md.
-            let t_chunk = livemux::prof_enabled().then(std::time::Instant::now);
             par_map(threads, &idx, |_, &s| {
                 let mut shard = shards[s].lock().expect("shard poisoned");
                 let mut block = mux_ref.block(s).lock().expect("block poisoned");
@@ -984,12 +980,6 @@ impl SessionEngine {
                     block.finish_lanes();
                 }
             });
-            if let Some(t0) = t_chunk {
-                eprintln!(
-                    "fused_prof: chunk={chunk} fin={fin} advance={:.3}ms",
-                    t0.elapsed().as_secs_f64() * 1e3
-                );
-            }
             let flushed = mux.ingest(threads, f64::INFINITY);
             if fin {
                 break;
@@ -1047,7 +1037,8 @@ impl SessionEngine {
     }
 
     /// Serial [`tick`](Self::tick) that also hands every decision to
-    /// `sink(session_id, schedule)` — the adapter path (see [`mux`]).
+    /// `sink(session_id, schedule)` — the lockstep path the
+    /// materializing oracle ([`mux`]) drives.
     pub fn tick_serial_with<S: SizeSource>(
         &mut self,
         source: &S,

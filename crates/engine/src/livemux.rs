@@ -1,14 +1,13 @@
 //! **LiveMux**: online incremental link aggregation, fused with the
 //! session engines.
 //!
-//! [`crate::mux::mux_sessions`] multiplexes a fleet by pumping the
-//! engine through an `Rc<RefCell<_>>` cursor layer into
-//! [`smooth_netsim::RateSweep`]'s k-way merge: every rate change of
-//! every session becomes an entry in a million-source breakpoint heap,
-//! popped one at a time with a cold random walk over the per-session
-//! builders. That is exact, but serial and allocation-heavy — the heap
-//! alone is tens of megabytes of pointer-chased state, and the engine
-//! must run in one-tick lockstep so the cursors can lazily pull.
+//! The offline path multiplexes a fleet by materializing every
+//! session's schedule ([`crate::mux::materialize_schedules`]) and
+//! running [`smooth_netsim::RateSweep`]'s k-way merge over them: every
+//! rate change of every session becomes an entry in a million-source
+//! breakpoint heap, popped one at a time. That is exact, but serial and
+//! memory-heavy — O(pictures) per session plus tens of megabytes of
+//! pointer-chased heap state.
 //!
 //! `LiveMux` inverts the flow. As each session's `decide_live` emits a
 //! rate change during a (batched, shard-parallel) engine pass, the
@@ -66,13 +65,6 @@ use std::sync::Mutex;
 use smooth_core::{PictureSchedule, RateSegment, TIME_EPS};
 use smooth_netsim::{FluidMuxStats, QueueState, MUX_MAX_SHARDS};
 use smooth_sweep::{par_map, ShardPlan, SumTree};
-
-/// Whether `SMOOTH_MUX_PROF=1` hot-path profiling is on (checked once;
-/// when off, the probe points cost nothing — not even a clock read).
-pub(crate) fn prof_enabled() -> bool {
-    static PROF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PROF.get_or_init(|| std::env::var_os("SMOOTH_MUX_PROF").is_some())
-}
 
 /// Configuration of a fused link-aggregation run: the link, the
 /// measurement window, and the descriptor drain rate.
@@ -650,8 +642,6 @@ impl LiveMux {
     /// buffered event, and the caller may relax its ingest cadence
     /// (see [`crate::SessionEngine::run_fused`]).
     pub fn ingest(&mut self, threads: usize, clock_cap: f64) -> u64 {
-        let prof = prof_enabled();
-        let t_all = prof.then(std::time::Instant::now);
         let mut fence = clock_cap;
         for blk in &self.blocks {
             let blk = blk.lock().expect("block poisoned");
@@ -665,25 +655,8 @@ impl LiveMux {
         let blocks = &self.blocks;
         let shards = &self.shards;
         let flushed = std::sync::atomic::AtomicU64::new(0);
-        let fence_ns = t_all.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let route_ns = std::sync::atomic::AtomicU64::new(0);
-        let part_ns = std::sync::atomic::AtomicU64::new(0);
-        let sort_ns = std::sync::atomic::AtomicU64::new(0);
-        let apply_ns = std::sync::atomic::AtomicU64::new(0);
-        // One closure per probe point: a no-op (no clock read at all)
-        // unless profiling is on.
-        let lap = |acc: &std::sync::atomic::AtomicU64, t0: &mut Option<std::time::Instant>| {
-            if let Some(t) = t0 {
-                acc.fetch_add(
-                    t.elapsed().as_nanos() as u64,
-                    std::sync::atomic::Ordering::Relaxed,
-                );
-                *t0 = prof.then(std::time::Instant::now);
-            }
-        };
         let idx: Vec<usize> = (0..plan.count).collect();
         par_map(threads, &idx, |_, &m| {
-            let mut tp = prof.then(std::time::Instant::now);
             let mut shard = shards[m].lock().expect("shard poisoned");
             let lo = m * plan.width;
             let hi = lo + plan.width;
@@ -715,7 +688,6 @@ impl LiveMux {
                     shard.pending_max = max;
                 }
             }
-            lap(&route_ns, &mut tp);
             shard.run.clear();
             // Nothing below the fence (an empty buffer's minimum is
             // +inf): the whole pass is a no-op for this shard — its
@@ -748,13 +720,11 @@ impl LiveMux {
                 flush
             };
             flushed.fetch_add(flush.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            lap(&part_ns, &mut tp);
             // `(t.to_bits(), leaf)` packed into one integer: a single
             // branchless compare per sort step on the hottest loop of
             // the pass. `to_bits` order is `<` order here because event
             // times are non-negative.
             flush.sort_unstable_by_key(|e| ((e.t.to_bits() as u128) << 32) | e.leaf as u128);
-            lap(&sort_ns, &mut tp);
             shard.run.reserve(flush.len());
             let mut i = 0;
             while i < flush.len() {
@@ -767,13 +737,11 @@ impl LiveMux {
                 let root = shard.tree.total();
                 shard.run.push((t, root));
             }
-            lap(&apply_ns, &mut tp);
         });
         // Buffers may have been read by several shards; clear serially.
         for blk in &self.blocks {
             blk.lock().expect("block poisoned").events.clear();
         }
-        let t_merge = prof.then(std::time::Instant::now);
 
         // Serial top merge: replay the shard runs in global time order
         // through the top of the tree, advancing the queue across each
@@ -841,19 +809,6 @@ impl LiveMux {
             let mut shard = self.shards[m].lock().expect("shard poisoned");
             shard.run = run;
             shard.run.clear();
-        }
-        if let (Some(t0), Some(tm)) = (t_all, t_merge) {
-            eprintln!(
-                "mux_prof: flushed={} fence={:.3}ms route={:.3}ms part={:.3}ms sort={:.3}ms apply={:.3}ms merge={:.3}ms total={:.3}ms",
-                flushed.load(std::sync::atomic::Ordering::Relaxed),
-                fence_ns as f64 / 1e6,
-                route_ns.into_inner() as f64 / 1e6,
-                part_ns.into_inner() as f64 / 1e6,
-                sort_ns.into_inner() as f64 / 1e6,
-                apply_ns.into_inner() as f64 / 1e6,
-                tm.elapsed().as_secs_f64() * 1e3,
-                t0.elapsed().as_secs_f64() * 1e3,
-            );
         }
         flushed.into_inner()
     }
@@ -987,7 +942,7 @@ impl LiveMux {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mux::{materialize_schedules, mux_sessions};
+    use crate::mux::materialize_schedules;
     use crate::{SessionClass, SessionEngine, SyntheticFleet};
     use smooth_core::SmootherParams;
     use smooth_metrics::StepFunction;
@@ -1085,18 +1040,19 @@ mod tests {
     }
 
     #[test]
-    fn fused_batch_matches_lazy_mux_sessions() {
+    fn fused_batch_matches_materialized_sweep() {
         let c = cfg(40.0e6, 0.5e6, 0.0, 2.0);
         let sweep = RateSweep {
             capacity_bps: c.capacity_bps,
             buffer_bits: c.buffer_bits,
         };
         let (engine, fleet) = fleet_setup(23);
-        let want = mux_sessions(engine, fleet, 40, &sweep, c.t_start, c.t_end).expect("fresh");
+        let inputs = materialize_schedules(engine, fleet, 40);
+        let want = sweep.run(&inputs, c.t_start, c.t_end);
         let (mut engine, fleet) = fleet_setup(23);
         let mut mux = LiveMux::new(23, 7, c);
         let got = engine.run_fused(&fleet, 40, 1, &mut mux).expect("fresh");
-        assert_stats_bits_eq(&got.mux, &want, "vs mux_sessions");
+        assert_stats_bits_eq(&got.mux, &want, "vs materialized sweep");
     }
 
     #[test]

@@ -1,36 +1,20 @@
-//! Feeding a session fleet's rate schedules into the netsim multiplexer
-//! **without materializing a [`StepFunction`] per source**.
+//! The materializing fleet-to-link **test oracle**: runs a
+//! [`SessionEngine`] fleet to completion and returns every session's
+//! rate schedule as a [`StepFunction`], built by a streaming replica of
+//! the offline pipeline `rate_segments` ∘ `StepFunction::from_segments`
+//! (same `TIME_EPS` merge, same `1e-12` gap threshold, in the same
+//! order — so the breakpoint/value arrays are bit-identical to the
+//! offline pipeline's, pinned by tests).
 //!
-//! The offline pipeline builds, for every source, a
-//! [`smooth_core::SmoothingResult`], turns it into maximal rate segments
-//! ([`smooth_core::SmoothingResult::rate_segments`]) and then into a
-//! [`StepFunction`] — O(pictures) memory *per source*, which defeats the
-//! engine's bounded-memory story at a million sessions. This module
-//! replaces the materialized functions with lazy [`RateCursor`]s:
-//!
-//! * a shared [`Driver`] owns the [`SessionEngine`] and, per session, a
-//!   tiny streaming builder replicating the exact two-stage transform
-//!   `rate_segments` ∘ `StepFunction::from_segments` (same `TIME_EPS`
-//!   merge, same `1e-12` gap threshold, in the same order — so the
-//!   emitted breakpoint/value stream is bit-identical to the offline
-//!   pipeline's, pinned by tests);
-//! * an [`EngineCursor`] per session exposes that stream through the
-//!   [`RateCursor`] protocol, pumping the engine one lockstep tick at a
-//!   time — only when the k-way merge actually needs a breakpoint that
-//!   has not been decided yet.
-//!
-//! Because [`smooth_netsim::sweep_cursors`]'s pop order is deterministic
-//! for any cursor backing, [`mux_sessions`] is bit-identical to
-//! materializing every schedule and calling [`RateSweep::run`].
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! Multiplexing those functions through [`smooth_netsim::RateSweep::run`]
+//! is the reference [`crate::LiveMux`] is pinned to bit for bit
+//! (`livemux_props`). It costs O(pictures) memory per session, so it is
+//! an oracle, never a production path.
 
 use smooth_core::{PictureSchedule, RateSegment, TIME_EPS};
-use smooth_metrics::{RateCursor, StepFunction};
-use smooth_netsim::{sweep::RateSweep, FluidMuxStats};
+use smooth_metrics::StepFunction;
 
-use crate::{EngineError, SessionEngine, SizeSource};
+use crate::{SessionEngine, SizeSource};
 
 /// Streaming replica of `rate_segments` ∘ `StepFunction::from_segments`
 /// for one session: decisions go in, the step function's breakpoint and
@@ -111,169 +95,14 @@ impl SessionBuilder {
     }
 }
 
-/// Shared pump: owns the engine and every session's builder; ticks the
-/// fleet in lockstep (serially — the cursors are consumed by a serial
-/// merge) whenever any cursor needs more of its stream.
-struct Driver<S: SizeSource> {
-    engine: SessionEngine,
-    source: S,
-    pictures_left: u64,
-    builders: Vec<SessionBuilder>,
-    done: bool,
-}
-
-impl<S: SizeSource> Driver<S> {
-    /// Advances the whole fleet by one tick (or, once the pictures are
-    /// exhausted, finishes it and flushes every builder).
-    fn pump(&mut self) {
-        if self.done {
-            return;
-        }
-        let Driver {
-            engine,
-            source,
-            pictures_left,
-            builders,
-            done,
-        } = self;
-        if *pictures_left > 0 {
-            engine.tick_serial_with(source, &mut |sid, d| builders[sid as usize].decision(d));
-            *pictures_left -= 1;
-        } else {
-            engine.finish_serial_with(source, &mut |sid, d| builders[sid as usize].decision(d));
-            for b in builders.iter_mut() {
-                b.finish();
-            }
-            *done = true;
-        }
-    }
-}
-
-/// A lazy [`RateCursor`] over one session's rate schedule. Replicates
-/// [`smooth_metrics::StepCursor`]'s index semantics exactly over the
-/// session's (growing) breakpoint array; whenever the index would run
-/// off the known prefix it pumps the shared [`Driver`] until the stream
-/// extends or ends — so every observable (`value`, `next_break`) is the
-/// value a `StepCursor` over the fully materialized function would give.
-pub struct EngineCursor<S: SizeSource> {
-    driver: Rc<RefCell<Driver<S>>>,
-    sid: usize,
-    /// Number of known breaks `<=` the cursor's time (StepCursor's idx).
-    idx: usize,
-}
-
-impl<S: SizeSource> EngineCursor<S> {
-    /// Pumps until break `idx` exists or the stream is complete.
-    fn ensure(&self, idx: usize) {
-        loop {
-            {
-                let d = self.driver.borrow();
-                if idx < d.builders[self.sid].breaks.len() || d.done {
-                    return;
-                }
-            }
-            self.driver.borrow_mut().pump();
-        }
-    }
-}
-
-impl<S: SizeSource> RateCursor for EngineCursor<S> {
-    fn value(&self) -> f64 {
-        let d = self.driver.borrow();
-        let b = &d.builders[self.sid];
-        if self.idx == 0 || self.idx > b.values.len() {
-            0.0
-        } else {
-            b.values[self.idx - 1]
-        }
-    }
-
-    fn next_break(&mut self) -> Option<f64> {
-        self.ensure(self.idx);
-        let d = self.driver.borrow();
-        d.builders[self.sid].breaks.get(self.idx).copied()
-    }
-
-    fn advance_past(&mut self, t: f64) {
-        loop {
-            {
-                let d = self.driver.borrow();
-                let b = &d.builders[self.sid];
-                while self.idx < b.breaks.len() && b.breaks[self.idx] <= t {
-                    self.idx += 1;
-                }
-                // Unambiguous only once a break beyond `t` is known (or
-                // the stream ended): otherwise `value()` could read a
-                // piece that a later emit would extend.
-                if self.idx < b.breaks.len() || d.done {
-                    return;
-                }
-            }
-            self.driver.borrow_mut().pump();
-        }
-    }
-}
-
-/// Multiplexes a whole session fleet through the k-way-merge sweep,
-/// streaming every session's schedule out of the engine on demand —
-/// per-source memory is the session's bounded engine state plus its
-/// emitted breakpoints, never a materialized trace.
-///
-/// `engine` must be freshly built (no ticks yet); it is advanced
-/// `pictures` lockstep ticks and then finished, exactly like
-/// [`materialize_schedules`] — to whose
-/// `RateSweep::run` result this is bit-identical.
-///
-/// # Errors
-///
-/// [`EngineError::StaleEngine`] when the engine has already been
-/// ticked or finished — the cursors must replay every session from
-/// picture 0, so a partially-run engine would silently multiplex a
-/// truncated schedule.
+/// Runs a fresh fleet `pictures` lockstep ticks plus the end-of-stream
+/// drain and returns each session's rate schedule as a
+/// [`StepFunction`] (built by the streaming transform above), indexed by
+/// session id.
 ///
 /// # Panics
 ///
-/// Panics on the sweep's own parameter checks.
-pub fn mux_sessions<S: SizeSource>(
-    engine: SessionEngine,
-    source: S,
-    pictures: u64,
-    sweep: &RateSweep,
-    t_start: f64,
-    t_end: f64,
-) -> Result<FluidMuxStats, EngineError> {
-    if engine.ticks() != 0 || engine.is_finished() {
-        return Err(EngineError::StaleEngine {
-            ticks: engine.ticks(),
-            finished: engine.is_finished(),
-        });
-    }
-    let sessions = engine.session_count();
-    let driver = Rc::new(RefCell::new(Driver {
-        engine,
-        source,
-        pictures_left: pictures,
-        builders: vec![SessionBuilder::default(); sessions],
-        done: false,
-    }));
-    let mut cursors: Vec<EngineCursor<S>> = (0..sessions)
-        .map(|sid| EngineCursor {
-            driver: Rc::clone(&driver),
-            sid,
-            idx: 0,
-        })
-        .collect();
-    for cursor in &mut cursors {
-        cursor.advance_past(t_start);
-    }
-    Ok(sweep.run_cursors(&mut cursors, t_start, t_end))
-}
-
-/// The materializing reference path: runs the same fleet to completion
-/// and returns each session's rate schedule as a [`StepFunction`] (built
-/// by the same streaming transform). Costs O(pictures) memory per
-/// session — the thing [`mux_sessions`] avoids — but is what the
-/// equality tests multiplex through [`RateSweep::run`].
+/// Panics if `engine` was already ticked or finished.
 pub fn materialize_schedules<S: SizeSource>(
     mut engine: SessionEngine,
     source: S,
@@ -300,9 +129,10 @@ pub fn materialize_schedules<S: SizeSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{SessionClass, SyntheticFleet};
+    use crate::{LiveMux, MuxConfig, SessionClass, SyntheticFleet};
     use smooth_core::{OnlineSmoother, SmootherParams, SmoothingResult};
     use smooth_mpeg::GopPattern;
+    use smooth_netsim::RateSweep;
 
     fn fleet_setup(sessions: usize) -> (SessionEngine, SyntheticFleet) {
         let pattern = GopPattern::new(3, 9).unwrap();
@@ -351,62 +181,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lazy_mux_matches_materialized_run_bitwise() {
-        let sweep = RateSweep {
-            capacity_bps: 40.0e6,
-            buffer_bits: 0.5e6,
-        };
-        for sessions in [1usize, 4, 23] {
-            let (engine, fleet) = fleet_setup(sessions);
-            let inputs = materialize_schedules(engine, fleet, 40);
-            let t_end = inputs.iter().map(|f| f.domain_end()).fold(0.0, f64::max);
-            let want = sweep.run(&inputs, 0.0, t_end);
-
-            let (engine, fleet) = fleet_setup(sessions);
-            let got = mux_sessions(engine, fleet, 40, &sweep, 0.0, t_end).expect("fresh engine");
-            assert_eq!(want.arrived_bits.to_bits(), got.arrived_bits.to_bits());
-            assert_eq!(want.lost_bits.to_bits(), got.lost_bits.to_bits());
-            assert_eq!(want.served_bits.to_bits(), got.served_bits.to_bits());
-            assert_eq!(want.max_queue_bits.to_bits(), got.max_queue_bits.to_bits());
-            assert_eq!(want.utilization.to_bits(), got.utilization.to_bits());
-        }
-    }
-
-    /// Satellite regression: a ticked or finished engine is rejected
-    /// with the typed [`EngineError::StaleEngine`] — the PR 7
-    /// validation style — instead of the old assert panic.
-    #[test]
-    fn stale_engine_yields_typed_error_not_panic() {
-        let sweep = RateSweep {
-            capacity_bps: 1.0e6,
-            buffer_bits: 0.0,
-        };
-        let (mut engine, fleet) = fleet_setup(3);
-        engine.tick(&fleet, 1);
-        engine.tick(&fleet, 1);
-        let err = mux_sessions(engine, fleet, 5, &sweep, 0.0, 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::StaleEngine {
-                ticks: 2,
-                finished: false
-            }
-        );
-        assert!(err.to_string().contains("fresh engine"), "{err}");
-
-        let (mut engine, fleet) = fleet_setup(3);
-        engine.finish(&fleet, 1);
-        let err = mux_sessions(engine, fleet, 5, &sweep, 0.0, 1.0).unwrap_err();
-        assert_eq!(
-            err,
-            EngineError::StaleEngine {
-                ticks: 0,
-                finished: true
-            }
-        );
-    }
-
+    /// Windows that clip the schedules, collapse to a point, or run
+    /// past both ends: the fused aggregate equals the oracle sweep.
     #[test]
     fn partial_window_and_degenerate_window_agree() {
         let sweep = RateSweep {
@@ -417,14 +193,27 @@ mod tests {
         let inputs = materialize_schedules(engine, fleet, 30);
         for (a, b) in [(0.3, 0.9), (0.5, 0.5), (-1.0, 2.0)] {
             let want = sweep.run(&inputs, a, b);
-            let (engine, fleet) = fleet_setup(6);
-            let got = mux_sessions(engine, fleet, 30, &sweep, a, b).expect("fresh engine");
+            let (mut engine, fleet) = fleet_setup(6);
+            let mut mux = LiveMux::new(
+                6,
+                7,
+                MuxConfig {
+                    capacity_bps: sweep.capacity_bps,
+                    buffer_bits: sweep.buffer_bits,
+                    t_start: a,
+                    t_end: b,
+                    descriptor_rho_bps: 1.5e6,
+                },
+            );
+            let got = engine
+                .run_fused(&fleet, 30, 1, &mut mux)
+                .expect("fresh engine");
             assert_eq!(
                 want.served_bits.to_bits(),
-                got.served_bits.to_bits(),
+                got.mux.served_bits.to_bits(),
                 "window [{a}, {b}]"
             );
-            assert_eq!(want.utilization.to_bits(), got.utilization.to_bits());
+            assert_eq!(want.utilization.to_bits(), got.mux.utilization.to_bits());
         }
     }
 }

@@ -133,6 +133,13 @@ pub struct ChurnSpec {
 /// event list is a pure function of the spec on every platform. Within
 /// a tick joins precede leaves; leave victims are drawn uniformly from
 /// the live fleet.
+///
+/// # Panics
+///
+/// Panics on an empty or all-zero weight list, a weight/period length
+/// mismatch, a zero tick rate, or when `initial × churn_ppm_per_sec`
+/// leaves no `u64` headroom for the per-tick accumulators (which add it
+/// to a value below `10⁶ × ticks_per_sec`).
 pub fn churn_trace(spec: &ChurnSpec) -> ChurnTrace {
     assert!(!spec.weights.is_empty(), "at least one class weight");
     assert_eq!(
@@ -143,6 +150,12 @@ pub fn churn_trace(spec: &ChurnSpec) -> ChurnTrace {
     assert!(spec.ticks_per_sec > 0, "positive tick rate");
     let total_weight: u64 = spec.weights.iter().map(|&w| u64::from(w)).sum();
     assert!(total_weight > 0, "class weights must not all be zero");
+    // Steady churn runs `num/denom` events per tick (below).
+    let denom = 1_000_000 * spec.ticks_per_sec;
+    let num = (spec.initial as u64)
+        .checked_mul(spec.churn_ppm_per_sec)
+        .filter(|n| n.checked_add(denom).is_some())
+        .expect("initial x churn_ppm_per_sec overflows the u64 churn accumulators");
 
     let mut gen = ChurnGen {
         spec,
@@ -163,8 +176,6 @@ pub fn churn_trace(spec: &ChurnSpec) -> ChurnTrace {
 
     // Steady churn from the second second on: exact integer
     // accumulators, `num/denom` events per tick.
-    let num = spec.initial as u64 * spec.churn_ppm_per_sec;
-    let denom = 1_000_000 * spec.ticks_per_sec;
     let mut acc_join = 0u64;
     let mut acc_leave = 0u64;
     for t in spec.ticks_per_sec..=spec.horizon {
@@ -254,5 +265,21 @@ mod tests {
             .map(|s| fleet.size(s, 0))
             .collect::<std::collections::HashSet<_>>();
         assert!(distinct.len() > 40);
+    }
+
+    /// A churn rate whose accumulator arithmetic would wrap is refused
+    /// up front instead of silently generating a different trace.
+    #[test]
+    #[should_panic(expected = "overflows the u64 churn accumulators")]
+    fn churn_rate_overflow_panics() {
+        churn_trace(&ChurnSpec {
+            seed: 1,
+            initial: 10,
+            weights: vec![1],
+            periods: vec![20],
+            ticks_per_sec: 600,
+            horizon: 1200,
+            churn_ppm_per_sec: u64::MAX / 10,
+        });
     }
 }

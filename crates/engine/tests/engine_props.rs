@@ -9,17 +9,17 @@
 //!    machines collected in index order, so parallel == serial, bit for
 //!    bit.
 //!
-//! Plus the lazy mux adapter: streaming schedules into the k-way merge
-//! equals materializing every schedule and running the sweep.
+//! 3. **One store's decisions, two schedulers.** A single-class,
+//!    phase-0, zero-churn [`DynamicEngine`] fleet on the timing wheel
+//!    decides bit-identically to the same fleet in lockstep on
+//!    [`SessionEngine`] — the gate for merging the two stores.
 
 use proptest::prelude::*;
 use smooth_core::{OnlineSmoother, PictureSchedule, SmootherParams};
 use smooth_engine::{
-    mux::{materialize_schedules, mux_sessions},
-    SessionClass, SessionEngine, SizeSource, SyntheticFleet,
+    fps_class, DynamicEngine, SessionClass, SessionEngine, SizeSource, SyntheticFleet,
 };
 use smooth_mpeg::GopPattern;
-use smooth_netsim::RateSweep;
 
 const TAU: f64 = 1.0 / 30.0;
 
@@ -176,27 +176,6 @@ proptest! {
         }
     }
 
-    /// The lazy cursor mux equals materialize-then-sweep, bit for bit.
-    #[test]
-    fn lazy_mux_equals_materialized_sweep(spec in arb_fleet()) {
-        let source = fleet_source(&spec);
-        let inputs = materialize_schedules(build(&spec, 3), source, spec.ticks);
-        let t_end = inputs.iter().map(|f| f.domain_end()).fold(0.0, f64::max);
-        let sweep = RateSweep {
-            capacity_bps: 2.0e6 * inputs.len() as f64,
-            buffer_bits: 1.0e5,
-        };
-        let want = sweep.run(&inputs, 0.0, t_end);
-        let got = mux_sessions(build(&spec, 3), source, spec.ticks, &sweep, 0.0, t_end)
-            .expect("fresh engine");
-        prop_assert_eq!(want.arrived_bits.to_bits(), got.arrived_bits.to_bits());
-        prop_assert_eq!(want.lost_bits.to_bits(), got.lost_bits.to_bits());
-        prop_assert_eq!(want.served_bits.to_bits(), got.served_bits.to_bits());
-        prop_assert_eq!(want.final_queue_bits.to_bits(), got.final_queue_bits.to_bits());
-        prop_assert_eq!(want.max_queue_bits.to_bits(), got.max_queue_bits.to_bits());
-        prop_assert_eq!(want.utilization.to_bits(), got.utilization.to_bits());
-    }
-
     /// Retained history per session stays inside the fixed per-class
     /// slot no matter how many ticks run.
     #[test]
@@ -216,5 +195,57 @@ proptest! {
         }
         engine.finish(&source, 2);
         prop_assert!(engine.max_retained() <= cap);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `n` sessions of one `fps_class(30)` class, every one joined at
+    /// tick 0 with phase 0 and never leaving, fed `p` pictures: the
+    /// wheel-scheduled [`DynamicEngine`] (arrivals at ticks 1, 1 + τ, …,
+    /// 1 + (p−1)·τ, then `finish`) makes exactly the decisions of the
+    /// lockstep [`SessionEngine`] (`p` ticks, then `finish`) — per-session
+    /// digests and the decision count, for any arrival batch, shard size
+    /// and thread count.
+    #[test]
+    fn dynamic_engine_matches_lockstep_engine(
+        n in 1usize..=40,
+        p in 1u64..=40,
+        seed in any::<u64>(),
+        shard_size in prop_oneof![Just(1usize), Just(3), Just(7), Just(64)],
+        threads in 1usize..=3,
+    ) {
+        let class = fps_class(30);
+        let source = SyntheticFleet { seed, pattern: class.class.pattern };
+
+        let mut lockstep = SessionEngine::with_shard_size(vec![class.class.clone()], shard_size);
+        lockstep.add_sessions(0, n);
+        for _ in 0..p {
+            lockstep.tick(&source, threads);
+        }
+        lockstep.finish(&source, threads);
+        let want_sessions = lockstep.session_digests();
+        prop_assert!(lockstep.decisions() > 0);
+
+        for batch in [1u64, 16] {
+            let mut dynamic = DynamicEngine::new(vec![class.clone()], n, shard_size)
+                .expect("valid fleet");
+            dynamic.set_arrival_batch(batch);
+            for sid in 0..n as u64 {
+                prop_assert_eq!(dynamic.join(0, sid, 0).expect("room"), sid);
+            }
+            dynamic.advance_to(&source, 1 + (p - 1) * class.period_ticks, threads);
+            dynamic.finish(&source, threads);
+            prop_assert_eq!(
+                &dynamic.session_digests(),
+                &want_sessions,
+                "batch={} shard_size={} threads={}",
+                batch,
+                shard_size,
+                threads
+            );
+            prop_assert_eq!(dynamic.decisions(), lockstep.decisions());
+        }
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! 1. **Frozen oracle.** A fused batch run's aggregate stats are
 //!    bit-identical to materializing every schedule and running the
-//!    [`RateSweep`] (equivalently [`mux_sessions`]), its peak to the
+//!    [`RateSweep`], its peak to the
 //!    sweep's interval maxima, and every session's descriptor σ to
 //!    [`min_bucket_for`] over its materialized schedule — for arbitrary
 //!    fleets, windows, and link parameters.

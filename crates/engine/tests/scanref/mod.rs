@@ -2,7 +2,7 @@
 //!
 //! **Frozen** — like `smooth_core::reference` and `mux::reference`,
 //! this module is the trusted oracle the churn proptests compare the
-//! timing-wheel [`DynamicEngine`](crate::DynamicEngine) against, and
+//! timing-wheel [`DynamicEngine`](smooth_engine::DynamicEngine) against, and
 //! must stay the obviously-correct transliteration of the event rules:
 //!
 //! * Time is walked **tick by tick** from 0 to the horizon — no wheel,
@@ -22,8 +22,14 @@
 
 use smooth_core::{OnlineSmoother, PatternEstimator, PictureSchedule};
 
-use crate::synthetic::{ChurnEvent, ChurnTrace};
-use crate::{fnv, DynamicClass, SizeSource, FNV_OFFSET};
+use smooth_engine::{ChurnEvent, ChurnTrace, DynamicClass, SizeSource};
+
+/// The engine's 64-bit FNV-1a digest fold, copied so the oracle shares
+/// no code with the engine it checks.
+const FNV_OFFSET: u64 = 0xcbf29ce484222325;
+fn fnv(digest: u64, word: u64) -> u64 {
+    (digest ^ word).wrapping_mul(0x100000001b3)
+}
 
 /// The reference run's observable outcome, shaped like the engine's:
 /// per-session digests by session id, the fleet digest folded over them
@@ -57,7 +63,7 @@ fn fold(digest: &mut u64, d: &PictureSchedule) {
 
 /// Replays `trace` by brute force (see the module docs) and, when
 /// `finish` is set, ends every still-live session at the horizon — the
-/// analogue of [`DynamicEngine::finish`](crate::DynamicEngine::finish).
+/// analogue of [`DynamicEngine::finish`](smooth_engine::DynamicEngine::finish).
 pub fn run_scan<S: SizeSource>(
     classes: &[DynamicClass],
     trace: &ChurnTrace,

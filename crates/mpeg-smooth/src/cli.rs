@@ -16,9 +16,9 @@
 //!                      [--classes 24:1,30:2]
 //! mpeg-smooth churn    [--sessions N] [--seconds S] [--churn-ppm P] [--threads N]
 //!                      [--seed S] [--classes 24:1,25:1,30:1,60:1] [--shard-size N]
-//!                      [--batch B] [--repeats R] [--out BENCH_sweep.json]
+//!                      [--batch B]
 //! mpeg-smooth scale    [--sessions N] [--pictures N] [--repeats R]
-//!                      [--max-threads T] [--out BENCH_sweep.json]
+//!                      [--max-threads T]
 //! ```
 //!
 //! The fleet commands (`sessions`, `churn`) print the decision digest on
@@ -127,10 +127,10 @@ usage:
                        [--mux-capacity-mbps C [--mux-buffer-kbit B]]
   mpeg-smooth churn    [--sessions N] [--seconds S] [--churn-ppm P] [--threads N]
                        [--seed S] [--classes <fps:weight,...>] [--shard-size N]
-                       [--batch B] [--repeats R] [--out <BENCH_sweep.json>]
+                       [--batch B]
                        [--mux-capacity-mbps C [--mux-buffer-kbit B]]
   mpeg-smooth scale    [--sessions N] [--pictures N] [--repeats R]
-                       [--max-threads T] [--out <BENCH_sweep.json>]
+                       [--max-threads T]
   mpeg-smooth help
 ";
 
@@ -809,14 +809,8 @@ const TICKS_PER_SEC_FPS: u64 = smooth_engine::TICKS_PER_SEC;
 /// picture clocks on the timing wheel, live slot recycling — and report
 /// fleet stats plus the decision digest (`fleet_digest=`, identical for
 /// every thread count, shard size, and `--batch` arrival-batch quantum).
-/// With `--out`, the measurement is
-/// upserted into the `churn_throughput[]` array of an existing
-/// `BENCH_sweep.json` (dedup key: name + commit + threads), like
-/// `scale` does for `scaling[]`.
 fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     use smooth_engine::{churn_trace, ChurnSpec, DynamicEngine, SyntheticFleet, TICKS_PER_SEC};
-    use smooth_sweep::bench::{ChurnThroughputRecord, SweepBenchReport};
-    use smooth_sweep::ThreadSource;
 
     let mut opts = Options::parse(args)?;
     let sessions = opts.take_parsed::<usize>("sessions")?.unwrap_or(10_000);
@@ -825,11 +819,9 @@ fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     let threads = smooth_sweep::resolve_threads(opts.take_parsed::<usize>("threads")?);
     let seed = opts.take_parsed::<u64>("seed")?.unwrap_or(0xC_0041_7E57);
     let shard_size = opts.take_parsed::<usize>("shard-size")?.unwrap_or(4096);
-    let repeats = opts.take_parsed::<usize>("repeats")?.unwrap_or(1);
     let batch = opts
         .take_parsed::<u64>("batch")?
         .unwrap_or(smooth_engine::ARRIVAL_BATCH);
-    let out_path = opts.take("out");
     let classes_raw = opts
         .take("classes")
         .unwrap_or_else(|| "24:1,25:1,30:1,60:1".to_string());
@@ -841,11 +833,20 @@ fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     if seconds == 0 {
         return Err(err("--seconds: must be at least 1"));
     }
+    let horizon = TICKS_PER_SEC
+        .checked_mul(seconds)
+        .ok_or_else(|| err("--seconds: too long for the tick clock"))?;
+    // `churn_trace`'s per-tick accumulators add sessions x ppm to a
+    // value under 10^6 x TICKS_PER_SEC.
+    if (sessions as u64)
+        .checked_mul(churn_ppm)
+        .and_then(|n| n.checked_add(1_000_000 * TICKS_PER_SEC))
+        .is_none()
+    {
+        return Err(err("--churn-ppm: too high for --sessions"));
+    }
     if shard_size == 0 {
         return Err(err("--shard-size: must be at least 1"));
-    }
-    if repeats == 0 {
-        return Err(err("--repeats: must be at least 1"));
     }
     if batch == 0 || batch > 1 << 20 {
         return Err(err("--batch: must be in 1..=1048576"));
@@ -858,7 +859,7 @@ fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         weights: weights.clone(),
         periods: classes.iter().map(|c| c.period_ticks).collect(),
         ticks_per_sec: TICKS_PER_SEC,
-        horizon: TICKS_PER_SEC * seconds,
+        horizon,
         churn_ppm_per_sec: churn_ppm,
     });
     let src = SyntheticFleet {
@@ -882,47 +883,39 @@ fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         trace.peak_live
     );
 
-    // Fresh engine per repeat, same trace; only the event-driven replay
-    // is timed. The last engine reports the (repeat-invariant) stats.
-    let mut walls = Vec::with_capacity(repeats);
-    let mut engine = None;
-    let mut fused = None;
-    for _ in 0..repeats {
-        let mut e = DynamicEngine::new(classes.clone(), trace.peak_live, shard_size)
-            .map_err(|e| err(e.to_string()))?;
-        e.set_arrival_batch(batch);
-        match mux_link {
-            None => {
-                let t0 = std::time::Instant::now();
-                e.run_trace(&src, &trace, threads)
-                    .map_err(|e| err(e.to_string()))?;
-                walls.push(t0.elapsed().as_secs_f64());
-            }
-            Some((capacity_bps, buffer_bits)) => {
-                // Fused churn-to-link: the wheel drain and the online
-                // aggregation advance together; the window covers the
-                // trace and ρ is the initial fleet's fair share.
-                let cfg = smooth_engine::MuxConfig {
-                    capacity_bps,
-                    buffer_bits,
-                    t_start: 0.0,
-                    t_end: seconds as f64,
-                    descriptor_rho_bps: capacity_bps / sessions as f64,
-                };
-                let mut mux =
-                    smooth_engine::LiveMux::with_joins(trace.total_joins(), shard_size, cfg);
-                let t0 = std::time::Instant::now();
-                e.run_trace_fused(&src, &trace, threads, &mut mux)
-                    .map_err(|e| err(e.to_string()))?;
-                let stats = e.finish_fused(&src, threads, &mut mux);
-                walls.push(t0.elapsed().as_secs_f64());
-                fused = Some((stats, mux));
-            }
+    let mut engine = DynamicEngine::new(classes.clone(), trace.peak_live, shard_size)
+        .map_err(|e| err(e.to_string()))?;
+    engine.set_arrival_batch(batch);
+    // Fused churn-to-link: the wheel drain and the online aggregation
+    // advance together; the window covers the trace and ρ is the
+    // initial fleet's fair share.
+    let mut mux = mux_link.map(|(capacity_bps, buffer_bits)| {
+        let cfg = smooth_engine::MuxConfig {
+            capacity_bps,
+            buffer_bits,
+            t_start: 0.0,
+            t_end: seconds as f64,
+            descriptor_rho_bps: capacity_bps / sessions as f64,
+        };
+        smooth_engine::LiveMux::with_joins(trace.total_joins(), shard_size, cfg)
+    });
+    // Only the event-driven replay is timed.
+    let t0 = std::time::Instant::now();
+    let stats = match &mut mux {
+        None => {
+            engine
+                .run_trace(&src, &trace, threads)
+                .map_err(|e| err(e.to_string()))?;
+            None
         }
-        engine = Some(e);
-    }
-    let engine = engine.expect("repeats >= 1");
-    let wall = walls.iter().cloned().fold(f64::INFINITY, f64::min);
+        Some(mux) => {
+            engine
+                .run_trace_fused(&src, &trace, threads, mux)
+                .map_err(|e| err(e.to_string()))?;
+            Some(engine.finish_fused(&src, threads, mux))
+        }
+    };
+    let wall = t0.elapsed().as_secs_f64();
     let decisions = engine.decisions();
     let rate = if wall > 0.0 {
         decisions as f64 / wall
@@ -944,60 +937,26 @@ fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         engine.digest()
     );
     let _ = writeln!(out, "fleet_digest={:016x}", engine.digest());
-    if let Some((stats, mux)) = &fused {
+    if let (Some(stats), Some(mux)) = (&stats, &mux) {
         report_mux(out, stats, mux);
     }
     // Only this line may vary between runs; the determinism tests strip
     // lines containing "thread(s)".
     let _ = writeln!(
         out,
-        "throughput: {rate:.0} decisions/s on {threads} thread(s) ({wall:.3}s min of {repeats})"
+        "throughput: {rate:.0} decisions/s on {threads} thread(s) ({wall:.3}s)"
     );
-
-    if let Some(path) = out_path {
-        let p = std::path::Path::new(&path);
-        let mut report = if p.exists() {
-            SweepBenchReport::load(p).map_err(|e| err(format!("loading {path}: {e}")))?
-        } else {
-            SweepBenchReport::with_thread_source(threads, ThreadSource::Flag)
-        };
-        // Fused runs time extra work (the online aggregation), so they
-        // get their own record name rather than dedup-clobbering the
-        // plain replay's measurement.
-        let record_name = if fused.is_some() {
-            format!("churn_fused_S{sessions}")
-        } else {
-            format!("churn_synthetic_S{sessions}")
-        };
-        report.record_churn_throughput(ChurnThroughputRecord::with_walls(
-            &record_name,
-            sessions,
-            churn_ppm,
-            engine.joined(),
-            trace.horizon,
-            decisions,
-            &walls,
-            threads,
-        ));
-        report
-            .save(p)
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "churn_throughput[] -> {path}");
-    }
     Ok(0)
 }
 
 /// `scale`: regenerate the cores-vs-throughput curve standalone — the
 /// megasession engine at a 1, 2, 4, … worker ladder with cache-aware
 /// shard placement (first-touch construction by the advancing worker,
-/// static shard→thread striping, best-effort CPU pinning). Points are
-/// upserted into the `scaling[]` array of an existing `BENCH_sweep.json`
-/// when `--out` names one (dedup key: name + commit + threads), or into
-/// a fresh report otherwise.
+/// static shard→thread striping, best-effort CPU pinning). Each rung
+/// prints one `T=<workers>:` line with its fastest and median wall of
+/// `--repeats` runs and the (rung-invariant) decision digest.
 fn cmd_scale(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     use smooth_engine::{SessionClass, SessionEngine, SyntheticFleet};
-    use smooth_sweep::bench::{ScalingRecord, SweepBenchReport};
-    use smooth_sweep::ThreadSource;
 
     let mut opts = Options::parse(args)?;
     let sessions = opts.take_parsed::<usize>("sessions")?.unwrap_or(1_000_000);
@@ -1006,7 +965,6 @@ fn cmd_scale(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     let max_threads = opts
         .take_parsed::<usize>("max-threads")?
         .unwrap_or_else(smooth_sweep::logical_cores);
-    let out_path = opts.take("out");
     opts.finish()?;
     if sessions == 0 {
         return Err(err("--sessions: must be at least 1"));
@@ -1047,7 +1005,6 @@ fn cmd_scale(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         if pinned { "on" } else { "unavailable" }
     );
 
-    let mut records = Vec::new();
     for &threads in &ladder {
         let mut walls = Vec::with_capacity(repeats);
         let mut decisions = 0u64;
@@ -1061,41 +1018,24 @@ fn cmd_scale(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             decisions = engine.decisions();
             digest = engine.digest();
         }
-        let record = ScalingRecord::with_walls(
-            &format!("scale_synthetic_S{sessions}"),
-            sessions,
-            pictures,
-            decisions,
-            &walls,
-            threads,
-            pinned,
-            true,
-        );
+        walls.sort_by(f64::total_cmp);
+        let mid = walls.len() / 2;
+        let median = if walls.len() % 2 == 1 {
+            walls[mid]
+        } else {
+            0.5 * (walls[mid - 1] + walls[mid])
+        };
+        let min = walls[0];
+        let rate = if min > 0.0 {
+            decisions as f64 / min
+        } else {
+            0.0
+        };
         let _ = writeln!(
             out,
-            "T={threads}: {:.0} decisions/s ({decisions} decisions, {:.3}s min, \
-             {:.3}s median, digest {digest:016x})",
-            record.decisions_per_second,
-            record.wall_seconds,
-            record.wall_seconds_median.unwrap_or(0.0),
+            "T={threads}: {rate:.0} decisions/s ({decisions} decisions, {min:.3}s min, \
+             {median:.3}s median, digest {digest:016x})",
         );
-        records.push(record);
-    }
-
-    if let Some(path) = out_path {
-        let p = std::path::Path::new(&path);
-        let mut report = if p.exists() {
-            SweepBenchReport::load(p).map_err(|e| err(format!("loading {path}: {e}")))?
-        } else {
-            SweepBenchReport::with_thread_source(max_threads, ThreadSource::Flag)
-        };
-        for record in records {
-            report.record_scaling(record);
-        }
-        report
-            .save(p)
-            .map_err(|e| err(format!("writing {path}: {e}")))?;
-        let _ = writeln!(out, "scaling[] -> {path}");
     }
     Ok(0)
 }
@@ -1697,45 +1637,6 @@ mod tests {
     }
 
     #[test]
-    fn churn_out_writes_and_upserts_churn_throughput_records() {
-        let json_path = tmp("churn_report.json");
-        let _ = std::fs::remove_file(&json_path);
-        let args = [
-            "churn",
-            "--sessions",
-            "150",
-            "--seconds",
-            "1",
-            "--repeats",
-            "2",
-            "--threads",
-            "1",
-            "--out",
-            &json_path,
-        ];
-        let (code, text) = run_cli(&args);
-        assert_eq!(code, 0, "{text}");
-        assert!(text.contains("churn_throughput[] ->"), "{text}");
-        let report = smooth_sweep::bench::SweepBenchReport::load(std::path::Path::new(&json_path))
-            .expect("churn report");
-        assert_eq!(report.churn_throughput.len(), 1);
-        let rec = &report.churn_throughput[0];
-        assert_eq!(rec.name, "churn_synthetic_S150");
-        assert_eq!(rec.sessions, 150);
-        assert_eq!(rec.churn_ppm_per_sec, 10_000);
-        assert!(rec.joined >= 150);
-        assert!(rec.wall_seconds_median.is_some());
-        assert!(rec.wall_seconds_spread.is_some());
-
-        // A second run upserts instead of appending a duplicate.
-        let (code, _) = run_cli(&args);
-        assert_eq!(code, 0);
-        let report = smooth_sweep::bench::SweepBenchReport::load(std::path::Path::new(&json_path))
-            .expect("churn report");
-        assert_eq!(report.churn_throughput.len(), 1);
-    }
-
-    #[test]
     fn fused_sessions_prints_mux_digest_and_is_thread_invariant() {
         let base = [
             "sessions",
@@ -1814,30 +1715,6 @@ mod tests {
     }
 
     #[test]
-    fn fused_churn_out_gets_its_own_record_name() {
-        let json_path = tmp("churn_fused_report.json");
-        let _ = std::fs::remove_file(&json_path);
-        let (code, text) = run_cli(&[
-            "churn",
-            "--sessions",
-            "120",
-            "--seconds",
-            "1",
-            "--threads",
-            "1",
-            "--mux-capacity-mbps",
-            "150",
-            "--out",
-            &json_path,
-        ]);
-        assert_eq!(code, 0, "{text}");
-        let report = smooth_sweep::bench::SweepBenchReport::load(std::path::Path::new(&json_path))
-            .expect("fused churn report");
-        assert_eq!(report.churn_throughput.len(), 1);
-        assert_eq!(report.churn_throughput[0].name, "churn_fused_S120");
-    }
-
-    #[test]
     fn mux_link_flags_are_validated() {
         let fail = |args: &[&str], needle: &str| {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
@@ -1873,7 +1750,6 @@ mod tests {
             vec!["churn", "--sessions", "0"],
             vec!["churn", "--seconds", "0"],
             vec!["churn", "--shard-size", "0"],
-            vec!["churn", "--repeats", "0"],
             vec!["churn", "--batch", "0"],
             vec!["churn", "--batch", "1048577"],
             vec!["churn", "--classes", "17:1"],
@@ -1881,6 +1757,34 @@ mod tests {
             vec!["churn", "--classes", ""],
             vec!["churn", "--classes", "abc"],
             vec!["churn", "--wat", "1"],
+            // 600 ticks/s x seconds overflows u64; so does sessions x
+            // ppm, or it leaves no headroom for `churn_trace`'s
+            // accumulators.
+            vec![
+                "churn",
+                "--sessions",
+                "10",
+                "--seconds",
+                "30744573456182587",
+            ],
+            vec![
+                "churn",
+                "--sessions",
+                "10",
+                "--seconds",
+                "2",
+                "--churn-ppm",
+                "18446744073709551615",
+            ],
+            vec![
+                "churn",
+                "--sessions",
+                "10",
+                "--seconds",
+                "2",
+                "--churn-ppm",
+                "1844674407370955161",
+            ],
         ] {
             let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
             let mut out = Vec::new();
@@ -1903,9 +1807,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_reports_the_ladder_and_writes_scaling_records() {
-        let json_path = tmp("scale_report.json");
-        let _ = std::fs::remove_file(&json_path);
+    fn scale_reports_the_ladder() {
         let (code, text) = run_cli(&[
             "scale",
             "--sessions",
@@ -1916,38 +1818,12 @@ mod tests {
             "1",
             "--max-threads",
             "3",
-            "--out",
-            &json_path,
         ]);
         assert_eq!(code, 0, "{text}");
         assert!(text.contains("ladder [1, 2, 3]"), "{text}");
         assert!(text.contains("T=1:"), "{text}");
         assert!(text.contains("T=3:"), "{text}");
         assert!(text.contains("4000 decisions"), "{text}");
-        let report = smooth_sweep::bench::SweepBenchReport::load(std::path::Path::new(&json_path))
-            .expect("scale report");
-        assert_eq!(report.scaling.len(), 3);
-        assert!(report.scaling.iter().all(|r| r.sessions == 400));
-        assert!(report.scaling.iter().all(|r| r.first_touch));
-
-        // A second run upserts instead of appending duplicates.
-        let (code, _) = run_cli(&[
-            "scale",
-            "--sessions",
-            "400",
-            "--pictures",
-            "10",
-            "--repeats",
-            "1",
-            "--max-threads",
-            "3",
-            "--out",
-            &json_path,
-        ]);
-        assert_eq!(code, 0);
-        let report = smooth_sweep::bench::SweepBenchReport::load(std::path::Path::new(&json_path))
-            .expect("scale report");
-        assert_eq!(report.scaling.len(), 3);
     }
 
     #[test]

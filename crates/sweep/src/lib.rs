@@ -37,7 +37,6 @@ use smooth_core::{
 };
 use smooth_trace::VideoTrace;
 
-pub mod bench;
 pub mod place;
 pub mod reduce;
 
@@ -59,63 +58,29 @@ pub fn set_default_threads(n: usize) {
 /// Default worker count: the [`set_default_threads`] override if set,
 /// else `SMOOTH_THREADS` if set and positive, else all available cores.
 pub fn default_threads() -> usize {
-    resolve_threads_with_source(None).0
+    resolve_threads(None)
 }
 
 /// Resolves an optional user-facing thread request (`--threads`):
 /// `None` or `Some(0)` mean "use the default".
 pub fn resolve_threads(requested: Option<usize>) -> usize {
-    resolve_threads_with_source(requested).0
-}
-
-/// Where a resolved worker count came from — recorded in
-/// `BENCH_sweep.json` so a report can never claim a thread count the
-/// machine does not explain (e.g. `threads: 2` next to
-/// `available_cores: 1` with no hint that a flag forced it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ThreadSource {
-    /// An explicit request (a `--threads` flag or API argument), including
-    /// a [`set_default_threads`] override installed by a flag.
-    Flag,
-    /// The `SMOOTH_THREADS` environment variable.
-    Env,
-    /// [`std::thread::available_parallelism`] (or 1 if unknown).
-    Cores,
-}
-
-impl ThreadSource {
-    /// Stable lowercase label used in reports.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ThreadSource::Flag => "flag",
-            ThreadSource::Env => "env",
-            ThreadSource::Cores => "cores",
-        }
-    }
-}
-
-/// [`resolve_threads`] plus the provenance of the returned count.
-pub fn resolve_threads_with_source(requested: Option<usize>) -> (usize, ThreadSource) {
     if let Some(n) = requested {
         if n > 0 {
-            return (n, ThreadSource::Flag);
+            return n;
         }
     }
     let global = GLOBAL_THREADS.load(Ordering::Relaxed);
     if global > 0 {
-        return (global, ThreadSource::Flag);
+        return global;
     }
     if let Ok(v) = std::env::var("SMOOTH_THREADS") {
         if let Ok(n) = v.trim().parse::<usize>() {
             if n > 0 {
-                return (n, ThreadSource::Env);
+                return n;
             }
         }
     }
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    (cores, ThreadSource::Cores)
+    logical_cores()
 }
 
 /// Applies `f` to every item and collects results **in input order**.
@@ -364,24 +329,6 @@ mod tests {
         assert_eq!(resolve_threads(Some(3)), 3);
         assert!(resolve_threads(None) >= 1);
         assert!(resolve_threads(Some(0)) >= 1);
-    }
-
-    #[test]
-    fn resolve_threads_reports_source() {
-        assert_eq!(
-            resolve_threads_with_source(Some(3)),
-            (3, ThreadSource::Flag)
-        );
-        let (n, src) = resolve_threads_with_source(None);
-        assert!(n >= 1);
-        // Without an explicit request the source is whatever the process
-        // environment dictates — never Flag unless an override is set.
-        if GLOBAL_THREADS.load(Ordering::Relaxed) == 0 {
-            assert_ne!(src, ThreadSource::Flag);
-        }
-        assert_eq!(ThreadSource::Cores.as_str(), "cores");
-        assert_eq!(ThreadSource::Env.as_str(), "env");
-        assert_eq!(ThreadSource::Flag.as_str(), "flag");
     }
 
     #[test]

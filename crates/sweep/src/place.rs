@@ -1,9 +1,8 @@
 //! Cache-aware thread placement for the scaling harness.
 //!
-//! The cores-vs-throughput curve (`mpeg-smooth scale`, the `scalebench`
-//! suite) wants each worker to *own* its shards: a *static* block-cyclic
-//! shard→worker assignment (worker `w` takes items `w, w + T, …`), the
-//! worker pinned to one CPU so the shards it first-touched stay in that
+//! The cores-vs-throughput curve (`mpeg-smooth scale`) wants each
+//! worker to *own* its shards: a *static* block-cyclic shard→worker
+//! assignment (worker `w` takes items `w, w + T, …`), the worker pinned to one CPU so the shards it first-touched stay in that
 //! core's cache (and, on NUMA boxes, its local memory node). This
 //! module provides the three pieces:
 //!
@@ -13,12 +12,12 @@
 //!   changes *which thread* computes an item, never the item's input).
 //! * [`pin_current_thread`] / [`pinning_supported`] — best-effort
 //!   `sched_setaffinity` pinning on Linux, a graceful no-op elsewhere
-//!   (the harness records whether pinning was live in the report's
-//!   provenance instead of pretending).
+//!   (the harness prints whether pinning was live instead of
+//!   pretending).
 //! * [`physical_cores`] / [`logical_cores`] — the physical-vs-logical
-//!   distinction `BENCH_sweep.json` provenance records, so a throughput
-//!   curve measured across SMT siblings cannot masquerade as one
-//!   measured across real cores.
+//!   distinction the harness prints, so a throughput curve measured
+//!   across SMT siblings cannot masquerade as one measured across real
+//!   cores.
 //!
 //! The pinning syscall is declared by hand (`extern "C"`): this build is
 //! hermetic (no crates.io, so no `libc`), and one syscall does not
@@ -124,8 +123,8 @@ pub fn pin_current_thread(core: usize) -> bool {
 
 /// Whether thread pinning actually works here (Linux with an
 /// unrestricted affinity mask). Probes with a throwaway thread so the
-/// caller's own affinity is never disturbed. Recorded in
-/// `BENCH_sweep.json` provenance as `pinned`.
+/// caller's own affinity is never disturbed. `mpeg-smooth scale`
+/// prints it as `pinning on`/`unavailable`.
 pub fn pinning_supported() -> bool {
     std::thread::scope(|scope| {
         scope
