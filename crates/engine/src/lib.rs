@@ -964,9 +964,8 @@ impl SessionEngine {
         let shards = &self.shards;
         let idx: Vec<usize> = (0..shards.len()).collect();
         let mut remaining = ticks;
-        let mut cadence = FUSED_CHUNK;
         loop {
-            let chunk = remaining.min(cadence);
+            let chunk = remaining.min(FUSED_CHUNK);
             remaining -= chunk;
             let fin = remaining == 0;
             let mux_ref = &*mux;
@@ -980,22 +979,9 @@ impl SessionEngine {
                     block.finish_lanes();
                 }
             });
-            let flushed = mux.ingest(threads, f64::INFINITY);
+            mux.ingest(threads, f64::INFINITY);
             if fin {
                 break;
-            }
-            // A pass that applied nothing means the fence is pinned by
-            // a lane still on its first merged segment — re-scanning at
-            // the same cadence would be pure overhead, and each extra
-            // pass re-streams every lane's state. Back off aggressively
-            // (x4): a pinned fence tends to stay pinned until that
-            // lane's segment breaks, and every output bit is
-            // cadence-invariant (events apply in global time order
-            // regardless of when they're ingested).
-            if flushed == 0 {
-                cadence = cadence.saturating_mul(4);
-            } else {
-                cadence = FUSED_CHUNK;
             }
         }
         self.ticks = ticks;

@@ -34,20 +34,64 @@
 //! builder `rate_segments ∘ StepFunction::from_segments` from
 //! [`crate::mux`] (same `TIME_EPS` merge, same `1e-12` gap threshold),
 //! (b) by only flushing events strictly below a **fence** no future
-//! event can undercut (the minimum over per-session frontiers, capped
-//! by the caller's clock), and (c) by sorting each flush on
-//! `(t.to_bits(), leaf)` and applying equal-time groups atomically.
+//! event can undercut (next section), and (c) by sorting each flush on
+//! `t` and applying equal-time groups atomically. Within a group the
+//! order of different leaves is immaterial — a tree node is a function
+//! of its leaves — and ties keep buffer order, which is each session's
+//! own emission order.
+//!
+//! ### The fence
+//!
+//! Each lane emits its breakpoints in increasing time: a piece's end
+//! lies past its start, a gap's start more than `1e-12` past the last
+//! breakpoint. A breakpoint goes out as soon as the value taking effect
+//! at it is certain. A gap's zero is certain when the segment after it
+//! opens. A merged segment's rate is certain once the segment's end has
+//! passed the last breakpoint: `from_segments` places its piece as long
+//! as the final end lies past that breakpoint, and the end of an
+//! announced segment never moves back (decisions depart in order; a
+//! merge that would pull it back panics). So the *frontier* — the
+//! earliest time a lane can still emit — is:
+//!
+//! - `offset + last_break` while the open segment's piece is pending:
+//!   the value at that dangling breakpoint is still unknown;
+//! - `offset + cur_end` once it went out: the next breakpoint is the
+//!   segment's final end, no earlier than its current one;
+//! - `+∞` for a finished lane, and for a lane that has not joined
+//!   (it takes no decisions before [`LiveMux::begin_session`]; the
+//!   caller's clock cap bounds the events of future joins).
+//!
+//! [`LiveMux::ingest`]'s fence is the minimum of the clock cap and
+//! every lane's frontier, so every event posted after an ingest lies at
+//! or past its fence, and flushing strictly below it applies events in
+//! global time order across passes. A lane that holds one rate for the
+//! whole run advances its frontier with every decision, so the fence
+//! follows the fleet's clock: after an ingest the shards hold only the
+//! events a lane posted between the fence and its own frontier — a
+//! few per live session, O(S) whatever the run's length
+//! ([`LiveMux::pending_events`]).
 //!
 //! ### Shard-parallel, thread-invariant
 //!
-//! Leaves are partitioned by a [`ShardPlan`] (fixed by session count,
-//! never by worker count), one subtree per shard. Workers apply their
-//! shard's events to the shard subtree and record a time-ordered run of
-//! `(t, subtree_root)` pairs; a serial k-way merge then replays the
-//! runs through the top levels of the tree. Because shard boundaries
-//! coincide with subtree boundaries, the composed root is *the same
-//! tree* the serial engine reads — the identical discipline (and
-//! identity argument) as [`smooth_netsim::RateSweep::run_threaded`].
+//! Leaves are partitioned by a [`ShardPlan`] (fixed by session count
+//! and block size, never by worker count), one subtree per shard.
+//! Workers apply their shard's events to the shard subtree and record a
+//! time-ordered run of `(t, subtree_root)` pairs; a serial k-way merge
+//! then replays the runs through the top levels of the tree. Because
+//! shard boundaries coincide with subtree boundaries, the composed root
+//! is *the same tree* the serial engine reads, whatever the shard count
+//! — the identical discipline (and identity argument) as
+//! [`smooth_netsim::RateSweep::run_threaded`].
+//!
+//! Events are posted into one buffer per lane block (the engine's
+//! shard), and a mux shard spans at least one lane block
+//! (`width ≥ block_size.next_power_of_two()`, at most
+//! [`MUX_MAX_SHARDS`] shards), so a block buffer overlaps one shard, or
+//! two when it straddles a boundary. An ingest pass reads the buffers
+//! in place: each shard visits its overlapping buffers once, keying
+//! the events below the fence for its sort and copying the rest into
+//! its held set, so each event is visited at most twice and never
+//! copied before it is applied.
 //!
 //! ### Live (σ, ρ) descriptors
 //!
@@ -171,18 +215,21 @@ struct SessionLane {
     /// Absolute time of the session's local t = 0 (its join time).
     offset: f64,
     // --- builder: rate_segments ∘ from_segments, streaming ---
-    has_prev: bool,
-    /// End of the last raw (pre-merge) segment, local time.
-    prev_end: f64,
+    /// Whether a merged segment is open (can still grow): from the
+    /// first decision until the stream ends.
     has_cur: bool,
-    cur_start: f64,
+    /// End of the open segment, local time — also the last decision's
+    /// departure, which gates zero-rate gap insertion.
     cur_end: f64,
     cur_rate: f64,
-    /// Whether any breakpoint has been placed yet.
-    started: bool,
-    /// The dangling breakpoint: placed, but the value taking effect at
-    /// it is not yet known (local time). The session's next event is at
-    /// exactly `offset + last_break`.
+    /// The open segment's start breakpoint is already emitted (with
+    /// its rate): the segment has outgrown `last_break`, so the
+    /// offline builder is bound to place that piece. The next event is
+    /// then at the segment's final end, no earlier than `cur_end`.
+    announced: bool,
+    /// The last placed breakpoint (local time). Unless `announced`, it
+    /// dangles — the value taking effect at it is not yet known — and
+    /// the session's next event is at exactly `offset + last_break`.
     last_break: f64,
     // --- descriptor: min_bucket_for's recurrence, incremental ---
     /// Last retained cut (absolute time; starts at the window start).
@@ -201,13 +248,10 @@ impl SessionLane {
             joined,
             finished: false,
             offset: 0.0,
-            has_prev: false,
-            prev_end: 0.0,
             has_cur: false,
-            cur_start: 0.0,
             cur_end: 0.0,
             cur_rate: 0.0,
-            started: false,
+            announced: false,
             last_break: 0.0,
             last_cut: t_start,
             value: 0.0,
@@ -220,10 +264,13 @@ impl SessionLane {
     /// Earliest absolute time at which this lane can still emit an
     /// event; the ingestion fence is the fleet-wide minimum. Unjoined
     /// lanes don't bound the fence (the caller's clock cap covers
-    /// future joins); finished lanes never emit again.
+    /// future joins, and they take no decisions); finished lanes never
+    /// emit again. See the module docs for why this is a lower bound.
     fn frontier(&self) -> f64 {
         if !self.joined || self.finished {
             f64::INFINITY
+        } else if self.announced {
+            self.offset + self.cur_end
         } else {
             self.offset + self.last_break
         }
@@ -231,25 +278,31 @@ impl SessionLane {
 
     /// One decision: `rate_segments`' zero-rate gap insertion, then its
     /// equal-rate merge — identical to the builder in [`crate::mux`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane has not joined or has already finished.
     #[inline]
     fn decision(&mut self, cfg: &MuxConfig, d: &PictureSchedule, leaf: u32, out: &mut Vec<Event>) {
         // Hot path: a gapless decision at the current rate extends the
-        // open merged segment (most decisions of a smoothed schedule
-        // keep the rate) — one branch instead of the gap check plus the
-        // merge check below, with identical state updates.
-        if self.has_prev
-            && self.has_cur
-            && d.start <= self.prev_end + TIME_EPS
+        // open, announced merged segment (most decisions of a smoothed
+        // schedule keep the rate) — one branch instead of the gap check
+        // plus the merge check below, with identical state updates. An
+        // announced segment implies a live lane, so the lifecycle check
+        // below guards this path too.
+        if self.announced
             && self.cur_rate == d.rate
             && (d.start - self.cur_end).abs() <= TIME_EPS
+            && d.depart >= self.cur_end
         {
             self.cur_end = d.depart;
-            self.prev_end = d.depart;
             return;
         }
-        if self.has_prev && d.start > self.prev_end + TIME_EPS {
+        assert!(self.joined, "session {leaf} has not joined the mux");
+        assert!(!self.finished, "session {leaf} already finished");
+        if self.has_cur && d.start > self.cur_end + TIME_EPS {
             let gap = RateSegment {
-                start: self.prev_end,
+                start: self.cur_end,
                 end: d.start,
                 rate: 0.0,
             };
@@ -265,75 +318,87 @@ impl SessionLane {
             leaf,
             out,
         );
-        self.has_prev = true;
-        self.prev_end = d.depart;
     }
 
     fn raw(&mut self, cfg: &MuxConfig, seg: RateSegment, leaf: u32, out: &mut Vec<Event>) {
         if self.has_cur {
             if self.cur_rate == seg.rate && (seg.start - self.cur_end).abs() <= TIME_EPS {
+                // An announced segment must not shrink back: its end is
+                // the frontier the fence already trusted.
+                assert!(
+                    !self.announced || seg.end >= self.cur_end,
+                    "session {leaf}: a decision departs before its predecessor"
+                );
                 self.cur_end = seg.end;
+                self.announce(cfg, leaf, out);
                 return;
             }
-            let done = RateSegment {
-                start: self.cur_start,
-                end: self.cur_end,
-                rate: self.cur_rate,
-            };
-            self.cur_start = seg.start;
-            self.cur_end = seg.end;
-            self.cur_rate = seg.rate;
-            self.emit_seg(cfg, done, leaf, out);
+            self.close();
         } else {
-            self.has_cur = true;
-            self.cur_start = seg.start;
-            self.cur_end = seg.end;
-            self.cur_rate = seg.rate;
-        }
-    }
-
-    /// Streaming `StepFunction::from_segments`, emitting the stream's
-    /// breakpoints as delta events with one-breakpoint deferral: a
-    /// breakpoint is announced only once the value taking effect *at*
-    /// it is known (the next segment's rate, a gap's zero, or the final
-    /// zero at end of stream).
-    fn emit_seg(&mut self, cfg: &MuxConfig, seg: RateSegment, leaf: u32, out: &mut Vec<Event>) {
-        if !self.started {
-            self.started = true;
+            // The stream's first segment: its start is the first
+            // breakpoint.
             self.last_break = seg.start;
         }
+        self.open(cfg, seg, leaf, out);
+    }
+
+    /// Streaming `StepFunction::from_segments`, split at the open
+    /// segment's two ends so its breakpoints go out as early as they
+    /// are certain. `from_segments` handles a finished segment in two
+    /// steps: a gap piece (zero from the last breakpoint to the
+    /// segment start, when that is more than `1e-12` away), then the
+    /// segment's own piece (when its end lies past the last
+    /// breakpoint). The gap step depends only on the segment's start,
+    /// so it runs here, on opening; the piece step runs in
+    /// [`announce`](Self::announce) as soon as the growing end passes
+    /// the last breakpoint.
+    fn open(&mut self, cfg: &MuxConfig, seg: RateSegment, leaf: u32, out: &mut Vec<Event>) {
+        self.has_cur = true;
+        self.cur_end = seg.end;
+        self.cur_rate = seg.rate;
         if seg.start > self.last_break + 1e-12 {
             let at = self.last_break;
             self.push_event(cfg, at, 0.0, leaf, out);
             self.last_break = seg.start;
         }
-        if seg.end > self.last_break {
+        self.announce(cfg, leaf, out);
+    }
+
+    /// Emits the open segment's piece once its end has passed the last
+    /// breakpoint. Ends only grow from here (a merge checks it), so
+    /// the offline builder is bound to place the same piece.
+    fn announce(&mut self, cfg: &MuxConfig, leaf: u32, out: &mut Vec<Event>) {
+        if !self.announced && self.cur_end > self.last_break {
+            self.announced = true;
             let at = self.last_break;
-            self.push_event(cfg, at, seg.rate, leaf, out);
-            self.last_break = seg.end;
+            self.push_event(cfg, at, self.cur_rate, leaf, out);
         }
     }
 
-    /// End of stream: flush the pending merged segment, resolve the
-    /// dangling breakpoint to zero (after the last piece the rate is
-    /// 0), and close the descriptor window at `t_end`. A session that
-    /// never decided anything contributes `StepFunction::zero`'s single
-    /// `t = 0` event.
+    /// The open segment can no longer grow: an announced piece ends at
+    /// its final end, the new last breakpoint. An unannounced segment
+    /// never passed the last breakpoint and places nothing.
+    fn close(&mut self) {
+        self.has_cur = false;
+        if self.announced {
+            self.announced = false;
+            self.last_break = self.cur_end;
+        }
+    }
+
+    /// End of stream: close the open merged segment, resolve the last
+    /// breakpoint to zero (after the last piece the rate is 0), and
+    /// close the descriptor window at `t_end`. A session that never
+    /// decided anything contributes `StepFunction::zero`'s single
+    /// `t = 0` event (`last_break` is still 0 then).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lane has not joined or has already finished.
     fn finish(&mut self, cfg: &MuxConfig, leaf: u32, out: &mut Vec<Event>) {
-        debug_assert!(self.joined && !self.finished);
-        if self.has_cur {
-            self.has_cur = false;
-            let done = RateSegment {
-                start: self.cur_start,
-                end: self.cur_end,
-                rate: self.cur_rate,
-            };
-            self.emit_seg(cfg, done, leaf, out);
-        }
-        if !self.started {
-            self.started = true;
-            self.last_break = 0.0;
-        }
+        assert!(self.joined, "session {leaf} has not joined the mux");
+        assert!(!self.finished, "session {leaf} already finished");
+        self.close();
         let at = self.last_break;
         self.push_event(cfg, at, 0.0, leaf, out);
         // min_bucket_for's final cut is the window end itself, dropped
@@ -428,25 +493,21 @@ impl LaneBlock {
 }
 
 /// One aggregation shard: the [`SumTree`] subtree over its leaf range,
-/// events routed to it but still above the fence, and the time-ordered
-/// `(t, subtree_root)` run of the current ingest pass.
+/// the events routed to it but held at or past the fence, and the
+/// time-ordered `(t, subtree_root)` run of the current ingest pass.
 #[derive(Debug)]
 struct MuxShard {
     tree: SumTree,
-    pending: Vec<Event>,
-    /// Smallest and largest event times in `pending` (`INFINITY` /
-    /// `NEG_INFINITY` when empty). A pass whose fence doesn't clear the
-    /// minimum has nothing to flush and skips the partition/sort/apply
-    /// work entirely — the common case mid-run, when one slow lane pins
-    /// the fleet fence. A fence past the maximum flushes the buffer
-    /// whole, without a partition pass.
-    pending_min: f64,
-    pending_max: f64,
+    held: Vec<Event>,
+    /// The next pass's `held` (swapped in, so both keep capacity).
+    spare: Vec<Event>,
+    /// The current pass's sort keys (see [`LiveMux::ingest`]).
+    order: Vec<u128>,
     run: Vec<(f64, f64)>,
 }
 
 /// Opaque snapshot of a [`LiveMux`]'s full aggregation state — lanes,
-/// shard subtrees, pending events, queue, clock — for mid-trace
+/// shard subtrees, held events, queue, clock — for mid-trace
 /// checkpoint/restore alongside [`crate::EngineCheckpoint`].
 #[derive(Debug, Clone)]
 pub struct MuxCheckpoint {
@@ -503,7 +564,12 @@ impl LiveMux {
             u32::try_from(sessions).is_ok(),
             "session count must fit u32"
         );
-        let plan = ShardPlan::new(sessions, MUX_MAX_SHARDS);
+        // A mux shard spans at least one lane block, so a block's buffer
+        // overlaps at most two shards and routing visits each event at
+        // most twice. Still fixed by the fleet, never by threads.
+        let padded = sessions.max(1).next_power_of_two();
+        let max_shards = (padded / block_size.next_power_of_two()).clamp(1, MUX_MAX_SHARDS);
+        let plan = ShardPlan::new(sessions, max_shards);
         let blocks = (0..sessions.div_ceil(block_size))
             .map(|b| {
                 let lo = b * block_size;
@@ -522,9 +588,9 @@ impl LiveMux {
             .map(|_| {
                 Mutex::new(MuxShard {
                     tree: SumTree::new(plan.width),
-                    pending: Vec::new(),
-                    pending_min: f64::INFINITY,
-                    pending_max: f64::NEG_INFINITY,
+                    held: Vec::new(),
+                    spare: Vec::new(),
+                    order: Vec::new(),
                     run: Vec::new(),
                 })
             })
@@ -571,6 +637,34 @@ impl LiveMux {
         self.peak
     }
 
+    /// The link clock: the latest applied event time (the window start
+    /// until an event past it applies). The queue has advanced up to
+    /// here; when no event falls before the window start,
+    /// [`aggregate_bps`](Self::aggregate_bps) is the fleet's rate at
+    /// this instant.
+    pub fn clock(&self) -> f64 {
+        self.cur_t
+    }
+
+    /// Rate-change events posted but not yet applied: those buffered in
+    /// the lane blocks since the last [`ingest`](Self::ingest), plus
+    /// those held at or past its fence. Right after an ingest only the
+    /// latter remain — a few per live session, whatever the run's
+    /// length.
+    pub fn pending_events(&self) -> usize {
+        let buffered: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.lock().expect("block poisoned").events.len())
+            .sum();
+        let held: usize = self
+            .shards
+            .iter()
+            .map(|s| s.lock().expect("shard poisoned").held.len())
+            .sum();
+        buffered + held
+    }
+
     /// The lane block of engine shard `s` (the fused batch path locks
     /// engine shard and lane block pairwise).
     pub(crate) fn block(&self, s: usize) -> &Mutex<LaneBlock> {
@@ -592,6 +686,10 @@ impl LiveMux {
 
     /// Ends session `sid`'s stream: flushes its builder, emits its
     /// final zero-rate event, and closes its descriptor window.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has not joined or has already finished.
     pub fn finish_session(&mut self, sid: u64) {
         let leaf = u32::try_from(sid).expect("session id fits u32");
         let b = leaf as usize / self.block_size;
@@ -604,6 +702,12 @@ impl LiveMux {
     /// Feeds one decision of session `sid` directly (the churn path,
     /// where decisions are gathered per dynamic shard and applied in
     /// session order).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the session has not joined or has already finished,
+    /// or if the decision continues the session's current rate but
+    /// departs before the previous decision did.
     pub fn push_decision(&mut self, sid: u64, d: &PictureSchedule) {
         let b = sid as usize / self.block_size;
         self.blocks[b].get_mut().expect("unshared").decision(sid, d);
@@ -615,7 +719,8 @@ impl LiveMux {
     /// Per-session decision order is preserved (a session lives in
     /// exactly one shard, which emits its decisions sequentially);
     /// cross-session interleaving in the buffer is irrelevant because
-    /// [`ingest`](Self::ingest) orders by `(t, leaf)`.
+    /// [`ingest`](Self::ingest) orders by time, and different sessions'
+    /// events at one time apply as one group.
     pub(crate) fn decision_shared(&self, sid: u64, d: &PictureSchedule) {
         let b = sid as usize / self.block_size;
         self.blocks[b]
@@ -632,115 +737,105 @@ impl LiveMux {
     }
 
     /// Applies every buffered event whose time is strictly below the
-    /// fence — `clock_cap` (an upper bound on any *future* session's
-    /// join-derived event times; `INFINITY` for fixed fleets) min'd
-    /// with every live lane's frontier — to the summation tree in
-    /// global `(t, leaf)` order, closing queue intervals as time
-    /// advances. Thread-invariant: shard routing is fixed by the
-    /// [`ShardPlan`], runs merge in shard order. Returns the number of
-    /// events applied; zero means the fence didn't move past any
-    /// buffered event, and the caller may relax its ingest cadence
-    /// (see [`crate::SessionEngine::run_fused`]).
+    /// fence — `clock_cap` (a time no event of a session that joins
+    /// later can fall below; `INFINITY` for fixed fleets) min'd with
+    /// every live lane's frontier (module docs) — to the summation tree
+    /// in global time order, closing queue intervals as time advances.
+    /// Thread-invariant: shard routing is fixed by the [`ShardPlan`],
+    /// runs merge in shard order. Returns the number of events applied.
     pub fn ingest(&mut self, threads: usize, clock_cap: f64) -> u64 {
+        // The fence, and the block buffers the pass reads (several
+        // shards may read one) and clears once every shard is done.
         let mut fence = clock_cap;
-        for blk in &self.blocks {
-            let blk = blk.lock().expect("block poisoned");
-            for lane in &blk.lanes {
-                fence = fence.min(lane.frontier());
-            }
-        }
-
+        let buffers: Vec<&[Event]> = self
+            .blocks
+            .iter_mut()
+            .map(|b| {
+                let b = b.get_mut().expect("block poisoned");
+                for lane in &b.lanes {
+                    fence = fence.min(lane.frontier());
+                }
+                &b.events[..]
+            })
+            .collect();
         let plan = self.plan;
         let block_size = self.block_size;
-        let blocks = &self.blocks;
         let shards = &self.shards;
-        let flushed = std::sync::atomic::AtomicU64::new(0);
         let idx: Vec<usize> = (0..plan.count).collect();
-        par_map(threads, &idx, |_, &m| {
+        let flushed = par_map(threads, &idx, |_, &m| {
             let mut shard = shards[m].lock().expect("shard poisoned");
+            let MuxShard {
+                tree,
+                held,
+                spare,
+                order,
+                run,
+            } = &mut *shard;
             let lo = m * plan.width;
             let hi = lo + plan.width;
-            // Route: pull this shard's events out of every overlapping
-            // block buffer (wholly-contained blocks copy unfiltered),
-            // tracking the pending time bounds as we go.
-            let b0 = lo / block_size;
-            let b1 = (hi - 1) / block_size;
-            for (b, blk) in blocks.iter().enumerate().take(b1 + 1).skip(b0) {
-                let blk = blk.lock().expect("block poisoned");
-                if b * block_size >= lo && (b + 1) * block_size <= hi {
-                    for e in &blk.events {
-                        shard.pending_min = shard.pending_min.min(e.t);
-                        shard.pending_max = shard.pending_max.max(e.t);
+            // Route in one visit per event: an event below the fence
+            // gets a sort key, one at or past it waits in `held`. The
+            // sources are the events held from earlier passes, then
+            // every block buffer overlapping the shard — one or two,
+            // unless blocks are narrower than the shard.
+            let old = std::mem::replace(held, std::mem::take(spare));
+            let b0 = (lo / block_size).min(buffers.len());
+            let b1 = hi.div_ceil(block_size).min(buffers.len());
+            let blocks = &buffers[b0..b1];
+            let sources: Vec<&[Event]> = std::iter::once(&old[..])
+                .chain(blocks.iter().copied())
+                .collect();
+            order.clear();
+            for (src, events) in sources.iter().enumerate() {
+                assert!(
+                    u32::try_from(events.len()).is_ok(),
+                    "an event buffer outgrew u32 positions"
+                );
+                for (pos, e) in events.iter().enumerate() {
+                    if !(lo..hi).contains(&(e.leaf as usize)) {
+                        continue;
                     }
-                    shard.pending.extend_from_slice(&blk.events);
-                } else {
-                    let (mut min, mut max) = (shard.pending_min, shard.pending_max);
-                    shard.pending.extend(
-                        blk.events
-                            .iter()
-                            .filter(|e| (e.leaf as usize) >= lo && (e.leaf as usize) < hi)
-                            .inspect(|e| {
-                                min = min.min(e.t);
-                                max = max.max(e.t);
-                            }),
-                    );
-                    shard.pending_min = min;
-                    shard.pending_max = max;
+                    if e.t < fence {
+                        // `(t.to_bits(), source, position)` packed into
+                        // one integer: a primitive sort, one compare per
+                        // step. `to_bits` order is `<` order because
+                        // event times are non-negative. Ties on `t` keep
+                        // source-then-buffer order, which is each
+                        // session's emission order (older passes'
+                        // events first; a session posts into one block).
+                        order.push(
+                            ((e.t.to_bits() as u128) << 64) | ((src as u128) << 32) | pos as u128,
+                        );
+                    } else {
+                        held.push(*e);
+                    }
                 }
             }
-            shard.run.clear();
-            // Nothing below the fence (an empty buffer's minimum is
-            // +inf): the whole pass is a no-op for this shard — its
-            // buffer just grows until the fence moves.
-            if shard.pending_min >= fence {
-                return;
-            }
-            // Flush below the fence: no event at or past it can be
+            // Apply below the fence: no event at or past it can be
             // undercut by anything a session emits later, so the
-            // global time order across ingest passes is total. A fence
-            // past everything (the usual end-of-run shape) takes the
-            // buffer whole instead of partitioning it.
-            let mut flush = if shard.pending_max < fence {
-                shard.pending_min = f64::INFINITY;
-                shard.pending_max = f64::NEG_INFINITY;
-                std::mem::take(&mut shard.pending)
-            } else {
-                let mut kept_min = f64::INFINITY;
-                let (flush, keep): (Vec<Event>, Vec<Event>) =
-                    shard.pending.drain(..).partition(|e| {
-                        if e.t < fence {
-                            true
-                        } else {
-                            kept_min = kept_min.min(e.t);
-                            false
-                        }
-                    });
-                shard.pending = keep;
-                shard.pending_min = kept_min;
-                flush
-            };
-            flushed.fetch_add(flush.len() as u64, std::sync::atomic::Ordering::Relaxed);
-            // `(t.to_bits(), leaf)` packed into one integer: a single
-            // branchless compare per sort step on the hottest loop of
-            // the pass. `to_bits` order is `<` order here because event
-            // times are non-negative.
-            flush.sort_unstable_by_key(|e| ((e.t.to_bits() as u128) << 32) | e.leaf as u128);
-            shard.run.reserve(flush.len());
+            // global time order across ingest passes is total.
+            order.sort_unstable();
+            run.clear();
+            run.reserve(order.len());
             let mut i = 0;
-            while i < flush.len() {
-                let t = flush[i].t;
-                while i < flush.len() && flush[i].t.to_bits() == t.to_bits() {
-                    let e = flush[i];
-                    shard.tree.set(e.leaf as usize - lo, e.v);
+            while i < order.len() {
+                let t = (order[i] >> 64) as u64;
+                while i < order.len() && (order[i] >> 64) as u64 == t {
+                    let key = order[i] as u64;
+                    let e = sources[(key >> 32) as usize][key as u32 as usize];
+                    tree.set(e.leaf as usize - lo, e.v);
                     i += 1;
                 }
-                let root = shard.tree.total();
-                shard.run.push((t, root));
+                run.push((f64::from_bits(t), tree.total()));
             }
+            drop(sources);
+            *spare = old;
+            spare.clear();
+            order.len() as u64
         });
-        // Buffers may have been read by several shards; clear serially.
-        for blk in &self.blocks {
-            blk.lock().expect("block poisoned").events.clear();
+        drop(buffers);
+        for blk in &mut self.blocks {
+            blk.get_mut().expect("block poisoned").events.clear();
         }
 
         // Serial top merge: replay the shard runs in global time order
@@ -810,7 +905,7 @@ impl LiveMux {
             shard.run = run;
             shard.run.clear();
         }
-        flushed.into_inner()
+        flushed.into_iter().sum()
     }
 
     /// Closes the final interval up to the window end and returns the
@@ -823,7 +918,7 @@ impl LiveMux {
         debug_assert!(
             self.shards
                 .iter()
-                .all(|s| s.lock().expect("shard poisoned").pending.is_empty()),
+                .all(|s| s.lock().expect("shard poisoned").held.is_empty()),
             "finalize with unflushed events"
         );
         if self.cfg.t_end > self.cur_t {
@@ -872,8 +967,8 @@ impl LiveMux {
 
     /// Snapshots the full aggregation state. The lane blocks' event
     /// buffers must be drained first (any [`ingest`](Self::ingest)
-    /// does that, whatever its fence — undrained *pending* events are
-    /// captured).
+    /// does that, whatever its fence — events it held at or past the
+    /// fence are captured).
     ///
     /// # Panics
     ///
@@ -899,7 +994,7 @@ impl LiveMux {
                 .iter()
                 .map(|s| {
                     let s = s.lock().expect("shard poisoned");
-                    (s.tree.clone(), s.pending.clone())
+                    (s.tree.clone(), s.held.clone())
                 })
                 .collect(),
             top: self.top.clone(),
@@ -921,15 +1016,10 @@ impl LiveMux {
         {
             *lane = from.clone();
         }
-        for (shard, (tree, pending)) in mux.shards.iter_mut().zip(&cp.shards) {
+        for (shard, (tree, held)) in mux.shards.iter_mut().zip(&cp.shards) {
             let shard = shard.get_mut().expect("unshared");
             shard.tree = tree.clone();
-            shard.pending = pending.clone();
-            shard.pending_min = pending.iter().map(|e| e.t).fold(f64::INFINITY, f64::min);
-            shard.pending_max = pending
-                .iter()
-                .map(|e| e.t)
-                .fold(f64::NEG_INFINITY, f64::max);
+            shard.held = held.clone();
         }
         mux.top = cp.top.clone();
         mux.queue = cp.queue;
@@ -1147,5 +1237,62 @@ mod tests {
         let mut c = cfg(1.0, 0.0, 0.0, 1.0);
         c.descriptor_rho_bps = 0.0;
         LiveMux::new(1, 1, c);
+    }
+
+    /// A decision sending at `rate` over `[start, depart]`.
+    fn sent(start: f64, depart: f64, rate: f64) -> PictureSchedule {
+        PictureSchedule {
+            index: 0,
+            start,
+            rate,
+            depart,
+            delay: 0.0,
+            lower0: 0.0,
+            upper0: f64::INFINITY,
+            lookahead_used: 1,
+        }
+    }
+
+    /// A churn-sized aggregator with session 1 joined and ended.
+    fn with_one_finished() -> LiveMux {
+        let mut mux = LiveMux::with_joins(4, 2, cfg(1.0e6, 0.0, 0.0, 10.0));
+        mux.begin_session(1, 0.5);
+        mux.push_decision(1, &sent(0.0, 1.0, 5.0e5));
+        mux.finish_session(1);
+        mux
+    }
+
+    #[test]
+    #[should_panic(expected = "session 2 has not joined the mux")]
+    fn decision_before_join_panics() {
+        with_one_finished().push_decision(2, &sent(0.0, 1.0, 5.0e5));
+    }
+
+    #[test]
+    #[should_panic(expected = "session 1 already finished")]
+    fn decision_after_finish_panics() {
+        with_one_finished().push_decision(1, &sent(1.0, 2.0, 5.0e5));
+    }
+
+    #[test]
+    #[should_panic(expected = "session 3 has not joined the mux")]
+    fn finish_before_join_panics() {
+        with_one_finished().finish_session(3);
+    }
+
+    #[test]
+    #[should_panic(expected = "session 1 already finished")]
+    fn finishing_twice_panics() {
+        with_one_finished().finish_session(1);
+    }
+
+    /// A decision that would pull back an already announced segment end
+    /// is rejected, not silently applied out of time order.
+    #[test]
+    #[should_panic(expected = "session 0: a decision departs before its predecessor")]
+    fn decision_departing_backwards_panics() {
+        let mut mux = LiveMux::new(1, 1, cfg(1.0e6, 0.0, 0.0, 10.0));
+        mux.push_decision(0, &sent(0.0, 1.0, 5.0e5));
+        mux.push_decision(0, &sent(1.0, 0.5, 5.0e5));
     }
 }

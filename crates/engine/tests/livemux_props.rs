@@ -8,21 +8,29 @@
 //!    fleets, windows, and link parameters.
 //! 2. **Layout invariance.** The fused digest is invariant under engine
 //!    shard size (= mux block size) and thread count: shard routing is
-//!    fixed by session count and ingestion orders globally by
-//!    `(t, leaf)`, so parallel == serial, bit for bit.
+//!    fixed by the fleet and ingestion orders globally by time, so
+//!    parallel == serial, bit for bit.
 //! 3. **Checkpoint/restore under churn.** A dynamic fused replay
 //!    interrupted mid-trace by an engine + mux checkpoint pair
 //!    continues bit-identically to the uninterrupted run — including
 //!    across different thread counts on the two sides of the cut.
+//! 4. **Online fence.** Over a long churn trace fed in short slices,
+//!    with sessions holding one rate for most of the run, the events
+//!    held after every ingest stay O(sessions), the live aggregate
+//!    equals the oracle fleet's rate at the link clock, and the run
+//!    ends on the oracle sweep's bits.
 
 use proptest::prelude::*;
-use smooth_core::SmootherParams;
+use smooth_core::{OnlineSmoother, SmootherParams, SmoothingResult};
 use smooth_engine::{
-    churn_trace, mux::materialize_schedules, mux_digest, ChurnSpec, ChurnTrace, DynamicClass,
-    DynamicEngine, LiveMux, MuxConfig, SessionClass, SessionEngine, SyntheticFleet, TICKS_PER_SEC,
+    churn_trace, fps_class, mux::materialize_schedules, mux_digest, ChurnEvent, ChurnSpec,
+    ChurnTrace, DynamicClass, DynamicEngine, LiveMux, MuxConfig, SessionClass, SessionEngine,
+    SizeSource, SyntheticFleet, TICKS_PER_SEC,
 };
+use smooth_metrics::StepFunction;
 use smooth_mpeg::GopPattern;
 use smooth_netsim::{min_bucket_for, sweep_cursors, RateSweep};
+use smooth_sweep::SumTree;
 
 const TAU: f64 = 1.0 / 30.0;
 
@@ -311,4 +319,268 @@ proptest! {
         prop_assert_eq!(engine.digest(), want_engine);
         prop_assert_eq!(mux_digest(&stats, &mux.descriptors()), want_mux);
     }
+}
+
+/// Sizes for the long-horizon fleet: streams below `steady` send one
+/// constant picture size forever, so their smoothed rate never changes
+/// and each stays on one merged segment for the whole run; the rest
+/// come from the synthetic fleet.
+struct Mixed {
+    steady: u64,
+    fleet: SyntheticFleet,
+}
+
+impl SizeSource for Mixed {
+    fn size(&self, stream: u64, picture: u64) -> u64 {
+        if stream < self.steady {
+            100_000
+        } else {
+            self.fleet.size(stream, picture)
+        }
+    }
+}
+
+/// One session of the long-horizon trace.
+struct Life {
+    join: u64,
+    leave: Option<u64>,
+    class: u16,
+    stream: u64,
+    phase: u64,
+}
+
+/// `steady` sessions that join early and never leave, plus `lanes`
+/// churning lanes, each a chain of sessions living 0.1–1.1 s with a
+/// short gap between them, over `horizon` ticks.
+fn long_horizon_trace(steady: u64, lanes: u64, horizon: u64) -> (Vec<Life>, ChurnTrace) {
+    let mut rng = 0x5EED_u64;
+    let mut next = move |n: u64| {
+        rng = rng
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (rng >> 33) % n
+    };
+    let mut lives: Vec<Life> = (0..steady)
+        .map(|s| Life {
+            join: 3 * s,
+            leave: None,
+            class: (s % 3) as u16,
+            stream: s,
+            phase: s,
+        })
+        .collect();
+    let mut stream = steady;
+    for lane in 0..lanes {
+        let mut t = 5 * lane;
+        while t < horizon {
+            let leave = t + 60 + next(600);
+            lives.push(Life {
+                join: t,
+                leave: (leave <= horizon).then_some(leave),
+                class: next(3) as u16,
+                stream,
+                phase: next(40),
+            });
+            stream += 1;
+            t = leave + 1 + next(30);
+        }
+    }
+    // Session ids are issued in join order.
+    lives.sort_by_key(|l| (l.join, l.stream));
+    let mut events: Vec<(u64, u8, ChurnEvent)> = Vec::new();
+    for (sid, l) in lives.iter().enumerate() {
+        events.push((
+            l.join,
+            0,
+            ChurnEvent::Join {
+                class: l.class,
+                stream: l.stream,
+                phase: l.phase,
+            },
+        ));
+        if let Some(t) = l.leave {
+            events.push((t, 1, ChurnEvent::Leave { sid: sid as u64 }));
+        }
+    }
+    // Joins precede leaves within a tick.
+    events.sort_by_key(|&(t, kind, _)| (t, kind));
+    let (mut live, mut peak_live) = (0usize, 0usize);
+    for (_, kind, _) in &events {
+        if *kind == 0 {
+            live += 1;
+            peak_live = peak_live.max(live);
+        } else {
+            live -= 1;
+        }
+    }
+    let trace = ChurnTrace {
+        events: events.into_iter().map(|(t, _, e)| (t, e)).collect(),
+        horizon,
+        peak_live,
+    };
+    (lives, trace)
+}
+
+/// Every session's rate function on the link clock, from the offline
+/// pipeline: its whole decision sequence through a standalone
+/// `OnlineSmoother`, `rate_segments`, `StepFunction::from_segments`,
+/// shifted to its first arrival.
+fn oracle_schedules(
+    classes: &[DynamicClass],
+    lives: &[Life],
+    source: &Mixed,
+    horizon: u64,
+) -> Vec<StepFunction> {
+    lives
+        .iter()
+        .map(|l| {
+            let c = &classes[l.class as usize];
+            let mut online = OnlineSmoother::with_estimator(
+                c.class.params,
+                c.class.pattern,
+                c.class.estimator,
+                c.class.selection,
+                None,
+            );
+            let first = l.join + 1 + l.phase % c.period_ticks;
+            // A leave ends the stream before that tick's arrival.
+            let last = l.leave.map_or(horizon, |t| t - 1);
+            let mut schedule = Vec::new();
+            let mut p = 0;
+            while first + p * c.period_ticks <= last {
+                schedule.extend(online.push(source.size(l.stream, p)));
+                p += 1;
+            }
+            schedule.extend(online.finish());
+            let f = StepFunction::from_segments(
+                &SmoothingResult {
+                    params: c.class.params,
+                    schedule,
+                }
+                .rate_segments(),
+            );
+            let offset = first as f64 / TICKS_PER_SEC as f64;
+            let values = f.pieces().map(|(_, _, v)| v).collect();
+            StepFunction::new(f.breakpoints().iter().map(|b| offset + b).collect(), values)
+        })
+        .collect()
+}
+
+/// Property 4: the aggregate is online. Over a 20 s trace fed in
+/// 10-tick slices, with sessions that hold one rate for most of the run
+/// (the case that used to pin the fence) beside churning lanes, the
+/// fence keeps up with the clock: after every ingest the events still
+/// held number at most `C` per session the trace has live at once, and
+/// the live aggregate equals the oracle fleet's summed rate at the link
+/// clock, bit for bit.
+#[test]
+fn fence_advances_and_pending_stays_bounded() {
+    const SLICE: u64 = 10;
+    // The last tick, closing the last slice.
+    const HORIZON: u64 = 20 * TICKS_PER_SEC - 1;
+    const STEADY: u64 = 8;
+    // After a slice every arrived picture has been fed, and a decided
+    // picture departs no earlier than the arrival K = 1 picture after
+    // it, so the fence trails the clock by at most one picture period
+    // (1/24 s); no lane has emitted past the clock plus D = 0.2 s. The
+    // pictures departing in that 0.24 s window arrived within 0.44 s:
+    // at most 27 at 60 fps, each placing at most two breakpoints (its
+    // piece and a gap before it), so 54 a lane; 64 leaves room for
+    // lanes that left inside the window.
+    const C: usize = 64;
+    let classes = vec![fps_class(24), fps_class(30), fps_class(60)];
+    let (lives, trace) = long_horizon_trace(STEADY, 24, HORIZON);
+    let source = Mixed {
+        steady: STEADY,
+        fleet: SyntheticFleet {
+            seed: 0xF00D,
+            pattern: classes[0].class.pattern,
+        },
+    };
+    let oracle = oracle_schedules(&classes, &lives, &source, HORIZON);
+    let half = HORIZON as f64 / TICKS_PER_SEC as f64 / 2.0;
+    assert!(
+        lives.iter().zip(&oracle).any(|(l, f)| {
+            // The last rate change, before the final zero.
+            let b = f.breakpoints();
+            l.stream < STEADY && b[b.len() - 2] < half
+        }),
+        "a steady session holds one rate through the second half"
+    );
+    let bound = C * trace.peak_live;
+
+    let cfg = MuxConfig {
+        capacity_bps: 1.2e6 * trace.peak_live as f64,
+        buffer_bits: 4.0e5,
+        t_start: 0.0,
+        t_end: (HORIZON + TICKS_PER_SEC) as f64 / TICKS_PER_SEC as f64,
+        descriptor_rho_bps: 1.5e6,
+    };
+    let mut engine = DynamicEngine::new(classes.clone(), trace.peak_live, 4).unwrap();
+    let mut mux = LiveMux::with_joins(trace.total_joins(), 4, cfg);
+    let mut lo = 0;
+    for (step, end) in (SLICE - 1..=HORIZON).step_by(SLICE as usize).enumerate() {
+        let hi = lo + trace.events[lo..].partition_point(|(t, _)| *t <= end);
+        let slice = ChurnTrace {
+            events: trace.events[lo..hi].to_vec(),
+            horizon: end,
+            peak_live: trace.peak_live,
+        };
+        lo = hi;
+        engine
+            .run_trace_fused(&source, &slice, 1 + step % 2, &mut mux)
+            .unwrap();
+        let pending = mux.pending_events();
+        assert!(
+            pending <= bound,
+            "{pending} events held after tick {end}, over {C} per session"
+        );
+        let t = mux.clock();
+        let rates: Vec<f64> = oracle.iter().map(|f| f.value_at(t)).collect();
+        assert_eq!(
+            mux.aggregate_bps().to_bits(),
+            SumTree::sum_of(&rates).to_bits(),
+            "aggregate at t = {t} after tick {end}"
+        );
+    }
+    // The clock followed the trace to its end, not to the first held
+    // segment.
+    assert!(mux.clock() > 2.0 * half - 1.0);
+
+    // And the events applied in time order: the finished run is the
+    // oracle sweep's, bit for bit.
+    let got = engine.finish_fused(&source, 1, &mut mux);
+    let want = RateSweep {
+        capacity_bps: cfg.capacity_bps,
+        buffer_bits: cfg.buffer_bits,
+    }
+    .run(&oracle, cfg.t_start, cfg.t_end);
+    for (a, b) in [
+        (got.mux.arrived_bits, want.arrived_bits),
+        (got.mux.lost_bits, want.lost_bits),
+        (got.mux.served_bits, want.served_bits),
+        (got.mux.final_queue_bits, want.final_queue_bits),
+        (got.mux.max_queue_bits, want.max_queue_bits),
+        (got.mux.utilization, want.utilization),
+    ] {
+        assert_eq!(a.to_bits(), b.to_bits(), "{got:?} vs {want:?}");
+    }
+    for (sid, f) in oracle.iter().enumerate() {
+        let sigma = min_bucket_for(f, cfg.descriptor_rho_bps, cfg.t_start, cfg.t_end);
+        assert_eq!(mux.descriptor(sid as u64).sigma.to_bits(), sigma.to_bits());
+    }
+
+    // The whole trace in one call ingests every half second of trace
+    // time, between arrival batches, where lagging lanes rather than the
+    // clock set the fence: same bits.
+    let mut engine = DynamicEngine::new(classes, trace.peak_live, 4).unwrap();
+    let mut whole = LiveMux::with_joins(trace.total_joins(), 4, cfg);
+    engine
+        .run_trace_fused(&source, &trace, 2, &mut whole)
+        .unwrap();
+    let stats = engine.finish_fused(&source, 2, &mut whole);
+    assert_eq!(
+        mux_digest(&stats, &whole.descriptors()),
+        mux_digest(&got, &mux.descriptors())
+    );
 }
