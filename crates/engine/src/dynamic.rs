@@ -1,10 +1,12 @@
 //! Event-driven dynamic session engine: timing-wheel ticks,
 //! heterogeneous clocks, and live churn.
 //!
-//! The lockstep [`SessionEngine`](crate::SessionEngine) advances every
+//! The lockstep [`SessionEngine`](crate::SessionEngine) sweeps every
 //! session on one shared picture clock — each tick costs O(sessions
 //! live) even when most sessions have no picture due, and the fleet is
-//! fixed at start. This module adds the event-driven path alongside it:
+//! fixed at start. This module drives the same slot store (one 64-byte
+//! scalar header, session id and fixed `u32` history slice per session,
+//! one step body) event by event:
 //!
 //! * **Per-session clocks.** Time is an integer *scheduler tick* (a
 //!   [`ChurnSpec::ticks_per_sec`](crate::synthetic::ChurnSpec) base
@@ -32,9 +34,9 @@
 //!   state: `advance_to` flushes sub-batch tails before returning, and
 //!   a leave catches its own session up first.
 //! * **Live churn.** [`DynamicEngine::join`] and
-//!   [`DynamicEngine::leave`] add and remove sessions mid-run. Shards
-//!   keep the PR 6 compact struct-of-arrays store and recycle freed
-//!   slots through a LIFO free list — the history ring slot is zeroed
+//!   [`DynamicEngine::leave`] add and remove sessions mid-run. Each
+//!   shard is a slot store plus its timing wheel; the store recycles
+//!   freed slots through a LIFO free list — the history slice is zeroed
 //!   on reuse and the lookahead window reset, so a recycled slot is
 //!   indistinguishable from a fresh one (pinned by proptests). Wheel
 //!   entries of departed sessions die lazily via a per-slot generation
@@ -50,7 +52,7 @@
 //!   pinned by the churn proptests).
 //!
 //! **Determinism.** Sessions are independent state machines; shards are
-//! advanced sequentially within [`drain`](DynShard) and fanned out with
+//! advanced sequentially within a shard's drain and fanned out with
 //! index-ordered [`smooth_sweep::par_map`], and the fleet digest folds
 //! per-session digests in session-id order — so a churn trace replays
 //! bit-identically for any thread count, and against the brute-force
@@ -60,13 +62,11 @@
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use smooth_core::{
-    decide_live, prunable_prefix, BlockLanes, LiveCursor, LiveParams, LookaheadWindow,
-    PictureSchedule, SizeHistory, TimingWheel,
-};
+use smooth_core::{PictureSchedule, TimingWheel};
 use smooth_sweep::par_map;
 
 use crate::livemux::{LiveMux, LiveMuxStats};
+use crate::store::{SlotStore, FREE};
 use crate::synthetic::{ChurnEvent, ChurnTrace};
 use crate::{fnv, ClassInfo, EngineError, SessionClass, SizeSource, FNV_OFFSET};
 
@@ -122,9 +122,6 @@ const GONE: Locator = Locator {
     shard: u32::MAX,
     slot: u32::MAX,
 };
-
-/// Free-slot sentinel in `class_of`.
-const FREE: u16 = u16::MAX;
 
 /// How many due-list entries ahead of the one being processed
 /// [`drain_until`](DynShard::drain_until) pulls toward cache. Deep
@@ -207,352 +204,38 @@ pub struct EngineCheckpoint {
     pub retired: Vec<(u64, u64)>,
 }
 
-/// One slot's complete per-event scalar state, packed into exactly one
-/// cache line. The lockstep shard keeps these as parallel arrays and
-/// streams them session-major, so the prefetcher hides the walks; the
-/// wheel path visits slots in *deadline* order — effectively random
-/// within the shard — and with parallel arrays every arrival paid ~9
-/// scattered demand misses before any smoothing work started. One
-/// 64-byte header turns those into a single line fill.
-#[repr(C, align(64))]
-struct SlotHot {
-    decided: u32,
-    watermark: u32,
-    /// Logical index of the first retained size.
-    base: u32,
-    /// Bumped every time the slot is freed; a wheel item whose
-    /// generation does not match is a departed session's stale entry
-    /// (lazy delete).
-    gen: u32,
-    /// Retained history length.
-    len: u16,
-    /// Class id, or [`FREE`] for a recycled slot.
-    class_of: u16,
-    depart: f64,
-    prev_rate: f64,
-    digest: u64,
-    /// Size-source stream id fed to [`SizeSource::size`].
-    stream: u64,
-    /// Next picture arrival of the slot's occupant, in ticks.
-    next_arrival: u64,
-}
-
-/// The header must stay exactly one cache line — adding a field here
-/// silently doubles the stride via the alignment, so fail loudly.
-const _: () = assert!(std::mem::size_of::<SlotHot>() == 64);
-
-impl SlotHot {
-    fn fresh() -> Self {
-        SlotHot {
-            decided: 0,
-            watermark: 0,
-            base: 0,
-            gen: 0,
-            len: 0,
-            class_of: FREE,
-            depart: 0.0,
-            prev_rate: 0.0,
-            digest: FNV_OFFSET,
-            stream: 0,
-            next_arrival: 0,
+/// The decision sink of an optionally fused pass: every decision goes
+/// to its session's lane of `mux`, or nowhere.
+fn mux_sink(mux: Option<&LiveMux>) -> impl FnMut(u64, &PictureSchedule) + '_ {
+    move |sid, d| {
+        if let Some(m) = mux {
+            m.decision_shared(sid, d);
         }
     }
 }
 
-/// One dynamic shard: the PR 6 compact store (one fixed `u32` ring slot
-/// per session) with the per-slot scalars packed into a one-line
-/// [`SlotHot`] header, extended with slot recycling and a per-shard
-/// timing wheel. Slot `j`'s ring lives at `j * slot_cap` — every slot is
-/// `slot_cap` (the widest class's `ring_cap`) so a freed slot can be
-/// recycled by *any* class.
+/// Wheel item of slot `slot` at generation `gen`.
+fn wheel_item(gen: u32, slot: u32) -> u64 {
+    (u64::from(gen) << 32) | u64::from(slot)
+}
+
+/// One dynamic shard: the shared [`SlotStore`] plus a per-shard timing
+/// wheel of its sessions' next arrivals.
 struct DynShard {
-    /// Per-slot scalar headers, one cache line each.
-    hot: Vec<SlotHot>,
-    /// Engine session id of the slot's occupant (slots are recycled, so
-    /// unlike the lockstep shard the id cannot be derived from `j`).
-    /// Cold: only snapshots and diagnostics read it.
-    sid: Vec<u64>,
-    /// Flat history ring, one `slot_cap` slot per session.
-    ring: Vec<u32>,
-    windows: Vec<LookaheadWindow>,
-    /// Recycled slots, LIFO.
-    free: Vec<u32>,
-    /// Per-shard arrival wheel; items pack `(gen << 32) | slot`.
+    store: SlotStore,
+    /// Per-shard arrival wheel; items are [`wheel_item`]s.
     wheel: TimingWheel,
     /// `pop_due` scratch.
     due: Vec<u64>,
-    /// Widened staging tail (see the lockstep `Shard`).
-    stage: Vec<u64>,
-    lanes: BlockLanes,
-    decisions: u64,
-    live: usize,
-    slot_cap: usize,
 }
 
 impl DynShard {
     fn new(slot_cap: usize) -> Self {
         DynShard {
-            hot: Vec::new(),
-            sid: Vec::new(),
-            ring: Vec::new(),
-            windows: Vec::new(),
-            free: Vec::new(),
+            store: SlotStore::new(slot_cap),
             wheel: TimingWheel::new(),
             due: Vec::new(),
-            stage: Vec::new(),
-            lanes: BlockLanes::default(),
-            decisions: 0,
-            live: 0,
-            slot_cap,
         }
-    }
-
-    /// Slots ever allocated (live + free) — the shard's resident
-    /// footprint, which recycling keeps bounded by its peak occupancy.
-    fn allocated(&self) -> usize {
-        self.hot.len()
-    }
-
-    /// Grabs a slot: recycles from the free list (zeroing the history
-    /// ring slot, so a recycled slot starts from the same bytes as a
-    /// fresh one) or appends new arrays.
-    fn alloc(&mut self) -> u32 {
-        if let Some(slot) = self.free.pop() {
-            let j = slot as usize;
-            let off = j * self.slot_cap;
-            self.ring[off..off + self.slot_cap].fill(0);
-            slot
-        } else {
-            let j = self.allocated();
-            self.hot.push(SlotHot::fresh());
-            self.sid.push(0);
-            self.ring.resize(self.ring.len() + self.slot_cap, 0);
-            self.windows.push(LookaheadWindow::new());
-            u32::try_from(j).expect("shard slot fits u32")
-        }
-    }
-
-    /// Installs a fresh session into an allocated slot, with its first
-    /// arrival at `first_arrival` and its wheel entry armed at `arm`
-    /// (the batch boundary `first_arrival + (batch − 1) · τ`).
-    fn install(
-        &mut self,
-        slot: u32,
-        sid: u64,
-        stream: u64,
-        class_id: u16,
-        first_arrival: u64,
-        arm: u64,
-    ) {
-        let j = slot as usize;
-        let h = &mut self.hot[j];
-        debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
-        // The generation survives the reset — it is the lazy-delete
-        // witness for wheel items armed by previous occupants.
-        let gen = h.gen;
-        *h = SlotHot::fresh();
-        h.gen = gen;
-        h.class_of = class_id;
-        h.stream = stream;
-        h.next_arrival = first_arrival;
-        self.sid[j] = sid;
-        self.windows[j].reset();
-        self.live += 1;
-        self.wheel
-            .schedule(arm, (u64::from(gen) << 32) | u64::from(slot));
-    }
-
-    /// Installs a snapshot into an allocated slot: scalars and retained
-    /// history are copied back verbatim; the lookahead window rebuilds
-    /// from that history (exactly — the compaction-reset property), so
-    /// the continued schedule is bit-identical.
-    fn install_snapshot(&mut self, slot: u32, snap: &SessionSnapshot, arm: u64) {
-        let j = slot as usize;
-        let off = j * self.slot_cap;
-        let h = &mut self.hot[j];
-        debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
-        h.class_of = snap.class;
-        h.stream = snap.stream;
-        h.decided = snap.decided;
-        h.len = snap.history.len() as u16;
-        h.watermark = snap.watermark;
-        h.depart = snap.depart;
-        h.prev_rate = snap.prev_rate;
-        h.digest = snap.digest;
-        h.base = snap.base;
-        h.next_arrival = snap.next_arrival;
-        let gen = h.gen;
-        self.sid[j] = snap.sid;
-        self.ring[off..off + snap.history.len()].copy_from_slice(&snap.history);
-        self.windows[j].reset();
-        self.live += 1;
-        self.wheel
-            .schedule(arm, (u64::from(gen) << 32) | u64::from(slot));
-    }
-
-    /// Captures slot `j` as a [`SessionSnapshot`].
-    fn snapshot_slot(&self, j: usize) -> SessionSnapshot {
-        let h = &self.hot[j];
-        debug_assert_ne!(h.class_of, FREE, "snapshot of a free slot");
-        let off = j * self.slot_cap;
-        let len = h.len as usize;
-        SessionSnapshot {
-            sid: self.sid[j],
-            stream: h.stream,
-            class: h.class_of,
-            decided: h.decided,
-            watermark: h.watermark,
-            base: h.base,
-            depart: h.depart,
-            prev_rate: h.prev_rate,
-            digest: h.digest,
-            next_arrival: h.next_arrival,
-            history: self.ring[off..off + len].to_vec(),
-        }
-    }
-
-    /// Frees slot `j`: bumps the generation (the slot's pending wheel
-    /// item dies lazily) and pushes it onto the free list.
-    fn free_slot(&mut self, j: usize) {
-        let h = &mut self.hot[j];
-        debug_assert_ne!(h.class_of, FREE, "double free");
-        h.class_of = FREE;
-        h.gen = h.gen.wrapping_add(1);
-        self.live -= 1;
-        self.free.push(j as u32);
-    }
-
-    /// Runs slot `j` through `pushes` picture arrivals plus, when
-    /// `ended` is set, the end-of-stream drain — mirroring the lockstep
-    /// `Shard::run_session` body exactly (same staging, same push/decide
-    /// interleave, same forced and lazy prune, same digest fold), so a
-    /// dynamic session's schedule is bit-identical to a lockstep session
-    /// fed the same sizes — for *any* split of its arrivals into visits:
-    /// `decide_live` caps what a decision may consult at the decision's
-    /// own `need`, never at everything pushed, so feeding a batch of
-    /// arrivals decides exactly what feeding them one visit apiece would
-    /// (the property the lockstep engine's batch path already pins).
-    /// Every decision is also offered to `sink` (the lockstep shard's
-    /// fused-mux hook; pass a no-op closure when nothing listens).
-    /// Returns the decisions made.
-    fn step_slot<S: SizeSource>(
-        &mut self,
-        j: usize,
-        classes: &[ClassInfo],
-        source: &S,
-        pushes: u64,
-        ended: bool,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
-    ) -> u64 {
-        let h = &self.hot[j];
-        let info = &classes[h.class_of as usize];
-        let off = j * self.slot_cap;
-        let cap = info.ring_cap;
-        let n = info.class.pattern.n();
-        let stream = h.stream;
-        let sid = self.sid[j];
-
-        let mut cursor = LiveCursor {
-            decided: h.decided as usize,
-            depart: h.depart,
-            prev_rate: if h.decided > 0 {
-                Some(h.prev_rate)
-            } else {
-                None
-            },
-            watermark: h.watermark as usize,
-        };
-        let mut base = h.base as usize;
-        let mut len = h.len as usize;
-        let mut digest = h.digest;
-        let mut made = 0u64;
-
-        self.stage.clear();
-        self.stage
-            .extend(self.ring[off..off + len].iter().map(|&s| u64::from(s)));
-
-        let cfg = LiveParams {
-            params: &info.class.params,
-            pattern: info.class.pattern,
-            estimator: &info.class.estimator,
-            selection: info.class.selection,
-            total: None,
-        };
-
-        let steps = pushes + u64::from(ended);
-        for t in 0..steps {
-            let live = t < pushes;
-            if live {
-                if len == cap {
-                    let cut = prunable_prefix(&cursor, Some(info.hist), n);
-                    let drop = cut.saturating_sub(base);
-                    assert!(
-                        drop > 0,
-                        "session {} history slot full ({cap} sizes) with nothing prunable",
-                        self.sid[j]
-                    );
-                    self.ring.copy_within(off + drop..off + len, off);
-                    self.stage.copy_within(drop..len, 0);
-                    len -= drop;
-                    self.stage.truncate(len);
-                    base = cut;
-                    self.windows[j].reset();
-                }
-                let size = source.size(stream, (base + len) as u64);
-                self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
-                    panic!("picture size {size} bits exceeds the engine's u32 size word")
-                });
-                self.stage.push(size);
-                len += 1;
-            }
-            let tail_drain = !live;
-            loop {
-                let history = SizeHistory {
-                    base,
-                    tail: &self.stage[..len],
-                };
-                let Some(decision) = decide_live(
-                    &cfg,
-                    history,
-                    tail_drain,
-                    &mut cursor,
-                    &mut self.windows[j],
-                    &mut self.lanes,
-                ) else {
-                    break;
-                };
-                digest = fnv(digest, decision.index as u64);
-                digest = fnv(digest, decision.start.to_bits());
-                digest = fnv(digest, decision.rate.to_bits());
-                digest = fnv(digest, decision.depart.to_bits());
-                sink(sid, &decision);
-                made += 1;
-            }
-
-            // Lazy prune, as in the lockstep path.
-            let cut = prunable_prefix(&cursor, Some(info.hist), n);
-            let drop = cut.saturating_sub(base);
-            if drop > 0 && drop >= len / 2 {
-                self.ring.copy_within(off + drop..off + len, off);
-                self.stage.copy_within(drop..len, 0);
-                len -= drop;
-                self.stage.truncate(len);
-                base = cut;
-                self.windows[j].reset();
-            }
-        }
-
-        let h = &mut self.hot[j];
-        h.decided = u32::try_from(cursor.decided).expect("picture index fits u32");
-        h.watermark = u32::try_from(cursor.watermark).expect("watermark fits u32");
-        h.base = u32::try_from(base).expect("history base fits u32");
-        h.len = len as u16;
-        h.depart = cursor.depart;
-        if let Some(r) = cursor.prev_rate {
-            h.prev_rate = r;
-        }
-        h.digest = digest;
-        made
     }
 
     /// Ends slot `j`'s stream: feeds its not-yet-fed arrivals up to and
@@ -568,7 +251,7 @@ impl DynShard {
         until: u64,
         sink: &mut impl FnMut(u64, &PictureSchedule),
     ) -> u64 {
-        let h = &self.hot[j];
+        let h = &self.store.hot[j];
         let na = h.next_arrival;
         let period = periods[h.class_of as usize];
         let pushes = if na <= until {
@@ -576,26 +259,10 @@ impl DynShard {
         } else {
             0
         };
-        let made = self.step_slot(j, classes, source, pushes, true, sink);
-        self.decisions += made;
-        let digest = self.hot[j].digest;
-        self.free_slot(j);
+        self.store.step_slot(j, classes, source, pushes, true, sink);
+        let digest = self.store.hot[j].digest;
+        self.store.free_slot(j);
         digest
-    }
-
-    /// Pulls slot `j`'s working set toward cache while an earlier due
-    /// slot is still being processed: the one-line scalar header, the
-    /// head of its history ring, and the window's heap buffer (the
-    /// lockstep shard's `prefetch` counterpart, but keyed by the due
-    /// list — deadline order is effectively random slot order, so
-    /// without this every arrival stalls on serial demand misses).
-    #[inline(always)]
-    fn prefetch_slot(&self, j: usize) {
-        if let Some(h) = self.hot.get(j) {
-            std::hint::black_box(h.decided);
-            std::hint::black_box(self.ring.get(j * self.slot_cap).copied());
-            self.windows[j].prewarm();
-        }
     }
 
     /// Drains every wheel entry with deadline ≤ `until` in deadline
@@ -625,15 +292,16 @@ impl DynShard {
             due.sort_unstable_by_key(|&item| item & 0xffff_ffff);
             for (k, &item) in due.iter().enumerate() {
                 if let Some(&ahead) = due.get(k + PREFETCH_DUE) {
-                    self.prefetch_slot((ahead & 0xffff_ffff) as usize);
+                    self.store.prefetch_slot((ahead & 0xffff_ffff) as usize);
                 }
                 let j = (item & 0xffff_ffff) as usize;
                 let g = (item >> 32) as u32;
-                if self.hot[j].class_of == FREE || self.hot[j].gen != g {
+                let h = &self.store.hot[j];
+                if h.class_of == FREE || h.gen != g {
                     continue; // stale entry of a departed session
                 }
-                let period = periods[self.hot[j].class_of as usize];
-                let na = self.hot[j].next_arrival;
+                let period = periods[h.class_of as usize];
+                let na = h.next_arrival;
                 if na > deadline {
                     // A flush already fed past this entry's deadline;
                     // fall back onto the session's batch cadence.
@@ -646,9 +314,9 @@ impl DynShard {
                     "wheel deadline off the session's arrival grid"
                 );
                 let pushes = (deadline - na) / period + 1;
-                let made = self.step_slot(j, classes, source, pushes, false, sink);
-                self.decisions += made;
-                self.hot[j].next_arrival = deadline + period;
+                self.store
+                    .step_slot(j, classes, source, pushes, false, sink);
+                self.store.hot[j].next_arrival = deadline + period;
                 self.wheel.schedule(deadline + batch * period, item);
             }
         }
@@ -670,9 +338,10 @@ impl DynShard {
         until: u64,
         sink: &mut impl FnMut(u64, &PictureSchedule),
     ) {
-        for j in 0..self.allocated() {
-            self.prefetch_slot(j + 1);
-            let h = &self.hot[j];
+        let store = &mut self.store;
+        for j in 0..store.allocated() {
+            store.prefetch_slot(j + 1);
+            let h = &store.hot[j];
             if h.class_of == FREE {
                 continue;
             }
@@ -682,26 +351,8 @@ impl DynShard {
             }
             let period = periods[h.class_of as usize];
             let pushes = (until - na) / period + 1;
-            let made = self.step_slot(j, classes, source, pushes, false, sink);
-            self.decisions += made;
-            self.hot[j].next_arrival = na + pushes * period;
-        }
-    }
-
-    /// End-of-run drain of every live slot, in slot order (sessions are
-    /// independent; digests fold by session id at the engine).
-    fn finish_all<S: SizeSource>(
-        &mut self,
-        classes: &[ClassInfo],
-        source: &S,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
-    ) {
-        for j in 0..self.allocated() {
-            if self.hot[j].class_of != FREE {
-                self.prefetch_slot(j + 1);
-                let made = self.step_slot(j, classes, source, 0, true, sink);
-                self.decisions += made;
-            }
+            store.step_slot(j, classes, source, pushes, false, sink);
+            store.hot[j].next_arrival = na + pushes * period;
         }
     }
 }
@@ -872,7 +523,7 @@ impl DynamicEngine {
             + self
                 .shards
                 .iter()
-                .map(|s| s.lock().expect("shard poisoned").decisions)
+                .map(|s| s.lock().expect("shard poisoned").store.decisions)
                 .sum::<u64>()
     }
 
@@ -883,7 +534,7 @@ impl DynamicEngine {
     pub fn allocated_slots(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").allocated())
+            .map(|s| s.lock().expect("shard poisoned").store.allocated())
             .sum()
     }
 
@@ -892,23 +543,14 @@ impl DynamicEngine {
     /// and the uniform `u32` history slot (`slot_cap` — the widest
     /// class's `ring_cap`, so any class can recycle any slot).
     pub fn state_bytes_per_slot(&self) -> usize {
-        use std::mem::size_of;
-        size_of::<SlotHot>() + size_of::<u64>() + size_of::<u32>() * self.slot_cap
+        SlotStore::bytes_per_slot(self.slot_cap)
     }
 
     /// Peak retained history length across live sessions (diagnostics).
     pub fn max_retained(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                let sh = s.lock().expect("shard poisoned");
-                sh.hot
-                    .iter()
-                    .filter(|h| h.class_of != FREE)
-                    .map(|h| h.len as usize)
-                    .max()
-                    .unwrap_or(0)
-            })
+            .map(|s| s.lock().expect("shard poisoned").store.max_retained())
             .max()
             .unwrap_or(0)
     }
@@ -917,14 +559,22 @@ impl DynamicEngine {
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").live)
+            .map(|s| s.lock().expect("shard poisoned").store.live)
             .collect()
+    }
+
+    /// The slot of live session `sid`.
+    fn locate(&self, sid: u64) -> Result<Locator, EngineError> {
+        match self.locator.get(sid as usize) {
+            Some(&loc) if loc != GONE => Ok(loc),
+            _ => Err(EngineError::UnknownSession { sid }),
+        }
     }
 
     /// Deterministic round-robin placement: the next shard (from the
     /// cursor) with a free slot. Placement is a pure function of the
     /// join/leave history, never of thread count.
-    fn place(&mut self) -> Result<(usize, u32), EngineError> {
+    fn place(&mut self) -> Result<usize, EngineError> {
         if self.live >= self.capacity {
             return Err(EngineError::CapacityExhausted {
                 capacity: self.capacity,
@@ -933,11 +583,9 @@ impl DynamicEngine {
         let n = self.shards.len();
         for k in 0..n {
             let s = (self.rr + k) % n;
-            let shard = self.shards[s].get_mut().expect("shard poisoned");
-            if shard.live < self.shard_size {
+            if self.shards[s].get_mut().expect("shard poisoned").store.live < self.shard_size {
                 self.rr = (s + 1) % n;
-                let slot = shard.alloc();
-                return Ok((s, slot));
+                return Ok(s);
             }
         }
         unreachable!("live < capacity implies a shard has room");
@@ -948,29 +596,7 @@ impl DynamicEngine {
     /// mod τ` ticks from now and every τ ticks after. Returns the
     /// engine-assigned session id.
     pub fn join(&mut self, class_id: usize, stream: u64, phase: u64) -> Result<u64, EngineError> {
-        assert!(!self.ended, "join after finish");
-        if class_id >= self.classes.len() {
-            return Err(EngineError::UnknownClass { class: class_id });
-        }
-        let (s, slot) = self.place()?;
-        let sid = self.locator.len() as u64;
-        let period = self.periods[class_id];
-        let first = self.now + 1 + (phase % period);
-        self.shards[s].get_mut().expect("shard poisoned").install(
-            slot,
-            sid,
-            stream,
-            class_id as u16,
-            first,
-            first + (self.batch - 1) * period,
-        );
-        self.locator.push(Locator {
-            shard: s as u32,
-            slot,
-        });
-        self.digests.push(FNV_OFFSET);
-        self.live += 1;
-        Ok(sid)
+        self.join_at(self.now, class_id, stream, phase)
     }
 
     /// Departs session `sid` at the current scheduler position: feeds
@@ -991,13 +617,7 @@ impl DynamicEngine {
         mux: Option<&LiveMux>,
     ) -> Result<(), EngineError> {
         assert!(!self.ended, "leave after finish");
-        let loc = *self
-            .locator
-            .get(sid as usize)
-            .ok_or(EngineError::UnknownSession { sid })?;
-        if loc == GONE {
-            return Err(EngineError::UnknownSession { sid });
-        }
+        let loc = self.locate(sid)?;
         let classes = &self.classes;
         let periods = &self.periods;
         let now = self.now;
@@ -1010,11 +630,7 @@ impl DynamicEngine {
                 periods,
                 source,
                 now,
-                &mut |s, d| {
-                    if let Some(m) = mux {
-                        m.decision_shared(s, d);
-                    }
-                },
+                &mut mux_sink(mux),
             );
         self.digests[sid as usize] = digest;
         self.locator[sid as usize] = GONE;
@@ -1048,11 +664,7 @@ impl DynamicEngine {
         let idx: Vec<usize> = (0..shards.len()).collect();
         par_map(threads, &idx, |_, &s| {
             let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.flush_until(classes, periods, source, until, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
+            shard.flush_until(classes, periods, source, until, &mut mux_sink(mux));
         });
     }
 
@@ -1080,11 +692,7 @@ impl DynamicEngine {
         let idx: Vec<usize> = (0..shards.len()).collect();
         par_map(threads, &idx, |_, &s| {
             let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.drain_until(classes, periods, source, until, batch, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
+            shard.drain_until(classes, periods, source, until, batch, &mut mux_sink(mux));
         });
         self.now = until;
     }
@@ -1106,11 +714,9 @@ impl DynamicEngine {
         let idx: Vec<usize> = (0..shards.len()).collect();
         par_map(threads, &idx, |_, &s| {
             let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.finish_all(classes, source, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
+            shard
+                .store
+                .sweep(classes, source, 0, true, &mut mux_sink(mux));
         });
         self.ended = true;
     }
@@ -1266,18 +872,19 @@ impl DynamicEngine {
         if class_id >= self.classes.len() {
             return Err(EngineError::UnknownClass { class: class_id });
         }
-        let (s, slot) = self.place()?;
+        let s = self.place()?;
         let sid = self.locator.len() as u64;
         let period = self.periods[class_id];
         let first = t + 1 + (phase % period);
-        self.shards[s].get_mut().expect("shard poisoned").install(
-            slot,
-            sid,
-            stream,
-            class_id as u16,
-            first,
-            first + (self.batch - 1) * period,
-        );
+        let shard = self.shards[s].get_mut().expect("shard poisoned");
+        let slot = shard.store.alloc();
+        let gen = shard
+            .store
+            .install(slot, sid, stream, class_id as u16, first);
+        // Armed at the first batch boundary, `first + (batch − 1) · τ`.
+        shard
+            .wheel
+            .schedule(first + (self.batch - 1) * period, wheel_item(gen, slot));
         self.locator.push(Locator {
             shard: s as u32,
             slot,
@@ -1292,11 +899,8 @@ impl DynamicEngine {
     pub fn session_digests(&self) -> Vec<u64> {
         let mut out = self.digests.clone();
         for shard in &self.shards {
-            let sh = shard.lock().expect("shard poisoned");
-            for (j, h) in sh.hot.iter().enumerate() {
-                if h.class_of != FREE {
-                    out[sh.sid[j] as usize] = h.digest;
-                }
+            for (sid, digest) in shard.lock().expect("shard poisoned").store.live_digests() {
+                out[sid as usize] = digest;
             }
         }
         out
@@ -1315,35 +919,24 @@ impl DynamicEngine {
 
     /// Captures session `sid`'s complete state.
     pub fn snapshot(&self, sid: u64) -> Result<SessionSnapshot, EngineError> {
-        let loc = *self
-            .locator
-            .get(sid as usize)
-            .ok_or(EngineError::UnknownSession { sid })?;
-        if loc == GONE {
-            return Err(EngineError::UnknownSession { sid });
-        }
+        let loc = self.locate(sid)?;
         let sh = self.shards[loc.shard as usize]
             .lock()
             .expect("shard poisoned");
-        Ok(sh.snapshot_slot(loc.slot as usize))
+        Ok(sh.store.snapshot_slot(loc.slot as usize))
     }
 
     /// Removes session `sid` *without* ending its stream (migration,
     /// not departure) and returns its state; [`restore`](Self::restore)
     /// re-installs it here or in another engine with the same classes.
     pub fn take(&mut self, sid: u64) -> Result<SessionSnapshot, EngineError> {
-        let loc = *self
-            .locator
-            .get(sid as usize)
-            .ok_or(EngineError::UnknownSession { sid })?;
-        if loc == GONE {
-            return Err(EngineError::UnknownSession { sid });
-        }
-        let sh = self.shards[loc.shard as usize]
+        let loc = self.locate(sid)?;
+        let store = &mut self.shards[loc.shard as usize]
             .get_mut()
-            .expect("shard poisoned");
-        let snap = sh.snapshot_slot(loc.slot as usize);
-        sh.free_slot(loc.slot as usize);
+            .expect("shard poisoned")
+            .store;
+        let snap = store.snapshot_slot(loc.slot as usize);
+        store.free_slot(loc.slot as usize);
         self.locator[sid as usize] = GONE;
         self.live -= 1;
         Ok(snap)
@@ -1352,11 +945,25 @@ impl DynamicEngine {
     /// Re-installs a snapshot (from [`take`](Self::take) or a
     /// checkpoint). The continued schedule is bit-identical to never
     /// having moved the session.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::StaleSnapshot`] when the snapshot's next arrival
+    /// is not past this engine's position: the engine has already
+    /// passed that arrival, so arming it would put the session off its
+    /// arrival grid for the rest of its life.
     pub fn restore(&mut self, snap: SessionSnapshot) -> Result<(), EngineError> {
         assert!(!self.ended, "restore after finish");
         let class = snap.class as usize;
         if class >= self.classes.len() {
             return Err(EngineError::UnknownClass { class });
+        }
+        if snap.next_arrival <= self.now {
+            return Err(EngineError::StaleSnapshot {
+                sid: snap.sid,
+                next_arrival: snap.next_arrival,
+                now: self.now,
+            });
         }
         let ring_cap = self.classes[class].ring_cap;
         if snap.history.len() > ring_cap {
@@ -1373,18 +980,24 @@ impl DynamicEngine {
         if self.locator[sid] != GONE {
             return Err(EngineError::UnknownSession { sid: snap.sid });
         }
-        let (s, slot) = self.place()?;
-        let arm = snap.next_arrival + (self.batch - 1) * self.periods[class];
-        self.shards[s]
-            .get_mut()
-            .expect("shard poisoned")
-            .install_snapshot(slot, &snap, arm);
-        self.locator[sid] = Locator {
+        let s = self.place()?;
+        self.install_snapshot(s, &snap);
+        Ok(())
+    }
+
+    /// Installs `snap` into a fresh slot of shard `s`, armed at its next
+    /// batch boundary, and records where the session lives.
+    fn install_snapshot(&mut self, s: usize, snap: &SessionSnapshot) {
+        let arm = snap.next_arrival + (self.batch - 1) * self.periods[snap.class as usize];
+        let shard = self.shards[s].get_mut().expect("shard poisoned");
+        let slot = shard.store.alloc();
+        let gen = shard.store.install_snapshot(slot, snap);
+        shard.wheel.schedule(arm, wheel_item(gen, slot));
+        self.locator[snap.sid as usize] = Locator {
             shard: s as u32,
             slot,
         };
         self.live += 1;
-        Ok(())
     }
 
     /// Evens the shard loads by migrating sessions (snapshot out of
@@ -1402,13 +1015,13 @@ impl DynamicEngine {
         let mut moved: VecDeque<SessionSnapshot> = VecDeque::new();
         for i in 0..n {
             let target = q + usize::from(i < r);
-            let sh = self.shards[i].get_mut().expect("shard poisoned");
-            let mut excess = sh.live.saturating_sub(target);
+            let store = &mut self.shards[i].get_mut().expect("shard poisoned").store;
+            let mut excess = store.live.saturating_sub(target);
             let mut j = 0;
             while excess > 0 {
-                if sh.hot[j].class_of != FREE {
-                    let snap = sh.snapshot_slot(j);
-                    sh.free_slot(j);
+                if store.hot[j].class_of != FREE {
+                    let snap = store.snapshot_slot(j);
+                    store.free_slot(j);
                     self.locator[snap.sid as usize] = GONE;
                     moved.push_back(snap);
                     excess -= 1;
@@ -1422,18 +1035,10 @@ impl DynamicEngine {
             let target = q + usize::from(i < r);
             while {
                 let sh = self.shards[i].get_mut().expect("shard poisoned");
-                sh.live < target && !moved.is_empty()
+                sh.store.live < target && !moved.is_empty()
             } {
                 let snap = moved.pop_front().expect("checked non-empty");
-                let arm = snap.next_arrival + (self.batch - 1) * self.periods[snap.class as usize];
-                let sh = self.shards[i].get_mut().expect("shard poisoned");
-                let slot = sh.alloc();
-                sh.install_snapshot(slot, &snap, arm);
-                self.locator[snap.sid as usize] = Locator {
-                    shard: i as u32,
-                    slot,
-                };
-                self.live += 1;
+                self.install_snapshot(i, &snap);
             }
         }
         debug_assert!(moved.is_empty(), "every migrated session re-installed");
@@ -1454,7 +1059,7 @@ impl DynamicEngine {
                 let sh = self.shards[loc.shard as usize]
                     .lock()
                     .expect("shard poisoned");
-                sessions.push(sh.snapshot_slot(loc.slot as usize));
+                sessions.push(sh.store.snapshot_slot(loc.slot as usize));
             }
         }
         EngineCheckpoint {
@@ -1631,6 +1236,41 @@ mod tests {
         plain.finish(&src, 1);
         moved.finish(&src, 1);
         assert_eq!(plain.digest(), moved.digest());
+    }
+
+    /// A snapshot whose next arrival the restoring engine has already
+    /// passed is rejected with a typed error, leaving the engine
+    /// untouched, instead of being armed in the past (which would shift
+    /// the session off its arrival grid for the rest of its life).
+    #[test]
+    fn restore_rejects_a_stale_snapshot() {
+        let src = fleet();
+        let mut a = DynamicEngine::new(vec![test_class(5)], 4, 4).unwrap();
+        a.set_arrival_batch(1);
+        let sid = a.join(0, 5, 0).unwrap();
+        a.advance_to(&src, 100, 1);
+        let snap = a.take(sid).unwrap();
+        assert_eq!(snap.next_arrival, 101);
+
+        let mut late = DynamicEngine::new(vec![test_class(5)], 4, 4).unwrap();
+        late.set_arrival_batch(1);
+        late.advance_to(&src, 205, 1);
+        assert_eq!(
+            late.restore(snap.clone()).unwrap_err(),
+            EngineError::StaleSnapshot {
+                sid,
+                next_arrival: 101,
+                now: 205,
+            }
+        );
+        assert_eq!(late.live_sessions(), 0);
+        assert_eq!(late.joined(), 0);
+
+        // The same snapshot restores into the engine it came from and
+        // stays on its arrival grid (1 mod 5).
+        a.restore(snap).unwrap();
+        a.advance_to(&src, 300, 1);
+        assert_eq!(a.snapshot(sid).unwrap().next_arrival, 301);
     }
 
     /// checkpoint + restore_checkpoint continues bit-identically.

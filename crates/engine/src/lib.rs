@@ -2,43 +2,35 @@
 //!
 //! A **session engine**: up to a million concurrent live smoothing
 //! sessions — one per active viewer, the production setting the paper's
-//! transport-protocol smoother (Figure 1) implies — advanced in lockstep
-//! picture ticks through one process.
+//! transport-protocol smoother (Figure 1) implies — run through one
+//! process.
 //!
 //! One [`smooth_core::OnlineSmoother`] per stream does not scale to that
-//! count: each carries its own heap-scattered state and (before PR 5) an
-//! arrival history that grew without bound. The engine replaces the
-//! per-stream objects with:
+//! count: each carries its own heap-scattered state. The engine replaces
+//! the per-stream objects with:
 //!
-//! * **Cache-compact struct-of-arrays session store.** Per-session
-//!   scalars (`decided`, `depart`, `prev_rate`, `watermark`, history
-//!   `base`/`len`) live in parallel arrays inside a [`Shard`], narrowed
-//!   to the smallest width their invariants allow (u32 picture indices,
-//!   u16 lengths and class ids; the authoritative times and rates stay
-//!   f64) with hot per-tick scalars split from cold configuration;
-//!   arrival history is a bounded per-session slot of **u32 size words**
-//!   in one flat ring buffer (picture sizes are bits-per-picture, far
-//!   below 2³²; widening back is exact, so no decision bit changes),
-//!   pruned in whole GOP periods under the estimator's
+//! * **One session store.** Every session lives in a slot of a shard's
+//!   slot store: its scalars packed into one 64-byte header, narrowed to
+//!   the smallest width their invariants allow (u32 picture indices, u16
+//!   lengths and class ids; times and rates stay f64), its session id
+//!   beside it, and its arrival history in a fixed slice of **u32 size
+//!   words** in one flat ring (widening back is exact, so no decision
+//!   bit changes), pruned in whole GOP periods under the estimator's
 //!   [`history_window`](smooth_core::SizeEstimator::history_window)
-//!   contract — so resident memory per session is O(H + N + K + D/τ),
-//!   not O(pictures pushed), at roughly half the pre-compaction bytes
-//!   (see [`SessionEngine::state_bytes_per_session`]). Sliding
-//!   [`smooth_core::LookaheadWindow`]s are kept per session (the
-//!   O(1)-per-picture fast path needs them); decision scratch
-//!   ([`smooth_core::BlockLanes`]) and the widened staging tail are per
-//!   shard.
-//! * **Tick scheduler.** [`SessionEngine::tick`] feeds every session its
-//!   next picture and drains all decisions whose paper preconditions are
-//!   now met, via [`smooth_core::decide_live`] — the *same* decision
-//!   function `OnlineSmoother` uses, so a session's schedule is
-//!   bit-identical to a dedicated smoother fed the same sizes (pinned by
-//!   proptests). Per-class configuration (params, pattern, estimator,
-//!   selection) is shared across all sessions of a
-//!   [`SessionClass`]. For throughput, [`SessionEngine::run`] executes a
-//!   whole batch of ticks **session-major** — each session's state
-//!   streams from memory once per batch instead of once per tick — and
-//!   is bit-identical to the lockstep loop (sessions are independent).
+//!   contract. Resident memory per session is O(H + N + K + D/τ), not
+//!   O(pictures pushed) (see [`SessionEngine::state_bytes_per_session`]).
+//!   One step body feeds a slot its arrivals and drains every decision
+//!   whose paper preconditions are met via [`smooth_core::decide_live`]
+//!   — the *same* decision function `OnlineSmoother` uses, so a
+//!   session's schedule is bit-identical to a dedicated smoother fed the
+//!   same sizes (pinned by proptests). Per-class configuration is shared
+//!   across all sessions of a [`SessionClass`].
+//! * **Two engines over that store.** [`SessionEngine`] advances a fixed
+//!   fleet in lockstep picture ticks: sessions sit in contiguous slots in
+//!   session-id order, and a tick, a session-major batch of ticks
+//!   ([`SessionEngine::run`]) or a fused chunk is one slot-order sweep.
+//!   [`DynamicEngine`] advances a churning fleet on per-class clocks
+//!   from per-shard timing wheels ([`dynamic`]).
 //! * **Shard-parallel execution.** Sessions are assigned to fixed-size
 //!   shards by session id (never by worker count); ticks fan shards out
 //!   over [`smooth_sweep::par_map`] with index-ordered collection.
@@ -59,8 +51,7 @@
 use std::sync::Mutex;
 
 use smooth_core::{
-    decide_live, prunable_prefix, BlockLanes, LiveCursor, LiveParams, LookaheadWindow,
-    PatternEstimator, PictureSchedule, RateSelection, SizeEstimator, SizeHistory, SmootherParams,
+    PatternEstimator, PictureSchedule, RateSelection, SizeEstimator, SmootherParams,
 };
 use smooth_mpeg::GopPattern;
 use smooth_sweep::{par_map, par_map_pinned};
@@ -68,7 +59,10 @@ use smooth_sweep::{par_map, par_map_pinned};
 pub mod dynamic;
 pub mod livemux;
 pub mod mux;
+mod store;
 pub mod synthetic;
+
+use store::SlotStore;
 
 pub use livemux::{mux_digest, LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor};
 
@@ -79,8 +73,8 @@ pub use dynamic::{
 pub use synthetic::{churn_trace, ChurnEvent, ChurnSpec, ChurnTrace, SyntheticFleet};
 
 /// Errors constructing or operating a session engine: every narrowed
-/// width the compact store relies on (u16 retained-length words, u32
-/// ring offsets, u16 class ids) is guarded here with a typed error
+/// width the compact store relies on (u16 retained-length words, u16
+/// class ids) is guarded here with a typed error
 /// instead of a debug-only panic, so extreme-but-valid smoother
 /// parameters (huge `D/τ`, huge `N`) are rejected loudly at
 /// configuration time in every build profile.
@@ -106,14 +100,6 @@ pub enum EngineError {
         ring_cap: usize,
         /// The `u16` limit.
         max: usize,
-    },
-    /// A shard's flat history ring (`shard_size · ring_cap` sizes)
-    /// exceeds the compact store's `u32` ring-offset word.
-    ShardRingExceedsOffsetWord {
-        /// Required ring length in sizes.
-        ring_slots: u128,
-        /// The `u32` limit.
-        max: u64,
     },
     /// The dynamic engine needs room for at least one session.
     ZeroCapacity,
@@ -144,6 +130,17 @@ pub enum EngineError {
         /// The class's slot size.
         ring_cap: usize,
     },
+    /// A snapshot's next arrival is not past the restoring engine's
+    /// position, so its session would be armed in the past and fall off
+    /// its arrival grid.
+    StaleSnapshot {
+        /// The snapshot's session id.
+        sid: u64,
+        /// The snapshot's next arrival, in scheduler ticks.
+        next_arrival: u64,
+        /// The restoring engine's position, in scheduler ticks.
+        now: u64,
+    },
     /// A fused run was handed an engine that already advanced: it
     /// must see the fleet from picture 0, so a partially-run engine
     /// would silently multiplex a truncated schedule.
@@ -171,11 +168,6 @@ impl std::fmt::Display for EngineError {
                 "per-session history slot ({ring_cap} sizes) exceeds the u16 length word \
                  (max {max}); lower D/τ, K, H, or N"
             ),
-            EngineError::ShardRingExceedsOffsetWord { ring_slots, max } => write!(
-                f,
-                "shard history ring ({ring_slots} sizes) exceeds the u32 offset word \
-                 (max {max}); lower the shard size or the class ring slot"
-            ),
             EngineError::ZeroCapacity => write!(f, "session capacity must be positive"),
             EngineError::ZeroPeriod { class } => {
                 write!(f, "class {class}: picture period must be at least one tick")
@@ -190,6 +182,15 @@ impl std::fmt::Display for EngineError {
             EngineError::SnapshotHistoryTooLong { len, ring_cap } => write!(
                 f,
                 "snapshot retains {len} sizes but the class slot holds {ring_cap}"
+            ),
+            EngineError::StaleSnapshot {
+                sid,
+                next_arrival,
+                now,
+            } => write!(
+                f,
+                "snapshot of session {sid} arrives next at tick {next_arrival}, \
+                 not after the engine's position {now}"
             ),
             EngineError::StaleEngine { ticks, finished } => write!(
                 f,
@@ -300,331 +301,12 @@ impl ClassInfo {
     }
 }
 
-/// Checks that a shard's flat history ring — `shard_size` slots of the
-/// largest class's `ring_cap` — stays addressable by the compact
-/// store's `u32` ring-offset word.
-pub(crate) fn check_shard_ring(
-    classes: &[ClassInfo],
-    shard_size: usize,
-) -> Result<(), EngineError> {
-    let widest = classes.iter().map(|c| c.ring_cap).max().unwrap_or(0);
-    let ring_slots = shard_size as u128 * widest as u128;
-    if ring_slots > u64::from(u32::MAX) as u128 {
-        return Err(EngineError::ShardRingExceedsOffsetWord {
-            ring_slots,
-            max: u64::from(u32::MAX),
-        });
-    }
-    Ok(())
-}
-
 pub(crate) const FNV_OFFSET: u64 = 0xcbf29ce484222325;
 const FNV_PRIME: u64 = 0x100000001b3;
 
 #[inline(always)]
 pub(crate) fn fnv(digest: u64, word: u64) -> u64 {
     (digest ^ word).wrapping_mul(FNV_PRIME)
-}
-
-/// One shard's struct-of-arrays session store. Index `j` is the
-/// shard-local session slot; all vectors run in lockstep.
-///
-/// The layout is **cache-compact**: hot per-tick scalars are narrowed
-/// to the smallest width their invariants allow and kept apart from
-/// cold, rarely-written configuration; the session id is derived from
-/// the slot (`first_sid + j`) instead of stored; and the history ring
-/// packs each size into a `u32` fixed-point word (picture sizes are
-/// bits-per-picture, far below 2³² — the push path checks). Every
-/// narrowed field widens *exactly* (`u32 → u64`/`usize`/`f64` are all
-/// value-preserving), so schedules are bit-identical to the wide
-/// layout — pinned by the engine-vs-[`smooth_core::OnlineSmoother`]
-/// proptests.
-struct Shard {
-    /// Session id of slot 0; slot `j` holds session `first_sid + j`
-    /// ([`SessionEngine::add_sessions`] hands out consecutive ids).
-    first_sid: u64,
-    // --- hot scalars: read and written every tick ---
-    /// Decisions already emitted (the next undecided picture index).
-    decided: Vec<u32>,
-    /// Retained history length in sizes; bounded by the class
-    /// `ring_cap`, which [`ClassInfo::new`] asserts fits `u16`.
-    len: Vec<u16>,
-    /// High-water mark of the visible prefix length consulted so far.
-    watermark: Vec<u32>,
-    /// Departure time of the last decided picture (authoritative `f64`).
-    depart: Vec<f64>,
-    /// Rate of the last decided picture (meaningful when `decided > 0`).
-    prev_rate: Vec<f64>,
-    /// FNV-1a fingerprint of every decision emitted by session `j`
-    /// (index, start, rate, depart bits) — the determinism witness.
-    digest: Vec<u64>,
-    // --- cold: written only at creation or on (rare) compaction ---
-    /// Logical index of the first retained size (whole-pattern cut).
-    base: Vec<u32>,
-    class_of: Vec<u16>,
-    /// Start of session `j`'s history slot in `ring`.
-    ring_off: Vec<u32>,
-    /// Flat history storage, one fixed slot per session: session `j`
-    /// retains logical pictures `base[j] .. base[j] + len[j]` at
-    /// `ring[ring_off[j] ..]`, each size a checked-narrowed `u32`.
-    ring: Vec<u32>,
-    windows: Vec<LookaheadWindow>,
-    /// Widened `u64` mirror of the *active* session's retained tail:
-    /// refilled when a session is entered (once per batch), kept in
-    /// sync by push/prune, and always L1-hot — [`decide_live`] reads
-    /// sizes from here, so only the halved `u32` ring streams from
-    /// DRAM. The widening is exact, so this changes no bits.
-    stage: Vec<u64>,
-    /// Decision scratch, shared by every session of the shard.
-    lanes: BlockLanes,
-    decisions: u64,
-}
-
-impl Shard {
-    fn new(first_sid: u64) -> Self {
-        Shard {
-            first_sid,
-            decided: Vec::new(),
-            len: Vec::new(),
-            watermark: Vec::new(),
-            depart: Vec::new(),
-            prev_rate: Vec::new(),
-            digest: Vec::new(),
-            base: Vec::new(),
-            class_of: Vec::new(),
-            ring_off: Vec::new(),
-            ring: Vec::new(),
-            windows: Vec::new(),
-            stage: Vec::new(),
-            lanes: BlockLanes::default(),
-            decisions: 0,
-        }
-    }
-
-    fn count(&self) -> usize {
-        self.class_of.len()
-    }
-
-    fn push_session(&mut self, class_id: u16, info: &ClassInfo) {
-        self.class_of.push(class_id);
-        let off = u32::try_from(self.ring.len()).expect("shard ring offset fits u32");
-        self.ring_off.push(off);
-        self.ring.resize(self.ring.len() + info.ring_cap, 0);
-        self.base.push(0);
-        self.len.push(0);
-        self.decided.push(0);
-        self.depart.push(0.0);
-        self.prev_rate.push(0.0);
-        self.watermark.push(0);
-        self.digest.push(FNV_OFFSET);
-        self.windows.push(LookaheadWindow::new());
-    }
-
-    /// Advances every session of the shard by one tick: optionally push
-    /// the next picture (live tick) and drain every decision now
-    /// decidable. Returns the number of decisions made.
-    fn advance<S: SizeSource, F: FnMut(u64, &PictureSchedule)>(
-        &mut self,
-        classes: &[ClassInfo],
-        source: &S,
-        push: bool,
-        ended: bool,
-        sink: &mut F,
-    ) -> u64 {
-        let mut made = 0u64;
-        for j in 0..self.count() {
-            self.prefetch(j + 1);
-            made += self.run_session(j, classes, source, u64::from(push), ended, sink);
-        }
-        self.decisions += made;
-        made
-    }
-
-    /// Advances every session of the shard by `ticks` live ticks (plus,
-    /// when `finish` is set, the end-of-stream drain), **session-major**:
-    /// each session runs through the whole batch before the next is
-    /// touched, so its ring slot, window, and scalars are streamed from
-    /// memory once per batch instead of once per tick. Sessions are
-    /// independent state machines, so every decision and digest is
-    /// bit-identical to `ticks` calls of [`advance`] (pinned by
-    /// proptests); only the interleaving a sink would observe differs,
-    /// which is why this path takes none — lockstep consumers (the
-    /// materializing oracle) use [`advance`].
-    fn advance_batch<S: SizeSource>(
-        &mut self,
-        classes: &[ClassInfo],
-        source: &S,
-        ticks: u64,
-        finish: bool,
-    ) -> u64 {
-        self.advance_batch_with(classes, source, ticks, finish, &mut |_, _| {})
-    }
-
-    /// [`advance_batch`](Self::advance_batch) with a decision sink. The
-    /// sink observes the **session-major** interleaving (each session's
-    /// whole batch before the next session), but within a session the
-    /// decisions come in schedule order — all a per-session consumer
-    /// (the fused mux's lanes) needs.
-    fn advance_batch_with<S: SizeSource, F: FnMut(u64, &PictureSchedule)>(
-        &mut self,
-        classes: &[ClassInfo],
-        source: &S,
-        ticks: u64,
-        finish: bool,
-        sink: &mut F,
-    ) -> u64 {
-        let mut made = 0u64;
-        for j in 0..self.count() {
-            self.prefetch(j + 1);
-            made += self.run_session(j, classes, source, ticks, finish, sink);
-        }
-        self.decisions += made;
-        made
-    }
-
-    /// Hide session `j`'s demand misses behind its predecessor's work:
-    /// its window buffer is a per-session heap block (the one pointer
-    /// chase here), and its ring slot sits a long stride away.
-    #[inline(always)]
-    fn prefetch(&self, j: usize) {
-        if let Some(next) = self.windows.get(j) {
-            next.prewarm();
-            std::hint::black_box(self.ring.get(self.ring_off[j] as usize).copied());
-        }
-    }
-
-    /// Runs session `j` through `live_ticks` pushes plus, when `finish`
-    /// is set, the end-of-stream drain. Every per-session scalar is
-    /// loaded into a local once, carried through the whole batch, and
-    /// stored back once — the arrays see one load and one store per
-    /// batch, not per tick. Returns the decisions made.
-    fn run_session<S: SizeSource, F: FnMut(u64, &PictureSchedule)>(
-        &mut self,
-        j: usize,
-        classes: &[ClassInfo],
-        source: &S,
-        live_ticks: u64,
-        finish: bool,
-        sink: &mut F,
-    ) -> u64 {
-        let info = &classes[self.class_of[j] as usize];
-        let off = self.ring_off[j] as usize;
-        let cap = info.ring_cap;
-        let n = info.class.pattern.n();
-        let sid = self.first_sid + j as u64;
-
-        let mut cursor = LiveCursor {
-            decided: self.decided[j] as usize,
-            depart: self.depart[j],
-            prev_rate: if self.decided[j] > 0 {
-                Some(self.prev_rate[j])
-            } else {
-                None
-            },
-            watermark: self.watermark[j] as usize,
-        };
-        let mut base = self.base[j] as usize;
-        let mut len = self.len[j] as usize;
-        let mut digest = self.digest[j];
-        let mut made = 0u64;
-
-        // Stage the retained tail as `u64` once per batch (exact
-        // widening); decisions read the L1-hot stage, not the ring.
-        self.stage.clear();
-        self.stage
-            .extend(self.ring[off..off + len].iter().map(|&s| u64::from(s)));
-
-        let cfg = LiveParams {
-            params: &info.class.params,
-            pattern: info.class.pattern,
-            estimator: &info.class.estimator,
-            selection: info.class.selection,
-            total: None,
-        };
-
-        let steps = live_ticks + u64::from(finish);
-        for t in 0..steps {
-            let live = t < live_ticks;
-            if live {
-                if len == cap {
-                    // The push path found the slot full: prune now or
-                    // die. Theorem 1 bounds the live tail well below
-                    // `ring_cap`, so an empty prune here means the slot
-                    // was mis-sized — a bug, not a load condition.
-                    let cut = prunable_prefix(&cursor, Some(info.hist), n);
-                    let drop = cut.saturating_sub(base);
-                    assert!(
-                        drop > 0,
-                        "session {sid} history slot full ({cap} sizes) with nothing prunable"
-                    );
-                    self.ring.copy_within(off + drop..off + len, off);
-                    self.stage.copy_within(drop..len, 0);
-                    len -= drop;
-                    self.stage.truncate(len);
-                    base = cut;
-                    // The window caches base-shifted coordinates; force
-                    // a refill (bit-identical to sliding — pinned by
-                    // the lookahead proptests).
-                    self.windows[j].reset();
-                }
-                let size = source.size(sid, (base + len) as u64);
-                self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
-                    panic!("picture size {size} bits exceeds the engine's u32 size word")
-                });
-                self.stage.push(size);
-                len += 1;
-            }
-            let ended = !live;
-            loop {
-                let history = SizeHistory {
-                    base,
-                    tail: &self.stage[..len],
-                };
-                let Some(decision) = decide_live(
-                    &cfg,
-                    history,
-                    ended,
-                    &mut cursor,
-                    &mut self.windows[j],
-                    &mut self.lanes,
-                ) else {
-                    break;
-                };
-                digest = fnv(digest, decision.index as u64);
-                digest = fnv(digest, decision.start.to_bits());
-                digest = fnv(digest, decision.rate.to_bits());
-                digest = fnv(digest, decision.depart.to_bits());
-                made += 1;
-                sink(sid, &decision);
-            }
-
-            // Lazy prune: drop the decided-and-unneeded prefix once it
-            // covers at least half the retained slice (amortized O(1)
-            // per push).
-            let cut = prunable_prefix(&cursor, Some(info.hist), n);
-            let drop = cut.saturating_sub(base);
-            if drop > 0 && drop >= len / 2 {
-                self.ring.copy_within(off + drop..off + len, off);
-                self.stage.copy_within(drop..len, 0);
-                len -= drop;
-                self.stage.truncate(len);
-                base = cut;
-                self.windows[j].reset();
-            }
-        }
-
-        self.decided[j] = u32::try_from(cursor.decided).expect("picture index fits u32");
-        self.watermark[j] = u32::try_from(cursor.watermark).expect("watermark fits u32");
-        self.base[j] = u32::try_from(base).expect("history base fits u32");
-        // len <= ring_cap, asserted to fit u16 at class construction.
-        self.len[j] = len as u16;
-        self.depart[j] = cursor.depart;
-        if let Some(r) = cursor.prev_rate {
-            self.prev_rate[j] = r;
-        }
-        self.digest[j] = digest;
-        made
-    }
 }
 
 /// The engine: a fleet of live smoothing sessions advanced in lockstep
@@ -648,8 +330,12 @@ impl Shard {
 /// ```
 pub struct SessionEngine {
     classes: Vec<ClassInfo>,
-    shards: Vec<Mutex<Shard>>,
+    /// One [`SlotStore`] per shard; session `sid` sits in slot
+    /// `sid % shard_size` of shard `sid / shard_size`.
+    shards: Vec<Mutex<SlotStore>>,
     shard_size: usize,
+    /// Every slot's history slice: the widest class's `ring_cap`.
+    slot_cap: usize,
     sessions: usize,
     ticks: u64,
     ended: bool,
@@ -677,9 +363,8 @@ impl SessionEngine {
 
     /// Fallible [`with_shard_size`](Self::with_shard_size): rejects an
     /// empty class list, a zero shard size, more classes than the `u16`
-    /// class word holds, and — the compact-store width guards — a class
-    /// whose history slot overflows the `u16` length word or a shard
-    /// ring that overflows the `u32` offset word, with a typed
+    /// class word holds, and — the compact-store width guard — a class
+    /// whose history slot overflows the `u16` length word, with a typed
     /// [`EngineError`] instead of a debug-only panic.
     pub fn try_with_shard_size(
         classes: Vec<SessionClass>,
@@ -701,15 +386,27 @@ impl SessionEngine {
             .into_iter()
             .map(ClassInfo::try_new)
             .collect::<Result<Vec<_>, _>>()?;
-        check_shard_ring(&classes, shard_size)?;
+        let slot_cap = classes.iter().map(|c| c.ring_cap).max().expect("non-empty");
         Ok(SessionEngine {
             classes,
             shards: Vec::new(),
             shard_size,
+            slot_cap,
             sessions: 0,
             ticks: 0,
             ended: false,
         })
+    }
+
+    /// Appends `count` sessions of class `class_id` to `store`, the
+    /// first with id `first_sid`. Each session reads the stream of its
+    /// own id, so slot order is session-id order.
+    fn fill(store: &mut SlotStore, first_sid: u64, class_id: usize, count: usize) {
+        store.reserve(count);
+        for k in 0..count as u64 {
+            let slot = store.alloc();
+            store.install(slot, first_sid + k, first_sid + k, class_id as u16, 0);
+        }
     }
 
     /// Adds `count` sessions of class `class_id`. Sessions receive
@@ -725,20 +422,22 @@ impl SessionEngine {
             "add sessions before ticking"
         );
         assert!(class_id < self.classes.len(), "unknown class {class_id}");
-        let info = &self.classes[class_id];
-        for _ in 0..count {
+        let mut left = count;
+        while left > 0 {
             if self.sessions % self.shard_size == 0 {
-                self.shards
-                    .push(Mutex::new(Shard::new(self.sessions as u64)));
+                self.shards.push(Mutex::new(SlotStore::new(self.slot_cap)));
             }
-            let shard = self
+            let room = self.shard_size - self.sessions % self.shard_size;
+            let take = room.min(left);
+            let store = self
                 .shards
                 .last_mut()
                 .expect("just ensured")
                 .get_mut()
                 .expect("unshared");
-            shard.push_session(class_id as u16, info);
-            self.sessions += 1;
+            Self::fill(store, self.sessions as u64, class_id, take);
+            self.sessions += take;
+            left -= take;
         }
     }
 
@@ -768,19 +467,20 @@ impl SessionEngine {
             self.sessions % self.shard_size == 0,
             "placed growth must start on a shard boundary"
         );
-        let info = &self.classes[class_id];
         let shard_size = self.shard_size;
+        let slot_cap = self.slot_cap;
         let first = self.sessions as u64;
-        let shard_count = count.div_ceil(shard_size);
-        let idx: Vec<usize> = (0..shard_count).collect();
+        let idx: Vec<usize> = (0..count.div_ceil(shard_size)).collect();
         let built = par_map_pinned(threads, &idx, |_, &s| {
-            let first_sid = first + (s * shard_size) as u64;
+            let mut store = SlotStore::new(slot_cap);
             let in_shard = shard_size.min(count - s * shard_size);
-            let mut shard = Shard::new(first_sid);
-            for _ in 0..in_shard {
-                shard.push_session(class_id as u16, info);
-            }
-            Mutex::new(shard)
+            Self::fill(
+                &mut store,
+                first + (s * shard_size) as u64,
+                class_id,
+                in_shard,
+            );
+            Mutex::new(store)
         });
         self.shards.extend(built);
         self.sessions += count;
@@ -818,29 +518,64 @@ impl SessionEngine {
         self.classes[class_id].ring_cap
     }
 
-    /// Resident array bytes per session of a class under the compact
-    /// layout: the narrowed hot and cold scalars plus the `u32` history
-    /// slot. This is what a batch streams from memory per session (the
-    /// per-session [`LookaheadWindow`] heap block, ~`H + N` f64 slots,
-    /// is reported by [`window_bytes_per_session`]
-    /// (Self::window_bytes_per_session)) — the numerator of the
-    /// roofline's bytes-per-decision in DESIGN.md §6.
+    /// Resident array bytes per session of a class: the one-line
+    /// scalar header, the session id and the `u32` history slot. Every
+    /// slot is sized to the fleet's widest class, so the figure is the
+    /// same for every class of one engine. This is what a batch streams
+    /// from memory per session besides the session's lookahead-window
+    /// heap block — the numerator of the roofline's bytes-per-decision
+    /// in DESIGN.md §6.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown class.
     pub fn state_bytes_per_session(&self, class_id: usize) -> usize {
-        use std::mem::size_of;
-        // Hot: decided u32, len u16, watermark u32, depart f64,
-        // prev_rate f64, digest u64.
-        let hot = size_of::<u32>() * 2 + size_of::<u16>() + size_of::<f64>() * 2 + size_of::<u64>();
-        // Cold: base u32, class_of u16, ring_off u32.
-        let cold = size_of::<u32>() * 2 + size_of::<u16>();
-        hot + cold + size_of::<u32>() * self.classes[class_id].ring_cap
+        assert!(class_id < self.classes.len(), "unknown class {class_id}");
+        SlotStore::bytes_per_slot(self.slot_cap)
     }
 
-    /// Approximate per-session lookahead-window heap bytes of a class:
-    /// the window retains `H` lookahead slots plus up to `N` estimate
-    /// slots between slides.
-    pub fn window_bytes_per_session(&self, class_id: usize) -> usize {
-        let info = &self.classes[class_id];
-        std::mem::size_of::<f64>() * (info.class.params.h + info.class.pattern.n())
+    /// Sweeps every shard through `pushes` ticks (plus, when `ended` is
+    /// set, the end-of-stream drain) over `threads` workers, with shards
+    /// striped over pinned workers when `pinned` is set. Returns the
+    /// decisions made.
+    fn par_sweep<S: SizeSource>(
+        &self,
+        source: &S,
+        pushes: u64,
+        ended: bool,
+        threads: usize,
+        pinned: bool,
+    ) -> u64 {
+        let idx: Vec<usize> = (0..self.shards.len()).collect();
+        let sweep = |_, &s: &usize| {
+            let mut store = self.shards[s].lock().expect("shard poisoned");
+            store.sweep(&self.classes, source, pushes, ended, &mut |_, _| {})
+        };
+        let made = if pinned {
+            par_map_pinned(threads, &idx, sweep)
+        } else {
+            par_map(threads, &idx, sweep)
+        };
+        made.into_iter().sum()
+    }
+
+    /// Serial sweep of every shard, in session-id order, offering every
+    /// decision to `sink`.
+    fn serial_sweep<S: SizeSource>(
+        &mut self,
+        source: &S,
+        pushes: u64,
+        ended: bool,
+        sink: &mut impl FnMut(u64, &PictureSchedule),
+    ) -> u64 {
+        let classes = &self.classes;
+        self.shards
+            .iter_mut()
+            .map(|s| {
+                let store = s.get_mut().expect("unshared");
+                store.sweep(classes, source, pushes, ended, sink)
+            })
+            .sum()
     }
 
     /// Feeds every session its next picture from `source` and drains all
@@ -853,29 +588,17 @@ impl SessionEngine {
     /// Panics after [`finish`](Self::finish).
     pub fn tick<S: SizeSource>(&mut self, source: &S, threads: usize) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        let made = par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.advance(classes, source, true, false, &mut |_, _| {})
-        });
+        let made = self.par_sweep(source, 1, false, threads, false);
         self.ticks += 1;
-        made.into_iter().sum()
+        made
     }
 
     /// Signals end-of-stream to every session and drains the remaining
     /// tail decisions. Returns the number of decisions made.
     pub fn finish<S: SizeSource>(&mut self, source: &S, threads: usize) -> u64 {
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        let made = par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.advance(classes, source, false, true, &mut |_, _| {})
-        });
+        let made = self.par_sweep(source, 0, true, threads, false);
         self.ended = true;
-        made.into_iter().sum()
+        made
     }
 
     /// Runs `ticks` live ticks — plus, when `finish` is set, the
@@ -902,16 +625,10 @@ impl SessionEngine {
         threads: usize,
     ) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        let made = par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.advance_batch(classes, source, ticks, finish)
-        });
+        let made = self.par_sweep(source, ticks, finish, threads, false);
         self.ticks += ticks;
         self.ended = finish;
-        made.into_iter().sum()
+        made
     }
 
     /// Runs the whole fleet through `ticks` live ticks plus the
@@ -970,9 +687,9 @@ impl SessionEngine {
             let fin = remaining == 0;
             let mux_ref = &*mux;
             par_map(threads, &idx, |_, &s| {
-                let mut shard = shards[s].lock().expect("shard poisoned");
+                let mut store = shards[s].lock().expect("shard poisoned");
                 let mut block = mux_ref.block(s).lock().expect("block poisoned");
-                shard.advance_batch_with(classes, source, chunk, fin, &mut |sid, d| {
+                store.sweep(classes, source, chunk, fin, &mut |sid, d| {
                     block.decision(sid, d)
                 });
                 if fin {
@@ -1010,16 +727,10 @@ impl SessionEngine {
         threads: usize,
     ) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        let made = par_map_pinned(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.advance_batch(classes, source, ticks, finish)
-        });
+        let made = self.par_sweep(source, ticks, finish, threads, true);
         self.ticks += ticks;
         self.ended = finish;
-        made.into_iter().sum()
+        made
     }
 
     /// Serial [`tick`](Self::tick) that also hands every decision to
@@ -1031,12 +742,7 @@ impl SessionEngine {
         sink: &mut impl FnMut(u64, &PictureSchedule),
     ) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let classes = &self.classes;
-        let mut made = 0;
-        for shard in &mut self.shards {
-            let shard = shard.get_mut().expect("unshared");
-            made += shard.advance(classes, source, true, false, sink);
-        }
+        let made = self.serial_sweep(source, 1, false, sink);
         self.ticks += 1;
         made
     }
@@ -1047,12 +753,7 @@ impl SessionEngine {
         source: &S,
         sink: &mut impl FnMut(u64, &PictureSchedule),
     ) -> u64 {
-        let classes = &self.classes;
-        let mut made = 0;
-        for shard in &mut self.shards {
-            let shard = shard.get_mut().expect("unshared");
-            made += shard.advance(classes, source, false, true, sink);
-        }
+        let made = self.serial_sweep(source, 0, true, sink);
         self.ended = true;
         made
     }
@@ -1069,8 +770,7 @@ impl SessionEngine {
     pub fn digest(&self) -> u64 {
         let mut d = FNV_OFFSET;
         for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            for &x in &shard.digest {
+            for (_, x) in shard.lock().expect("shard poisoned").live_digests() {
                 d = fnv(d, x);
             }
         }
@@ -1081,8 +781,8 @@ impl SessionEngine {
     pub fn session_digests(&self) -> Vec<u64> {
         let mut out = Vec::with_capacity(self.sessions);
         for shard in &self.shards {
-            let shard = shard.lock().expect("shard poisoned");
-            out.extend_from_slice(&shard.digest);
+            let store = shard.lock().expect("shard poisoned");
+            out.extend(store.live_digests().map(|(_, digest)| digest));
         }
         out
     }
@@ -1092,10 +792,7 @@ impl SessionEngine {
     pub fn max_retained(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| {
-                let shard = s.lock().expect("shard poisoned");
-                shard.len.iter().map(|&l| l as usize).max().unwrap_or(0)
-            })
+            .map(|s| s.lock().expect("shard poisoned").max_retained())
             .max()
             .unwrap_or(0)
     }
@@ -1152,29 +849,6 @@ mod tests {
             Some(EngineError::RingCapExceedsLenWord {
                 ring_cap: 65536,
                 max: 65535,
-            })
-        );
-    }
-
-    /// Satellite regression: the `u32` shard-ring-offset guard trips at
-    /// exactly the boundary. The paper class's slot is 90 sizes, so
-    /// `⌊u32::MAX / 90⌋ = 47 721 858` sessions per shard still address
-    /// the flat ring and one more must be rejected.
-    #[test]
-    fn shard_ring_u32_guard_trips_at_the_boundary() {
-        let pattern = GopPattern::new(3, 9).unwrap();
-        let class = || SessionClass::new(SmootherParams::at_30fps(0.2, 1, 9).unwrap(), pattern);
-        let cap = SessionEngine::try_with_shard_size(vec![class()], 1)
-            .expect("valid")
-            .class_ring_cap(0);
-        assert_eq!(cap, 90);
-        let limit = u32::MAX as usize / cap;
-        assert!(SessionEngine::try_with_shard_size(vec![class()], limit).is_ok());
-        assert_eq!(
-            SessionEngine::try_with_shard_size(vec![class()], limit + 1).err(),
-            Some(EngineError::ShardRingExceedsOffsetWord {
-                ring_slots: (limit as u128 + 1) * cap as u128,
-                max: u64::from(u32::MAX),
             })
         );
     }
@@ -1263,9 +937,9 @@ mod tests {
         let (engine, _) = small_engine(8);
         let cap = engine.class_ring_cap(0);
         let bytes = engine.state_bytes_per_session(0);
-        // 34 hot + 10 cold scalar bytes plus the u32 ring slot.
-        assert_eq!(bytes, 44 + 4 * cap);
-        assert!(engine.window_bytes_per_session(0) > 0);
+        // The 64-byte scalar header and the 8-byte session id plus the
+        // u32 ring slot.
+        assert_eq!(bytes, 72 + 4 * cap);
     }
 
     #[test]

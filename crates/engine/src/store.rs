@@ -1,0 +1,472 @@
+//! The one per-session store both engines run on.
+//!
+//! A [`SlotStore`] is one shard's worth of smoothing sessions. Each slot
+//! keeps its per-session scalars in a one-cache-line [`SlotHot`]
+//! header, its session id in a cold side array, its arrival history in
+//! a fixed `slot_cap`-word `u32` slice of one flat ring (slot `j`'s
+//! history starts at `j * slot_cap`), and its sliding
+//! [`LookaheadWindow`]. Decision scratch ([`BlockLanes`]) and the widened
+//! staging tail are shared by every slot of the store.
+//!
+//! [`step_slot`](SlotStore::step_slot) is the one per-session step body:
+//! push a run of arrivals, drain every decision the paper's
+//! preconditions allow through [`decide_live`], prune the history in
+//! whole GOP periods. The lockstep [`SessionEngine`](crate::SessionEngine)
+//! drives it through [`sweep`](SlotStore::sweep), every slot in slot
+//! order; the [`DynamicEngine`](crate::DynamicEngine) drives it from its
+//! timing wheel, one due slot at a time. Sessions are independent state
+//! machines, so a session's schedule depends only on its stream and
+//! class, never on which engine or visit pattern ran it.
+//!
+//! Every narrowed word widens *exactly* (`u32 → u64`/`usize`/`f64` are
+//! all value-preserving), so the compact layout changes no decision bit
+//! — pinned by the engine-vs-[`smooth_core::OnlineSmoother`] proptests.
+
+use smooth_core::{
+    decide_live, prunable_prefix, BlockLanes, LiveCursor, LiveParams, LookaheadWindow,
+    PictureSchedule, SizeHistory,
+};
+
+use crate::dynamic::SessionSnapshot;
+use crate::{fnv, ClassInfo, SizeSource, FNV_OFFSET};
+
+/// Free-slot sentinel in [`SlotHot::class_of`].
+pub(crate) const FREE: u16 = u16::MAX;
+
+/// One slot's complete per-event scalar state, packed into exactly one
+/// cache line. The wheel path visits slots in *deadline* order —
+/// effectively random within the store — and with parallel per-field
+/// arrays every visit paid ~9 scattered demand misses before any
+/// smoothing work started; one 64-byte header turns those into a single
+/// line fill. The slot-order sweep streams the headers instead.
+#[repr(C, align(64))]
+pub(crate) struct SlotHot {
+    /// Decisions already emitted (the next undecided picture index).
+    pub(crate) decided: u32,
+    /// High-water mark of the visible prefix length consulted so far.
+    pub(crate) watermark: u32,
+    /// Logical index of the first retained size.
+    pub(crate) base: u32,
+    /// Bumped every time the slot is freed; a wheel item whose
+    /// generation does not match is a departed session's stale entry
+    /// (lazy delete).
+    pub(crate) gen: u32,
+    /// Retained history length; bounded by the class `ring_cap`, which
+    /// [`ClassInfo::try_new`] checks fits `u16`.
+    pub(crate) len: u16,
+    /// Class id, or [`FREE`] for a recycled slot.
+    pub(crate) class_of: u16,
+    /// Departure time of the last decided picture (authoritative `f64`).
+    pub(crate) depart: f64,
+    /// Rate of the last decided picture (meaningful when `decided > 0`).
+    pub(crate) prev_rate: f64,
+    /// FNV-1a fingerprint of every decision emitted by the occupant
+    /// (index, start, rate, depart bits) — the determinism witness.
+    pub(crate) digest: u64,
+    /// Size-source stream id fed to [`SizeSource::size`].
+    pub(crate) stream: u64,
+    /// Next picture arrival of the occupant, in scheduler ticks (the
+    /// lockstep engine has no scheduler clock and leaves it at 0).
+    pub(crate) next_arrival: u64,
+}
+
+/// The header must stay exactly one cache line — adding a field here
+/// silently doubles the stride via the alignment, so fail loudly.
+const _: () = assert!(std::mem::size_of::<SlotHot>() == 64);
+
+impl SlotHot {
+    fn fresh() -> Self {
+        SlotHot {
+            decided: 0,
+            watermark: 0,
+            base: 0,
+            gen: 0,
+            len: 0,
+            class_of: FREE,
+            depart: 0.0,
+            prev_rate: 0.0,
+            digest: FNV_OFFSET,
+            stream: 0,
+            next_arrival: 0,
+        }
+    }
+}
+
+/// One shard's session store: slots with recycling through a LIFO free
+/// list. Every slot is `slot_cap` words (the widest class's `ring_cap`)
+/// so a freed slot can be recycled by *any* class.
+pub(crate) struct SlotStore {
+    /// Per-slot scalar headers, one cache line each.
+    pub(crate) hot: Vec<SlotHot>,
+    /// Engine session id of the slot's occupant (slots are recycled, so
+    /// the id cannot be derived from the slot). Cold: only the decision
+    /// sink, snapshots and digests read it.
+    pub(crate) sid: Vec<u64>,
+    /// Flat history ring, one `slot_cap` slice per slot: slot `j`
+    /// retains logical pictures `base .. base + len` at
+    /// `ring[j * slot_cap ..]`, each size a checked-narrowed `u32`.
+    ring: Vec<u32>,
+    windows: Vec<LookaheadWindow>,
+    /// Recycled slots, LIFO.
+    free: Vec<u32>,
+    /// Widened `u64` mirror of the *active* slot's retained tail:
+    /// refilled when a slot is entered (once per visit), kept in sync by
+    /// push/prune, and always L1-hot — [`decide_live`] reads sizes from
+    /// here, so only the halved `u32` ring streams from DRAM. The
+    /// widening is exact, so this changes no bits.
+    stage: Vec<u64>,
+    /// Decision scratch, shared by every slot of the store.
+    lanes: BlockLanes,
+    /// Decisions made by this store's slots.
+    pub(crate) decisions: u64,
+    /// Occupied slots.
+    pub(crate) live: usize,
+    slot_cap: usize,
+}
+
+impl SlotStore {
+    pub(crate) fn new(slot_cap: usize) -> Self {
+        SlotStore {
+            hot: Vec::new(),
+            sid: Vec::new(),
+            ring: Vec::new(),
+            windows: Vec::new(),
+            free: Vec::new(),
+            stage: Vec::new(),
+            lanes: BlockLanes::default(),
+            decisions: 0,
+            live: 0,
+            slot_cap,
+        }
+    }
+
+    /// Resident array bytes per slot: the one-line header, the cold
+    /// session id, and the `u32` history slice.
+    pub(crate) fn bytes_per_slot(slot_cap: usize) -> usize {
+        use std::mem::size_of;
+        size_of::<SlotHot>() + size_of::<u64>() + size_of::<u32>() * slot_cap
+    }
+
+    /// Slots ever allocated (live + free) — the store's resident
+    /// footprint, which recycling keeps bounded by its peak occupancy.
+    pub(crate) fn allocated(&self) -> usize {
+        self.hot.len()
+    }
+
+    /// Makes room for `additional` more slots in one allocation per
+    /// array. Filling a fleet slot by slot instead regrows every array
+    /// by copying (the 64-byte-aligned header array cannot grow in
+    /// place), and a process that builds fleets over and over then ends
+    /// up handing that memory back and faulting it in again on every
+    /// build.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.hot.reserve(additional);
+        self.sid.reserve(additional);
+        self.ring.reserve(additional * self.slot_cap);
+        self.windows.reserve(additional);
+    }
+
+    /// Grabs a slot: recycles from the free list (zeroing the history
+    /// slice, so a recycled slot starts from the same bytes as a fresh
+    /// one) or appends a new slot.
+    pub(crate) fn alloc(&mut self) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            let off = slot as usize * self.slot_cap;
+            self.ring[off..off + self.slot_cap].fill(0);
+            slot
+        } else {
+            let j = self.allocated();
+            self.hot.push(SlotHot::fresh());
+            self.sid.push(0);
+            self.ring.resize(self.ring.len() + self.slot_cap, 0);
+            self.windows.push(LookaheadWindow::new());
+            u32::try_from(j).expect("shard slot fits u32")
+        }
+    }
+
+    /// Installs a fresh session into an allocated slot, its first
+    /// picture arriving at `first_arrival`. Returns the slot's
+    /// generation.
+    pub(crate) fn install(
+        &mut self,
+        slot: u32,
+        sid: u64,
+        stream: u64,
+        class_id: u16,
+        first_arrival: u64,
+    ) -> u32 {
+        let j = slot as usize;
+        let h = &mut self.hot[j];
+        debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
+        // The generation survives the reset — it is the lazy-delete
+        // witness for wheel items armed by previous occupants.
+        let gen = h.gen;
+        *h = SlotHot::fresh();
+        h.gen = gen;
+        h.class_of = class_id;
+        h.stream = stream;
+        h.next_arrival = first_arrival;
+        self.sid[j] = sid;
+        self.windows[j].reset();
+        self.live += 1;
+        gen
+    }
+
+    /// Installs a snapshot into an allocated slot: scalars and retained
+    /// history are copied back verbatim; the lookahead window rebuilds
+    /// from that history (exactly — the compaction-reset property), so
+    /// the continued schedule is bit-identical. Returns the slot's
+    /// generation.
+    pub(crate) fn install_snapshot(&mut self, slot: u32, snap: &SessionSnapshot) -> u32 {
+        let j = slot as usize;
+        let off = j * self.slot_cap;
+        let h = &mut self.hot[j];
+        debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
+        h.class_of = snap.class;
+        h.stream = snap.stream;
+        h.decided = snap.decided;
+        h.len = snap.history.len() as u16;
+        h.watermark = snap.watermark;
+        h.depart = snap.depart;
+        h.prev_rate = snap.prev_rate;
+        h.digest = snap.digest;
+        h.base = snap.base;
+        h.next_arrival = snap.next_arrival;
+        let gen = h.gen;
+        self.sid[j] = snap.sid;
+        self.ring[off..off + snap.history.len()].copy_from_slice(&snap.history);
+        self.windows[j].reset();
+        self.live += 1;
+        gen
+    }
+
+    /// Captures slot `j` as a [`SessionSnapshot`].
+    pub(crate) fn snapshot_slot(&self, j: usize) -> SessionSnapshot {
+        let h = &self.hot[j];
+        debug_assert_ne!(h.class_of, FREE, "snapshot of a free slot");
+        let off = j * self.slot_cap;
+        let len = h.len as usize;
+        SessionSnapshot {
+            sid: self.sid[j],
+            stream: h.stream,
+            class: h.class_of,
+            decided: h.decided,
+            watermark: h.watermark,
+            base: h.base,
+            depart: h.depart,
+            prev_rate: h.prev_rate,
+            digest: h.digest,
+            next_arrival: h.next_arrival,
+            history: self.ring[off..off + len].to_vec(),
+        }
+    }
+
+    /// Frees slot `j`: bumps the generation (the slot's pending wheel
+    /// item dies lazily) and pushes it onto the free list.
+    pub(crate) fn free_slot(&mut self, j: usize) {
+        let h = &mut self.hot[j];
+        debug_assert_ne!(h.class_of, FREE, "double free");
+        h.class_of = FREE;
+        h.gen = h.gen.wrapping_add(1);
+        self.live -= 1;
+        self.free.push(j as u32);
+    }
+
+    /// Pulls slot `j`'s working set toward cache while an earlier slot
+    /// is still being processed: the one-line header, the head of its
+    /// history slice, and the window's heap buffer (the one pointer
+    /// chase here). Out-of-range `j` is a no-op.
+    #[inline(always)]
+    pub(crate) fn prefetch_slot(&self, j: usize) {
+        if let Some(h) = self.hot.get(j) {
+            std::hint::black_box(h.decided);
+            std::hint::black_box(self.ring.get(j * self.slot_cap).copied());
+            self.windows[j].prewarm();
+        }
+    }
+
+    /// `(sid, digest)` of every occupied slot, in slot order.
+    pub(crate) fn live_digests(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.hot
+            .iter()
+            .zip(&self.sid)
+            .filter(|(h, _)| h.class_of != FREE)
+            .map(|(h, &sid)| (sid, h.digest))
+    }
+
+    /// Peak retained history length across occupied slots.
+    pub(crate) fn max_retained(&self) -> usize {
+        self.hot
+            .iter()
+            .filter(|h| h.class_of != FREE)
+            .map(|h| h.len as usize)
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Runs every occupied slot, in slot order, through `pushes` arrivals
+    /// plus, when `ended` is set, the end-of-stream drain — the lockstep
+    /// access pattern: each slot's header, history slice and window
+    /// stream from memory once per call, and the next slot is prefetched
+    /// behind the current one's work. Returns the decisions made.
+    pub(crate) fn sweep<S: SizeSource>(
+        &mut self,
+        classes: &[ClassInfo],
+        source: &S,
+        pushes: u64,
+        ended: bool,
+        sink: &mut impl FnMut(u64, &PictureSchedule),
+    ) -> u64 {
+        let mut made = 0;
+        for j in 0..self.allocated() {
+            self.prefetch_slot(j + 1);
+            if self.hot[j].class_of != FREE {
+                made += self.step_slot(j, classes, source, pushes, ended, sink);
+            }
+        }
+        made
+    }
+
+    /// Runs slot `j` through `pushes` picture arrivals plus, when
+    /// `ended` is set, the end-of-stream drain. Every scalar is loaded
+    /// into a local once, carried through the whole visit, and stored
+    /// back once. A session's schedule is the same for *any* split of
+    /// its arrivals into visits: `decide_live` caps what a decision may
+    /// consult at the decision's own `need`, never at everything pushed,
+    /// so feeding a batch of arrivals decides exactly what feeding them
+    /// one visit apiece would. Every decision is offered to
+    /// `sink(sid, schedule)` (pass a no-op closure when nothing
+    /// listens) and counted in [`decisions`](Self::decisions). Returns
+    /// the decisions made.
+    pub(crate) fn step_slot<S: SizeSource>(
+        &mut self,
+        j: usize,
+        classes: &[ClassInfo],
+        source: &S,
+        pushes: u64,
+        ended: bool,
+        sink: &mut impl FnMut(u64, &PictureSchedule),
+    ) -> u64 {
+        let h = &self.hot[j];
+        let info = &classes[h.class_of as usize];
+        let off = j * self.slot_cap;
+        let cap = info.ring_cap;
+        let n = info.class.pattern.n();
+        let stream = h.stream;
+        let sid = self.sid[j];
+
+        let mut cursor = LiveCursor {
+            decided: h.decided as usize,
+            depart: h.depart,
+            prev_rate: if h.decided > 0 {
+                Some(h.prev_rate)
+            } else {
+                None
+            },
+            watermark: h.watermark as usize,
+        };
+        let mut base = h.base as usize;
+        let mut len = h.len as usize;
+        let mut digest = h.digest;
+        let mut made = 0u64;
+
+        // Stage the retained tail as `u64` once per visit (exact
+        // widening); decisions read the L1-hot stage, not the ring.
+        self.stage.clear();
+        self.stage
+            .extend(self.ring[off..off + len].iter().map(|&s| u64::from(s)));
+
+        let cfg = LiveParams {
+            params: &info.class.params,
+            pattern: info.class.pattern,
+            estimator: &info.class.estimator,
+            selection: info.class.selection,
+            total: None,
+        };
+
+        let steps = pushes + u64::from(ended);
+        for t in 0..steps {
+            let live = t < pushes;
+            if live {
+                if len == cap {
+                    // The push path found the slot full: prune now or
+                    // die. Theorem 1 bounds the live tail well below
+                    // `ring_cap`, so an empty prune here means the slot
+                    // was mis-sized — a bug, not a load condition.
+                    let cut = prunable_prefix(&cursor, Some(info.hist), n);
+                    let drop = cut.saturating_sub(base);
+                    assert!(
+                        drop > 0,
+                        "session {sid} history slot full ({cap} sizes) with nothing prunable"
+                    );
+                    self.ring.copy_within(off + drop..off + len, off);
+                    self.stage.copy_within(drop..len, 0);
+                    len -= drop;
+                    self.stage.truncate(len);
+                    base = cut;
+                    // The window caches base-shifted coordinates; force
+                    // a refill (bit-identical to sliding — pinned by
+                    // the lookahead proptests).
+                    self.windows[j].reset();
+                }
+                let size = source.size(stream, (base + len) as u64);
+                self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
+                    panic!("picture size {size} bits exceeds the engine's u32 size word")
+                });
+                self.stage.push(size);
+                len += 1;
+            }
+            let tail_drain = !live;
+            loop {
+                let history = SizeHistory {
+                    base,
+                    tail: &self.stage[..len],
+                };
+                let Some(decision) = decide_live(
+                    &cfg,
+                    history,
+                    tail_drain,
+                    &mut cursor,
+                    &mut self.windows[j],
+                    &mut self.lanes,
+                ) else {
+                    break;
+                };
+                digest = fnv(digest, decision.index as u64);
+                digest = fnv(digest, decision.start.to_bits());
+                digest = fnv(digest, decision.rate.to_bits());
+                digest = fnv(digest, decision.depart.to_bits());
+                sink(sid, &decision);
+                made += 1;
+            }
+
+            // Lazy prune: drop the decided-and-unneeded prefix once it
+            // covers at least half the retained slice (amortized O(1)
+            // per push).
+            let cut = prunable_prefix(&cursor, Some(info.hist), n);
+            let drop = cut.saturating_sub(base);
+            if drop > 0 && drop >= len / 2 {
+                self.ring.copy_within(off + drop..off + len, off);
+                self.stage.copy_within(drop..len, 0);
+                len -= drop;
+                self.stage.truncate(len);
+                base = cut;
+                self.windows[j].reset();
+            }
+        }
+
+        let h = &mut self.hot[j];
+        h.decided = u32::try_from(cursor.decided).expect("picture index fits u32");
+        h.watermark = u32::try_from(cursor.watermark).expect("watermark fits u32");
+        h.base = u32::try_from(base).expect("history base fits u32");
+        // len <= ring_cap, checked to fit u16 at class construction.
+        h.len = len as u16;
+        h.depart = cursor.depart;
+        if let Some(r) = cursor.prev_rate {
+            h.prev_rate = r;
+        }
+        h.digest = digest;
+        self.decisions += made;
+        made
+    }
+}

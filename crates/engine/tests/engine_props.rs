@@ -12,7 +12,8 @@
 //! 3. **One store's decisions, two schedulers.** A single-class,
 //!    phase-0, zero-churn [`DynamicEngine`] fleet on the timing wheel
 //!    decides bit-identically to the same fleet in lockstep on
-//!    [`SessionEngine`] — the gate for merging the two stores.
+//!    [`SessionEngine`] — both run the one slot store, so the wheel's
+//!    visit pattern must change no bit.
 
 use proptest::prelude::*;
 use smooth_core::{OnlineSmoother, PictureSchedule, SmootherParams};

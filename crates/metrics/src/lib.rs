@@ -29,4 +29,4 @@ pub use measures::{
     area_difference, baseline_rate_function, delay_stats, measure, rate_function, DelayStats,
     SmoothnessMeasures,
 };
-pub use step::{RateCursor, StepCursor, StepFunction};
+pub use step::{StepCursor, StepFunction};

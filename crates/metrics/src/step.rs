@@ -293,49 +293,6 @@ impl<'a> StepCursor<'a> {
     }
 }
 
-/// A forward-only rate source for k-way merges — the [`StepCursor`]
-/// interface abstracted over its backing store, so a sweep can consume
-/// rates produced on the fly (e.g. by a live smoothing session) without
-/// materializing a [`StepFunction`] per source.
-///
-/// Contract (what makes a sweep over these cursors exactly equal to one
-/// over materialized step functions):
-///
-/// * the conceptual function is right-open piecewise-constant and 0
-///   outside its domain;
-/// * [`advance_past`](RateCursor::advance_past)`(t)` moves monotonically
-///   forward past every breakpoint `<= t`, after which
-///   [`value`](RateCursor::value) is the value in effect just after `t`;
-/// * [`next_break`](RateCursor::next_break) is the first breakpoint
-///   strictly after the cursor's position, with duplicates collapsed —
-///   each distinct time reported once, in strictly increasing order,
-///   `None` once the domain is exhausted.
-pub trait RateCursor {
-    /// Value of the function at the cursor's current position.
-    fn value(&self) -> f64;
-    /// The next breakpoint strictly after the current position, if any.
-    ///
-    /// Takes `&mut self` so lazily-produced sources may generate further
-    /// pieces on demand; a materialized cursor just peeks.
-    fn next_break(&mut self) -> Option<f64>;
-    /// Advances past every break `<= t` (`t` non-decreasing across calls).
-    fn advance_past(&mut self, t: f64);
-}
-
-impl RateCursor for StepCursor<'_> {
-    fn value(&self) -> f64 {
-        StepCursor::value(self)
-    }
-
-    fn next_break(&mut self) -> Option<f64> {
-        StepCursor::next_break(self)
-    }
-
-    fn advance_past(&mut self, t: f64) {
-        StepCursor::advance_past(self, t)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

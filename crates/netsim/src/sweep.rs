@@ -46,7 +46,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use smooth_metrics::{RateCursor, StepCursor, StepFunction};
+use smooth_metrics::{StepCursor, StepFunction};
 use smooth_sweep::{par_map, ShardPlan, SumTree};
 
 use crate::mux::FluidMuxStats;
@@ -111,34 +111,6 @@ impl RateSweep {
 
         let mut state = QueueState::new();
         sweep_intervals(&partials, plan.count, t_start, t_end, |agg, a, b| {
-            state.advance(agg, b - a, self.capacity_bps, self.buffer_bits);
-        });
-        state.into_stats(self.capacity_bps, t_start, t_end)
-    }
-
-    /// Runs the sweep over already-seated forward [`RateCursor`]s —
-    /// sources produced on the fly (per-session schedules streaming out
-    /// of the `smooth-engine` session engine) instead of materialized
-    /// [`StepFunction`]s. Each cursor must be seated at `t_start`
-    /// (`advance_past(t_start)`) before the call.
-    ///
-    /// For cursors backed by step functions this is bit-identical to
-    /// [`RateSweep::run`]: both drive the same merge over the same
-    /// [`SumTree`] (pinned by a unit test below).
-    ///
-    /// # Panics
-    ///
-    /// Panics if capacity is non-positive or the buffer is negative.
-    pub fn run_cursors<C: RateCursor>(
-        &self,
-        cursors: &mut [C],
-        t_start: f64,
-        t_end: f64,
-    ) -> FluidMuxStats {
-        self.check();
-        let leaves = cursors.len();
-        let mut state = QueueState::new();
-        sweep_cursors(cursors, leaves, t_start, t_end, |agg, a, b| {
             state.advance(agg, b - a, self.capacity_bps, self.buffer_bits);
         });
         state.into_stats(self.capacity_bps, t_start, t_end)
@@ -228,17 +200,16 @@ fn sweep_intervals(
     sweep_cursors(&mut cursors, tree_leaves, t_start, t_end, on_interval);
 }
 
-/// [`sweep_intervals`] generalized over the cursor representation: the
-/// same merge, driven by any [`RateCursor`] implementation. Cursors must
-/// already be seated at `t_start`. For [`StepCursor`]s this is *the*
-/// serial engine (the step-function path above is a thin wrapper), so
-/// there is one merge loop to reason about, not two.
+/// [`sweep_intervals`] over caller-seated cursors: the same merge, with
+/// every cursor already seated at `t_start`. This is *the* serial engine
+/// (the step-function path above is a thin wrapper), so there is one
+/// merge loop to reason about, not two.
 ///
 /// Pop order is deterministic regardless of heap insertion order:
 /// [`NextBreak`]'s ordering is total (time, then source index), so equal-
-/// time events drain in source order for any cursor backing.
-pub fn sweep_cursors<C: RateCursor>(
-    cursors: &mut [C],
+/// time events drain in source order.
+pub fn sweep_cursors(
+    cursors: &mut [StepCursor<'_>],
     tree_leaves: usize,
     t_start: f64,
     t_end: f64,
@@ -484,21 +455,6 @@ mod tests {
             assert!(!stats.utilization.is_nan());
             let threaded = engine.run_threaded(&inputs, a, b, 8);
             assert_stats_bits_eq(&threaded, &stats, "degenerate window threaded");
-        }
-    }
-
-    #[test]
-    fn run_cursors_matches_run_bitwise() {
-        let engine = RateSweep {
-            capacity_bps: 4.0e6,
-            buffer_bits: 0.5e6,
-        };
-        let inputs = mixed_inputs();
-        for (a, b) in [(0.0, 3.0), (-1.0, 4.0), (0.6, 2.1), (2.9, 3.5), (1.0, 1.0)] {
-            let want = engine.run(&inputs, a, b);
-            let mut cursors: Vec<StepCursor<'_>> = inputs.iter().map(|f| f.cursor_at(a)).collect();
-            let got = engine.run_cursors(&mut cursors, a, b);
-            assert_stats_bits_eq(&got, &want, &format!("cursors on [{a}, {b}]"));
         }
     }
 
