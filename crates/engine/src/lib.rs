@@ -42,8 +42,9 @@
 //!   decision into a [`LiveMux`] lane, which keeps the link aggregate,
 //!   fluid-queue stats and per-session (σ, ρ) online without
 //!   materializing a [`smooth_metrics::StepFunction`] per source.
-//!   [`mux::materialize_schedules`] is the materializing oracle it is
-//!   pinned to.
+//!   [`LiveMux`] lives in `smooth-netsim`, re-exported here; the
+//!   materializing oracle it is pinned to lives in the test-only
+//!   `smooth-oracle` crate.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,7 +59,6 @@ use smooth_sweep::{par_map, par_map_pinned};
 
 pub mod dynamic;
 pub mod livemux;
-pub mod mux;
 mod store;
 pub mod synthetic;
 
@@ -641,9 +641,9 @@ impl SessionEngine {
     /// lockstep pumping. Returns the window's aggregate stats; the
     /// per-session (σ, ρ) descriptors stay readable on `mux`.
     ///
-    /// Bit-identical to multiplexing [`mux::materialize_schedules`]'
-    /// output with [`smooth_netsim::RateSweep`], for any thread count
-    /// (pinned by the `livemux_props` proptests).
+    /// Bit-identical to materializing every session's schedule and
+    /// sweeping the step functions (the `smooth-oracle` reference), for
+    /// any thread count (pinned by the `livemux_props` proptests).
     ///
     /// # Errors
     ///
@@ -735,7 +735,7 @@ impl SessionEngine {
 
     /// Serial [`tick`](Self::tick) that also hands every decision to
     /// `sink(session_id, schedule)` — the lockstep path the
-    /// materializing oracle ([`mux`]) drives.
+    /// materializing oracle (`smooth-oracle`) drives.
     pub fn tick_serial_with<S: SizeSource>(
         &mut self,
         source: &S,

@@ -23,13 +23,14 @@
 use proptest::prelude::*;
 use smooth_core::{OnlineSmoother, SmootherParams, SmoothingResult};
 use smooth_engine::{
-    churn_trace, fps_class, mux::materialize_schedules, mux_digest, ChurnEvent, ChurnSpec,
-    ChurnTrace, DynamicClass, DynamicEngine, LiveMux, MuxConfig, SessionClass, SessionEngine,
-    SizeSource, SyntheticFleet, TICKS_PER_SEC,
+    churn_trace, fps_class, mux_digest, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass,
+    DynamicEngine, LiveMux, MuxConfig, SessionClass, SessionEngine, SizeSource, SyntheticFleet,
+    TICKS_PER_SEC,
 };
 use smooth_metrics::StepFunction;
 use smooth_mpeg::GopPattern;
-use smooth_netsim::{min_bucket_for, sweep_cursors, RateSweep};
+use smooth_netsim::min_bucket_for;
+use smooth_oracle::{materialize_schedules, sweep_cursors, RateSweep};
 use smooth_sweep::SumTree;
 
 const TAU: f64 = 1.0 / 30.0;

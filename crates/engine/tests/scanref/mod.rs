@@ -1,6 +1,6 @@
 //! Brute-force "scan all sessions" reference for the dynamic engine.
 //!
-//! **Frozen** — like `smooth_core::reference` and `mux::reference`,
+//! **Frozen** — like `smooth_core::reference` and `smooth_oracle::mux::reference`,
 //! this module is the trusted oracle the churn proptests compare the
 //! timing-wheel [`DynamicEngine`](smooth_engine::DynamicEngine) against, and
 //! must stay the obviously-correct transliteration of the event rules:

@@ -394,6 +394,18 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     if sources == Some(0) {
         return Err(err("--sources: must be at least 1"));
     }
+    // The mux link, checked before any smoothing runs.
+    let link = match sources {
+        Some(n) => {
+            let capacity_bps = capacity_mbps
+                .map(|c| c * 1e6)
+                .unwrap_or_else(|| 1.1 * trace.mean_rate_bps() * n as f64);
+            let buffer_bits = buffer_kbit.unwrap_or(100.0) * 1e3;
+            check_link(capacity_bps, buffer_bits, "capacity-mbps", "buffer-kbit")?;
+            Some((n, capacity_bps, buffer_bits))
+        }
+        None => None,
+    };
 
     // Cross product d × k × h; infeasible combinations (slack below
     // (K+1)τ) are skipped, not fatal — a sweep mixes K values on purpose.
@@ -479,26 +491,16 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
 
     // The mux-scale knob: feed each smoothed schedule to a finite-buffer
     // switch as `--sources` phase-staggered looping copies, through the
-    // streaming k-way-merge engine. Stats are bit-identical for every
-    // thread count (the engine's sharded reduction is deterministic), so
-    // only the events/s line carries "thread(s)" for the invariance
-    // tests to strip.
-    if let Some(n) = sources {
+    // fluid multiplexer (one LiveMux step-function lane per copy). Stats
+    // are bit-identical for every thread count (the shard plan is fixed
+    // by the source count), so only the events/s line carries
+    // "thread(s)" for the invariance tests to strip.
+    if let Some((n, capacity_bps, buffer_bits)) = link {
         use smooth_metrics::rate_function;
-        use smooth_netsim::{cyclic_wrap, RateSweep};
+        use smooth_netsim::{cyclic_wrap, FluidMux};
         use smooth_rng::Rng;
 
         let period = trace.duration();
-        let capacity_bps = capacity_mbps
-            .map(|c| c * 1e6)
-            .unwrap_or_else(|| 1.1 * trace.mean_rate_bps() * n as f64);
-        let buffer_bits = buffer_kbit.unwrap_or(100.0) * 1e3;
-        if capacity_bps <= 0.0 {
-            return Err(err("--capacity-mbps: must be positive"));
-        }
-        if buffer_bits < 0.0 {
-            return Err(err("--buffer-kbit: must be non-negative"));
-        }
         let _ = writeln!(
             out,
             "mux: {n} phase-staggered copies per config, capacity {:.2} Mbps, buffer {:.0} kbit",
@@ -514,7 +516,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             "max queue kbit",
         ];
         let _ = writeln!(out, "{}", header.join(","));
-        let engine = RateSweep {
+        let fluid = FluidMux {
             capacity_bps,
             buffer_bits,
         };
@@ -530,7 +532,7 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
                 .iter()
                 .map(|g| g.breakpoints().len() as u64)
                 .sum::<u64>();
-            let stats = engine.run_threaded(&ensemble, 0.0, period, threads);
+            let stats = fluid.run(&ensemble, 0.0, period, threads);
             let _ = writeln!(
                 out,
                 "{:.4},{},{},{:.6},{:.4},{:.1}",
@@ -634,14 +636,30 @@ fn take_mux_link(opts: &mut Options) -> Result<Option<(f64, f64)>, CliError> {
         }
         return Ok(None);
     };
-    if c.is_nan() || c <= 0.0 {
-        return Err(err("--mux-capacity-mbps: must be positive"));
+    let link = (c * 1.0e6, buffer.unwrap_or(500.0) * 1.0e3);
+    check_link(link.0, link.1, "mux-capacity-mbps", "mux-buffer-kbit")?;
+    Ok(Some(link))
+}
+
+/// The link check shared by every mux flag pair: the capacity
+/// (bits/second) must be finite and positive, the buffer (bits)
+/// non-negative and not NaN. An infinite buffer is a valid lossless
+/// queue; an infinite capacity would make utilization NaN.
+fn check_link(
+    capacity_bps: f64,
+    buffer_bits: f64,
+    capacity_flag: &str,
+    buffer_flag: &str,
+) -> Result<(), CliError> {
+    if !(capacity_bps.is_finite() && capacity_bps > 0.0) {
+        return Err(err(format!(
+            "--{capacity_flag}: must be positive and finite"
+        )));
     }
-    let b = buffer.unwrap_or(500.0);
-    if b.is_nan() || b < 0.0 {
-        return Err(err("--mux-buffer-kbit: must be non-negative"));
+    if buffer_bits.is_nan() || buffer_bits < 0.0 {
+        return Err(err(format!("--{buffer_flag}: must be non-negative")));
     }
-    Ok(Some((c * 1.0e6, b * 1.0e3)))
+    Ok(())
 }
 
 /// Prints the fused run's outcome: link stats, peak, and the
@@ -1742,6 +1760,102 @@ mod tests {
             ],
             "must be non-negative",
         );
+        // Non-finite links: an infinite capacity would report NaN
+        // utilization, a NaN buffer is no size at all.
+        for capacity in ["inf", "NaN"] {
+            fail(
+                &[
+                    "sessions",
+                    "--sessions",
+                    "10",
+                    "--mux-capacity-mbps",
+                    capacity,
+                ],
+                "--mux-capacity-mbps: must be positive and finite",
+            );
+        }
+        fail(
+            &[
+                "churn",
+                "--sessions",
+                "10",
+                "--mux-capacity-mbps",
+                "100",
+                "--mux-buffer-kbit",
+                "NaN",
+            ],
+            "--mux-buffer-kbit: must be non-negative",
+        );
+        // An infinite buffer is a lossless queue.
+        let (code, text) = run_cli(&[
+            "sessions",
+            "--sessions",
+            "10",
+            "--pictures",
+            "8",
+            "--mux-capacity-mbps",
+            "100",
+            "--mux-buffer-kbit",
+            "inf",
+        ]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("mux: utilization 0."), "{text}");
+        assert!(text.contains("lost 0 bits"), "{text}");
+
+        // `sweep --sources` takes its link through the same check.
+        let trace_path = tmp("sweep_link.csv");
+        run_cli(&[
+            "generate",
+            "--sequence",
+            "driving1",
+            "--pictures",
+            "48",
+            "--out",
+            &trace_path,
+        ]);
+        let sweep = |extra: &[&str]| {
+            let mut args = vec![
+                "sweep",
+                "--trace",
+                &trace_path,
+                "--d",
+                "0.2",
+                "--sources",
+                "4",
+            ];
+            args.extend(extra.iter().copied());
+            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+            let mut out = Vec::new();
+            run(&args, &mut out).map(|_| String::from_utf8(out).expect("utf-8"))
+        };
+        for (extra, needle) in [
+            (
+                ["--capacity-mbps", "NaN"],
+                "--capacity-mbps: must be positive and finite",
+            ),
+            (
+                ["--capacity-mbps", "inf"],
+                "--capacity-mbps: must be positive and finite",
+            ),
+            (
+                ["--capacity-mbps", "0"],
+                "--capacity-mbps: must be positive and finite",
+            ),
+            (
+                ["--buffer-kbit", "NaN"],
+                "--buffer-kbit: must be non-negative",
+            ),
+            (
+                ["--buffer-kbit", "-1"],
+                "--buffer-kbit: must be non-negative",
+            ),
+        ] {
+            let e = sweep(&extra).unwrap_err();
+            assert!(e.0.contains(needle), "{extra:?}: {e}");
+        }
+        let text = sweep(&["--buffer-kbit", "inf"]).expect("an infinite buffer is valid");
+        assert!(text.contains("loss ratio,utilization"), "{text}");
+        assert!(!text.contains("NaN"), "{text}");
     }
 
     #[test]

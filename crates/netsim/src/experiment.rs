@@ -8,8 +8,7 @@
 //! construction) feed one finite-buffer multiplexer, either raw or
 //! smoothed with the paper's algorithm, and we measure the loss ratio.
 
-use crate::mux::FluidMuxStats;
-use crate::sweep::RateSweep;
+use crate::mux::{FluidMux, FluidMuxStats};
 use serde::{Deserialize, Serialize};
 use smooth_core::{smooth, SmootherParams};
 use smooth_metrics::{baseline_rate_function, rate_function, StepFunction};
@@ -142,15 +141,16 @@ pub fn run_multiplex(cfg: &MultiplexConfig) -> MultiplexOutcome {
 /// [`run_multiplex`] with an explicit worker count. The outcome is
 /// bit-identical for every `threads`: all RNG draws (source variants,
 /// phase offsets) and the `offered_mean` summation stay in source order
-/// on the calling thread; only the per-source smoothing — the hot part —
-/// fans out, with results collected back in source order.
+/// on the calling thread; the per-source smoothing fans out with results
+/// collected back in source order, and the multiplexer's shard plan is
+/// fixed by the source count alone ([`FluidMux::run`]).
 pub fn run_multiplex_threaded(cfg: &MultiplexConfig, threads: usize) -> MultiplexOutcome {
     let (inputs, offered_mean, period) = multiplex_inputs_threaded(cfg, threads);
-    let stats = RateSweep {
+    let stats = FluidMux {
         capacity_bps: cfg.capacity_bps,
         buffer_bits: cfg.buffer_bits,
     }
-    .run_threaded(&inputs, 0.0, period, threads);
+    .run(&inputs, 0.0, period, threads);
     MultiplexOutcome {
         stats,
         offered_mean_bps: offered_mean,
@@ -158,15 +158,11 @@ pub fn run_multiplex_threaded(cfg: &MultiplexConfig, threads: usize) -> Multiple
     }
 }
 
-/// Builds the source-rate ensemble of a multiplexing run without running
-/// the multiplexer: `(inputs, offered_mean_bps, period)`.
-///
-/// Exposed so throughput benchmarks can prepare the same trace-derived
-/// ensemble once and feed it to both the streaming engine and the frozen
-/// `mux::reference` oracle. Bit-identical for every `threads` — all RNG
-/// draws stay in source order on the calling thread; only the per-source
-/// smoothing fans out.
-pub fn multiplex_inputs_threaded(
+/// Builds the source-rate ensemble of a multiplexing run:
+/// `(inputs, offered_mean_bps, period)`. Bit-identical for every
+/// `threads` — all RNG draws stay in source order on the calling thread;
+/// only the per-source smoothing fans out.
+fn multiplex_inputs_threaded(
     cfg: &MultiplexConfig,
     threads: usize,
 ) -> (Vec<StepFunction>, f64, f64) {

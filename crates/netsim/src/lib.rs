@@ -7,6 +7,12 @@
 //! (by lossless smoothing) slashes the loss of a finite-buffer switch at
 //! the same utilization (paper §1/§3, refs [10, 11]).
 //!
+//! There is one production fluid multiplexer, [`LiveMux`]: the session
+//! engines stream decisions into its lanes, and [`FluidMux::run`] (behind
+//! the X-mux experiment and `mpeg-smooth sweep --sources`) posts whole
+//! step functions into them. The frozen oracles it is pinned to live in
+//! the test-only `smooth-oracle` crate.
+//!
 //! ```
 //! use smooth_netsim::{run_multiplex, MultiplexConfig, SourceMode};
 //! use smooth_core::SmootherParams;
@@ -33,20 +39,22 @@
 #![forbid(unsafe_code)]
 
 pub mod experiment;
+pub mod livemux;
 pub mod mux;
 pub mod packetizer;
 pub mod policer;
-pub mod sweep;
 pub mod transport;
 
 pub use experiment::{
-    buffer_sweep, buffer_sweep_threaded, cyclic_wrap, multiplex_inputs_threaded, run_multiplex,
-    run_multiplex_threaded, source_rate_function, MultiplexConfig, MultiplexOutcome, SourceMode,
+    buffer_sweep, buffer_sweep_threaded, cyclic_wrap, run_multiplex, run_multiplex_threaded,
+    source_rate_function, MultiplexConfig, MultiplexOutcome, SourceMode,
 };
-pub use mux::{CellMux, CellMuxStats, FluidMux, FluidMuxStats};
+pub use livemux::{
+    LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor, MUX_MAX_SHARDS,
+};
+pub use mux::{CellMux, CellMuxStats, FluidMux, FluidMuxStats, QueueState};
 pub use packetizer::{cell_times, merge_cell_streams, CELL_PAYLOAD_BITS, CELL_WIRE_BITS};
 pub use policer::{min_bucket_for, PoliceStats, TokenBucket};
-pub use sweep::{sweep_cursors, QueueState, RateSweep, MUX_MAX_SHARDS};
 pub use transport::{
     lossy_session, packetize, reassemble, units_damaged, LossySessionReport, Packet,
 };

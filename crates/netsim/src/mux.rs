@@ -8,12 +8,15 @@
 //!
 //! * [`FluidMux`] — inputs are piecewise-constant rate functions; queue
 //!   dynamics are integrated *exactly* between breakpoints (no time
-//!   slotting, no discretization error);
+//!   slotting, no discretization error) by the one production fluid
+//!   multiplexer, [`LiveMux`];
 //! * [`CellMux`] — inputs are discrete ATM cell arrival times; service is
 //!   deterministic at line rate; the buffer holds a fixed number of cells.
 
 use serde::{Deserialize, Serialize};
 use smooth_metrics::StepFunction;
+
+use crate::livemux::{LiveMux, MuxConfig};
 
 /// Outcome of a fluid multiplexer run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -52,96 +55,151 @@ pub struct FluidMux {
     pub buffer_bits: f64,
 }
 
+/// Lanes per [`LiveMux`] block when [`FluidMux::run`] posts whole step
+/// functions. Any value gives the same bits (the shard layout only
+/// regroups one [`smooth_sweep::SumTree`]); this one gives a
+/// 10k-source ensemble the full [`crate::MUX_MAX_SHARDS`] shards.
+const STEP_BLOCK: usize = 64;
+
 impl FluidMux {
     /// Runs the multiplexer over `[t_start, t_end]` with the given input
-    /// rate functions, integrating the queue exactly between breakpoints.
+    /// rate functions, integrating the queue exactly between breakpoints,
+    /// with the aggregation fanned out over `threads` workers.
     ///
-    /// Since the streaming port this delegates to the k-way-merge
-    /// [`crate::sweep::RateSweep`] engine — O(T·log S) in the total
-    /// breakpoint count T instead of the original O(S²·B·log B) — while
-    /// producing stats bit-identical to the frozen [`reference`] (the
-    /// `sweep_props` proptests pin this). A zero-length window yields
+    /// Each input becomes one step-function lane of a [`LiveMux`]
+    /// ([`LiveMux::push_step_function`]), so the offline figures and the
+    /// live fleet share one aggregator. The stats are bit-identical for
+    /// every thread count, and bit-identical to the quadratic
+    /// materialize-then-resample oracle (the `step_lane_props`
+    /// proptests pin both). Buffered events are O(T) for T total
+    /// breakpoints, held for one ingest. A zero-length window yields
     /// all-zero stats (utilization 0, not NaN).
     ///
     /// # Panics
     ///
-    /// Panics if capacity is non-positive or the buffer is negative.
-    pub fn run(&self, inputs: &[StepFunction], t_start: f64, t_end: f64) -> FluidMuxStats {
-        crate::sweep::RateSweep {
-            capacity_bps: self.capacity_bps,
-            buffer_bits: self.buffer_bits,
+    /// Panics if capacity is non-positive, the buffer is negative, or a
+    /// window bound is not finite.
+    pub fn run(
+        &self,
+        inputs: &[StepFunction],
+        t_start: f64,
+        t_end: f64,
+        threads: usize,
+    ) -> FluidMuxStats {
+        let mut mux = LiveMux::new(
+            inputs.len(),
+            STEP_BLOCK,
+            MuxConfig {
+                capacity_bps: self.capacity_bps,
+                buffer_bits: self.buffer_bits,
+                t_start,
+                t_end,
+                // Descriptors are not reported; any positive rate will do.
+                descriptor_rho_bps: self.capacity_bps,
+            },
+        );
+        for (sid, f) in inputs.iter().enumerate() {
+            mux.push_step_function(sid as u64, f);
         }
-        .run(inputs, t_start, t_end)
+        mux.ingest(threads, f64::INFINITY);
+        mux.finalize().mux
     }
 }
 
-/// The pre-streaming-port fluid multiplexer, retained as the test oracle
-/// (the same pattern as `smooth_core::reference`): materialize every
-/// breakpoint of every input into one sorted cut vector, then walk the
-/// intervals re-sampling **all** inputs per interval — O(S²·B·log B).
-/// Nothing in this module is called by production code paths; the
-/// `sweep_props` proptests and the `mux_throughput` benchmark pin
-/// [`crate::sweep::RateSweep`] against it.
-///
-/// Two conventions are shared with the streaming engine so that "equal"
-/// can mean *bit-identical* rather than within-tolerance (f64 addition is
-/// not associative, so the summation order is part of the spec):
-///
-/// * per-interval aggregation uses the canonical
-///   [`smooth_sweep::SumTree`] pairwise order (also the more accurate
-///   order — O(log S) rounding growth vs O(S) for a naive fold);
-/// * cuts are deduplicated **exactly** (`==`), not with the original
-///   absolute `1e-12` epsilon, which was scale-unsafe: near `t = 0` it
-///   collapsed distinct sub-epsilon breakpoints (vanishing bursts
-///   entirely), while for windows at large `t` (≈ 1e6 s, where one ulp
-///   is ≈ 1.2e-10) it could never fire at all, so its only effect was a
-///   scale-dependent change in integration results. Each interval then
-///   samples at its *left endpoint* — exact for right-open step
-///   functions, where midpoint sampling could land on the wrong side of
-///   a sub-ulp interval.
-pub mod reference {
-    use super::{FluidMux, FluidMuxStats};
-    use crate::sweep::QueueState;
-    use smooth_metrics::StepFunction;
-    use smooth_sweep::SumTree;
+/// The exact fluid finite-buffer FIFO queue stepper, shared verbatim by
+/// [`LiveMux`] and the test-only oracles so the paths cannot drift:
+/// given the same `(agg, dt)` interval sequence they execute the same
+/// IEEE operations, which is what makes their stats bit-comparable.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct QueueState {
+    q: f64,
+    arrived: f64,
+    lost: f64,
+    served: f64,
+    max_q: f64,
+}
 
-    /// The original materialize-then-resample run loop. Quadratic in the
-    /// source count; exact; the oracle for [`crate::sweep::RateSweep`].
-    pub fn run(mux: &FluidMux, inputs: &[StepFunction], t_start: f64, t_end: f64) -> FluidMuxStats {
-        assert!(mux.capacity_bps > 0.0, "capacity must be positive");
-        assert!(mux.buffer_bits >= 0.0, "buffer must be non-negative");
+impl Default for QueueState {
+    fn default() -> Self {
+        Self::new()
+    }
+}
 
-        let mut state = QueueState::new();
-        if t_end > t_start {
-            // Merge breakpoints of all inputs within the window.
-            let mut cuts: Vec<f64> = vec![t_start, t_end];
-            for f in inputs {
-                cuts.extend(
-                    f.breakpoints()
-                        .iter()
-                        .copied()
-                        .filter(|&t| t > t_start && t < t_end),
-                );
+impl QueueState {
+    /// An empty queue with zeroed counters.
+    pub fn new() -> Self {
+        QueueState {
+            q: 0.0,
+            arrived: 0.0,
+            lost: 0.0,
+            served: 0.0,
+            max_q: 0.0,
+        }
+    }
+
+    /// Integrates one interval of aggregate input rate `agg` over `dt`
+    /// seconds, splitting at the buffer-full / buffer-empty crossing when
+    /// one occurs mid-interval.
+    pub fn advance(&mut self, agg: f64, mut dt: f64, capacity_bps: f64, buffer_bits: f64) {
+        if dt <= 0.0 {
+            return;
+        }
+        self.arrived += agg * dt;
+        let net = agg - capacity_bps;
+
+        if net > 0.0 {
+            // Queue filling: possibly hit the buffer ceiling mid-interval.
+            let to_full = (buffer_bits - self.q) / net;
+            if to_full < dt {
+                // Fill phase: everything served at capacity.
+                self.served += capacity_bps * to_full;
+                self.q = buffer_bits;
+                dt -= to_full;
+                // Overflow phase: excess is dropped.
+                self.lost += net * dt;
+                self.served += capacity_bps * dt;
+            } else {
+                self.served += capacity_bps * dt;
+                self.q += net * dt;
             }
-            cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            cuts.dedup();
-
-            let mut values = vec![0.0f64; inputs.len()];
-            for w in cuts.windows(2) {
-                let (a, b) = (w[0], w[1]);
-                if b <= a {
-                    continue;
-                }
-                // The value on [a, b) is the value at the left endpoint:
-                // no input has a breakpoint strictly inside the interval.
-                for (slot, f) in values.iter_mut().zip(inputs) {
-                    *slot = f.value_at(a);
-                }
-                let agg = SumTree::sum_of(&values);
-                state.advance(agg, b - a, mux.capacity_bps, mux.buffer_bits);
+        } else {
+            // Queue draining: possibly empty mid-interval.
+            let to_empty = if net < 0.0 {
+                self.q / (-net)
+            } else {
+                f64::INFINITY
+            };
+            if to_empty < dt {
+                // Drain phase: output at full capacity until empty.
+                self.served += capacity_bps * to_empty;
+                self.q = 0.0;
+                dt -= to_empty;
+                // Starved phase: output equals input (< capacity).
+                self.served += agg * dt;
+            } else {
+                self.served += capacity_bps * dt;
+                self.q += net * dt;
             }
         }
-        state.into_stats(mux.capacity_bps, t_start, t_end)
+        self.max_q = self.max_q.max(self.q);
+    }
+
+    /// Finalizes the run. Utilization is defined as 0 over a zero-length
+    /// (or inverted) window instead of NaN.
+    pub fn into_stats(self, capacity_bps: f64, t_start: f64, t_end: f64) -> FluidMuxStats {
+        let denom = capacity_bps * (t_end - t_start);
+        FluidMuxStats {
+            arrived_bits: self.arrived,
+            lost_bits: self.lost,
+            served_bits: self.served,
+            final_queue_bits: self.q,
+            max_queue_bits: self.max_q,
+            utilization: if denom > 0.0 {
+                self.served / denom
+            } else {
+                0.0
+            },
+        }
     }
 }
 
@@ -244,7 +302,7 @@ mod tests {
             buffer_bits: 0.0,
         };
         let inputs = vec![step(&[(0.0, 10.0, 3.0e6)]), step(&[(0.0, 10.0, 4.0e6)])];
-        let stats = mux.run(&inputs, 0.0, 10.0);
+        let stats = mux.run(&inputs, 0.0, 10.0, 1);
         assert_eq!(stats.loss_ratio(), 0.0);
         assert!((stats.arrived_bits - 70.0e6).abs() < 1.0);
         assert!((stats.utilization - 0.7).abs() < 1e-9);
@@ -258,7 +316,7 @@ mod tests {
         };
         // 8 Mbps offered for 2 s: 6 Mbit must drop.
         let inputs = vec![step(&[(0.0, 2.0, 8.0e6)])];
-        let stats = mux.run(&inputs, 0.0, 2.0);
+        let stats = mux.run(&inputs, 0.0, 2.0, 1);
         assert!((stats.lost_bits - 6.0e6).abs() < 1.0);
         assert!((stats.loss_ratio() - 6.0 / 16.0).abs() < 1e-9);
     }
@@ -272,7 +330,7 @@ mod tests {
             buffer_bits: 3.0e6,
         };
         let inputs = vec![step(&[(0.0, 1.0, 8.0e6), (1.0, 4.0, 2.0e6)])];
-        let stats = mux.run(&inputs, 0.0, 4.0);
+        let stats = mux.run(&inputs, 0.0, 4.0, 1);
         assert_eq!(stats.loss_ratio(), 0.0);
         assert!((stats.max_queue_bits - 3.0e6).abs() < 1.0);
         // And the queue fully drains before the end (drain rate 3 Mbps,
@@ -287,7 +345,7 @@ mod tests {
             buffer_bits: 1.0e6,
         };
         let inputs = vec![step(&[(0.0, 1.0, 8.0e6), (1.0, 4.0, 2.0e6)])];
-        let stats = mux.run(&inputs, 0.0, 4.0);
+        let stats = mux.run(&inputs, 0.0, 4.0, 1);
         // Excess 3 Mbit, buffer 1 Mbit -> 2 Mbit lost.
         assert!(
             (stats.lost_bits - 2.0e6).abs() < 1.0,
@@ -306,7 +364,7 @@ mod tests {
             step(&[(0.0, 1.0, 6.0e6), (1.0, 2.0, 1.0e6), (2.0, 3.0, 7.0e6)]),
             step(&[(0.5, 2.5, 2.0e6)]),
         ];
-        let stats = mux.run(&inputs, 0.0, 3.0);
+        let stats = mux.run(&inputs, 0.0, 3.0, 1);
         let balance =
             stats.arrived_bits - stats.lost_bits - stats.served_bits - stats.final_queue_bits;
         assert!(balance.abs() < 1.0, "conservation violated by {balance}");
@@ -324,7 +382,7 @@ mod tests {
                 capacity_bps: cap,
                 buffer_bits: buf,
             }
-            .run(&inputs, 0.0, 3.0)
+            .run(&inputs, 0.0, 3.0, 1)
             .loss_ratio()
         };
         assert!(loss(5.0e6, 0.0) >= loss(5.0e6, 1.0e6));
@@ -394,7 +452,7 @@ mod tests {
             capacity_bps: 1e6,
             buffer_bits: 1e6,
         }
-        .run(&[], 0.0, 1.0);
+        .run(&[], 0.0, 1.0, 1);
         assert_eq!(f.loss_ratio(), 0.0);
         let c = CellMux {
             capacity_bps: 1e6,

@@ -36,7 +36,7 @@ proptest! {
         buf in 0.0f64..4.0e6,
     ) {
         let horizon = sources.iter().map(|s| s.domain_end()).fold(0.0f64, f64::max);
-        let stats = FluidMux { capacity_bps: cap, buffer_bits: buf }.run(&sources, 0.0, horizon);
+        let stats = FluidMux { capacity_bps: cap, buffer_bits: buf }.run(&sources, 0.0, horizon, 1);
         let balance = stats.arrived_bits - stats.lost_bits - stats.served_bits - stats.final_queue_bits;
         prop_assert!(balance.abs() < 1.0, "conservation violated by {balance}");
         prop_assert!(stats.lost_bits >= -1e-9);
@@ -53,7 +53,7 @@ proptest! {
     ) {
         let horizon = sources.iter().map(|s| s.domain_end()).fold(0.0f64, f64::max);
         let loss = |c: f64, b: f64| {
-            FluidMux { capacity_bps: c, buffer_bits: b }.run(&sources, 0.0, horizon).loss_ratio()
+            FluidMux { capacity_bps: c, buffer_bits: b }.run(&sources, 0.0, horizon, 1).loss_ratio()
         };
         let l0 = loss(cap, 0.0);
         let l1 = loss(cap, 1.0e6);
@@ -103,7 +103,7 @@ proptest! {
         // Overprovisioned: capacity 2x the peak (cell mux carries 53/48
         // overhead, so 2x covers it), generous buffers.
         let over_fluid = FluidMux { capacity_bps: 2.0 * peak, buffer_bits: 1.0e6 }
-            .run(std::slice::from_ref(&source), 0.0, horizon);
+            .run(std::slice::from_ref(&source), 0.0, horizon, 1);
         let over_cell =
             CellMux { capacity_bps: 2.0 * peak, buffer_cells: 256 }.run(&cells);
         prop_assert_eq!(over_fluid.loss_ratio(), 0.0);
@@ -112,7 +112,7 @@ proptest! {
         // Starved: capacity a tenth of the mean rate, tiny buffers.
         let mean = total / horizon;
         let starved_fluid = FluidMux { capacity_bps: mean / 10.0, buffer_bits: 424.0 * 4.0 }
-            .run(&[source], 0.0, horizon);
+            .run(&[source], 0.0, horizon, 1);
         let starved_cell =
             CellMux { capacity_bps: mean / 10.0, buffer_cells: 4 }.run(&cells);
         prop_assert!(starved_fluid.loss_ratio() > 0.3, "{}", starved_fluid.loss_ratio());

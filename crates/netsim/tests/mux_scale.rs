@@ -1,10 +1,11 @@
-//! Scale smoke test: the streaming mux engine at 10k sources.
+//! Scale smoke test: the production fluid multiplexer (`FluidMux::run`,
+//! step-function lanes on `LiveMux`) at 10k sources.
 //!
 //! The old materialize-then-resample multiplexer was O(S²·B·log B) — at
-//! 10 000 sources it would grind for hours. The streaming k-way merge is
-//! O(T·log S) and must finish the same ensemble in single-digit seconds
-//! (asserted in release builds only; debug builds run a 1k-source
-//! variant with no runtime budget). Loss sanity is checked against a
+//! 10 000 sources it would grind for hours. LiveMux is O(T·log S) and
+//! must finish the same ensemble in single-digit seconds (asserted in
+//! release builds only; debug builds run a 1k-source variant with no
+//! runtime budget), on the serial sweep oracle's bits. Loss sanity is checked against a
 //! 16-source reference run at identical per-source capacity and buffer:
 //! a larger ensemble multiplexes *better*, so its loss ratio must not
 //! exceed the small ensemble's by more than a small tolerance.
@@ -13,7 +14,8 @@ use std::time::Instant;
 
 use smooth_core::RateSegment;
 use smooth_metrics::StepFunction;
-use smooth_netsim::{mux, FluidMux, FluidMuxStats, RateSweep};
+use smooth_netsim::{FluidMux, FluidMuxStats};
+use smooth_oracle::{mux, RateSweep};
 use smooth_rng::Rng;
 
 fn bits(s: &FluidMuxStats) -> [u64; 6] {
@@ -78,16 +80,16 @@ fn ten_thousand_source_sweep_is_fast_and_sane() {
     assert!(balance.abs() < 1.0, "reference conservation: {balance}");
 
     let big = ensemble(big_s, horizon);
-    let sweep = RateSweep {
+    let fluid = FluidMux {
         capacity_bps: per_source_cap * big_s as f64,
         buffer_bits: per_source_buf * big_s as f64,
     };
     let t0 = Instant::now();
-    let stats = sweep.run(&big, 0.0, horizon);
+    let stats = fluid.run(&big, 0.0, horizon, 1);
     let wall = t0.elapsed().as_secs_f64();
 
     let balance = stats.arrived_bits - stats.lost_bits - stats.served_bits - stats.final_queue_bits;
-    assert!(balance.abs() < 1.0, "sweep conservation: {balance}");
+    assert!(balance.abs() < 1.0, "mux conservation: {balance}");
     assert!(stats.arrived_bits > 0.0);
     assert!(
         (0.0..=1.0 + 1e-9).contains(&stats.utilization),
@@ -106,8 +108,14 @@ fn ten_thousand_source_sweep_is_fast_and_sane() {
         small_ref.loss_ratio()
     );
 
-    // The sharded threaded path agrees bitwise at scale too.
-    let threaded = sweep.run_threaded(&big, 0.0, horizon, 7);
+    // The serial sweep oracle and the threaded run agree bitwise at
+    // scale too.
+    let sweep = RateSweep {
+        capacity_bps: fluid.capacity_bps,
+        buffer_bits: fluid.buffer_bits,
+    };
+    assert_eq!(bits(&stats), bits(&sweep.run(&big, 0.0, horizon)));
+    let threaded = fluid.run(&big, 0.0, horizon, 7);
     assert_eq!(bits(&stats), bits(&threaded));
 
     // Runtime budget: single-digit seconds at 10k sources, release only
@@ -115,7 +123,7 @@ fn ten_thousand_source_sweep_is_fast_and_sane() {
     if !cfg!(debug_assertions) {
         assert!(
             wall < 9.0,
-            "10k-source sweep took {wall:.2} s — budget is single-digit seconds"
+            "10k-source mux took {wall:.2} s — budget is single-digit seconds"
         );
     }
 }
