@@ -19,9 +19,7 @@
 use crate::estimate::{DefaultSizes, Invalidation};
 use crate::lookahead::LookaheadWindow;
 use crate::params::SmootherParams;
-use crate::smoother::{
-    decide_one, BlockLanes, DecideCtx, RateSelection, SmoothingResult, TIME_EPS,
-};
+use crate::smoother::{decide_one, BlockLanes, DecideCtx, RateSelection, SmoothingResult};
 use smooth_mpeg::PatternSchedule;
 use smooth_trace::adaptive::AdaptiveVideo;
 
@@ -50,7 +48,6 @@ pub fn smooth_adaptive(
     params: SmootherParams,
     selection: RateSelection,
 ) -> SmoothingResult {
-    let tau = params.tau;
     let k = params.k;
     let n_total = video.len();
     let sizes = &video.sizes;
@@ -67,7 +64,7 @@ pub fn smooth_adaptive(
 
     for i in 0..n_total {
         let time = params.start_time(i, depart);
-        let arrived_by_time = (((time + TIME_EPS) / tau).floor() as usize).min(n_total);
+        let arrived_by_time = params.arrived_by(time).min(n_total);
         let arrived = arrived_by_time.max((i + k).min(n_total));
 
         let visible = &sizes[..arrived];

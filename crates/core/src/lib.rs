@@ -71,8 +71,8 @@ pub use eventsim::{validate_against_events, EventSimReport, TimingWheel};
 pub use lookahead::LookaheadWindow;
 pub use lossy::{cap_peak_with_quantizer, drop_b_pictures, BDropResult, QuantizerControlResult};
 pub use online::{
-    decide_live, prunable_prefix, smooth_streaming, LiveCursor, LiveParams, OnlineSmoother,
-    SizeHistory,
+    decide_live, decide_ready, live_ready, prunable_prefix, smooth_streaming, LiveCursor,
+    LiveParams, OnlineSmoother, Ready, SizeHistory,
 };
 pub use ott::{ott_smooth, OttError};
 pub use params::{ParamError, SmootherParams};

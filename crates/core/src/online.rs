@@ -22,10 +22,14 @@
 //! function over explicit cursor state, so that a driver holding many
 //! sessions (the `smooth-engine` session engine) can advance them all
 //! through the same hot path without one heap-allocated smoother per
-//! stream. Arrived history is addressed *logically* through
-//! [`SizeHistory`]: a session that has pruned its decided prefix passes
-//! `base > 0` and only the retained tail. [`OnlineSmoother`] itself
-//! compacts its history this way whenever its estimator declares a
+//! stream. It is the composition of [`live_ready`] (when is the next
+//! picture decidable?) and [`decide_ready`] (decide it); a driver that
+//! carries the [`Ready`] value between decisions tests each push with
+//! one integer compare and inlines the decision body. Arrived history
+//! is addressed *logically* through [`SizeHistory`]: a session that has
+//! pruned its decided prefix passes `base > 0` and only the retained
+//! tail. [`OnlineSmoother`] itself compacts its history this way
+//! whenever its estimator declares a
 //! [`SizeEstimator::history_window`], so a live session holds O(H + N +
 //! K + D/τ) sizes instead of every picture ever pushed — with schedules
 //! bit-identical to full history (pinned by proptests against
@@ -35,7 +39,7 @@ use crate::estimate::{PatternEstimator, SizeEstimator};
 use crate::lookahead::LookaheadWindow;
 use crate::params::SmootherParams;
 use crate::smoother::{
-    decide_one, BlockLanes, DecideCtx, PictureSchedule, RateSelection, SmoothingResult, TIME_EPS,
+    decide_one, BlockLanes, DecideCtx, PictureSchedule, RateSelection, SmoothingResult,
 };
 use smooth_mpeg::GopPattern;
 
@@ -114,59 +118,87 @@ pub struct LiveParams<'a, E: SizeEstimator + ?Sized> {
     pub total: Option<usize>,
 }
 
-/// Attempts one live rate decision — the body of the paper's `notify`
-/// step, shared verbatim by [`OnlineSmoother::push`] and the
-/// `smooth-engine` session engine.
+/// Readiness of a session's next decision, as [`live_ready`] derives it
+/// from the cursor: picture `cursor.decided`'s start time `t_i` and how
+/// many arrivals the decision consults. It changes only when a decision
+/// advances the cursor (or the stream ends), so a driver can derive it
+/// once per decision and test each push against `need` with one
+/// integer compare.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Ready {
+    /// Start of service `t_i` (paper eq. 2).
+    pub time: f64,
+    /// Arrivals the decision needs in hand — also the visible prefix
+    /// length it consults.
+    pub need: usize,
+    /// Lookahead pictures the bound scan covers: `H`, cut at the end of
+    /// the stream when its length is known.
+    pub look: usize,
+}
+
+/// Derives when picture `cursor.decided` becomes decidable — the one
+/// place `t_i` and `need` are computed. Returns `None` once every
+/// picture of a stream of known length is decided.
 ///
-/// Returns `Some` (and advances `cursor`) when picture
-/// `cursor.decided`'s preconditions are met: its start time `t_i` has
-/// enough arrivals in hand (`⌊t_i/τ⌋`, at least `i + K`, at least `i +
-/// 1`), or the stream has `ended`. Returns `None` when the decision must
-/// wait for more pushes (or everything is decided). Call in a loop to
-/// drain; `need`/`visible_len` are monotone across consecutive
-/// decisions, so `window` slides instead of refilling.
+/// `need` is everything that will have arrived by `t_i`
+/// ([`SmootherParams::arrived_by`]), at least `i + K`, and at least
+/// `i + 1` — for `K = 0` picture `i` itself must be in hand because its
+/// actual size sets the departure time — capped at the stream's length
+/// when known (`ended` makes `pushed` that length). The decision may be
+/// made once `pushed ≥ need`; at the end of a stream that always holds.
+/// `pushed` is read only when `ended` is set.
+///
+/// [`SmootherParams::arrived_by`]: crate::params::SmootherParams::arrived_by
+#[inline]
+pub fn live_ready<E: SizeEstimator + ?Sized>(
+    cfg: &LiveParams<'_, E>,
+    pushed: usize,
+    ended: bool,
+    cursor: &LiveCursor,
+) -> Option<Ready> {
+    let params = cfg.params;
+    let i = cursor.decided;
+    // t_i is known once d_{i−1} is known (it is: i−1 decided).
+    let time = params.start_time(i, cursor.depart);
+    let mut need = params.arrived_by(time).max(i + params.k).max(i + 1);
+    let mut look = params.h;
+    if let Some(n) = if ended { Some(pushed) } else { cfg.total } {
+        if i >= n {
+            return None;
+        }
+        // n > i, so the cap keeps `need ≥ i + 1`.
+        need = need.min(n);
+        look = look.min(n - i);
+    }
+    Some(Ready { time, need, look })
+}
+
+/// Makes the decision [`live_ready`] found ready: resolves the
+/// lookahead, runs the bound scan and rate selection, and advances
+/// `cursor`. The body of the paper's `notify` step.
+///
+/// `ready` must be `live_ready`'s value for this `cursor` (and the same
+/// `cfg` and end-of-stream state), and `history` must hold at least
+/// `ready.need` pictures. Inlined so a driver that carries `ready`
+/// between decisions keeps the whole chain `t_i → d_i → t_{i+1}` in
+/// registers; [`decide_live`] is the checked composition.
 ///
 /// `lanes` is decision scratch a driver hoists across sessions;
 /// `window` is per-session sliding lookahead state and must see the same
 /// session (and the same `history.base`) on every call — reset it after
 /// pruning.
-pub fn decide_live<E: SizeEstimator + ?Sized>(
+#[inline(always)]
+pub fn decide_ready<E: SizeEstimator + ?Sized>(
     cfg: &LiveParams<'_, E>,
     history: SizeHistory<'_>,
-    ended: bool,
+    ready: Ready,
     cursor: &mut LiveCursor,
     window: &mut LookaheadWindow,
     lanes: &mut BlockLanes,
-) -> Option<PictureSchedule> {
-    let params = cfg.params;
-    let tau = params.tau;
-    let k = params.k;
-    let pushed = history.pushed();
-    let n_known: Option<usize> = if ended { Some(pushed) } else { cfg.total };
-
+) -> PictureSchedule {
     let i = cursor.decided;
-    if let Some(n) = n_known {
-        if i >= n {
-            return None;
-        }
-    }
-    // t_i is known once d_{i−1} is known (it is: i−1 decided).
-    let time = params.start_time(i, cursor.depart);
-    // Everything that will have arrived by t_i must be in hand; for
-    // K = 0, picture i itself must also be in hand because its actual
-    // size determines the departure time.
-    let arrived_by_time = ((time + TIME_EPS) / tau).floor() as usize;
-    let mut need = arrived_by_time.max(i + k).max(i + 1);
-    if let Some(n) = n_known {
-        need = need.min(n.max(i + 1));
-    }
-    if pushed < need && !ended {
-        return None; // wait for more pushes
-    }
-    if pushed <= i {
-        return None; // even at end-of-stream we cannot schedule unseen pictures
-    }
-    let visible_len = need.min(pushed);
+    let visible_len = ready.need;
+    debug_assert!(history.pushed() >= visible_len, "decision not ready");
     cursor.watermark = cursor.watermark.max(visible_len);
 
     // All reads below are at logical indices ≥ base: the decision reads
@@ -182,25 +214,21 @@ pub fn decide_live<E: SizeEstimator + ?Sized>(
 
     let pattern = cfg.pattern;
     let estimator = cfg.estimator;
-    let look = match n_known {
-        Some(n) => params.h.min(n - i),
-        None => params.h,
-    };
     let sizes_ahead = window.advance(
         i - base,
-        look,
+        ready.look,
         visible,
         estimator.invalidation(),
         pattern.n(),
         |j| estimator.estimate(j, visible, &pattern),
     );
     let ctx = DecideCtx {
-        params,
+        params: cfg.params,
         sizes_ahead,
         pattern_n: pattern.n(),
         selection: cfg.selection,
         i,
-        start: time,
+        start: ready.time,
         prev_rate: cursor.prev_rate,
         size_i: history.tail[i - base],
         // Arrivals stream in, so the size bound needed for the
@@ -211,7 +239,37 @@ pub fn decide_live<E: SizeEstimator + ?Sized>(
     cursor.depart = decision.depart;
     cursor.prev_rate = Some(decision.rate);
     cursor.decided += 1;
-    Some(decision)
+    decision
+}
+
+/// Attempts one live rate decision — [`live_ready`] then, if the
+/// arrivals are in hand, [`decide_ready`]. The one decision function
+/// shared by [`OnlineSmoother::push`] and the `smooth-engine` session
+/// engine (which inlines the two halves to carry the readiness between
+/// decisions).
+///
+/// Returns `Some` (and advances `cursor`) when picture
+/// `cursor.decided`'s preconditions are met: its start time `t_i` has
+/// enough arrivals in hand (`⌊t_i/τ⌋`, at least `i + K`, at least `i +
+/// 1`), or the stream has `ended`. Returns `None` when the decision must
+/// wait for more pushes (or everything is decided). Call in a loop to
+/// drain; `need` is monotone across consecutive decisions, so `window`
+/// slides instead of refilling.
+///
+/// `lanes` and `window` are as for [`decide_ready`].
+pub fn decide_live<E: SizeEstimator + ?Sized>(
+    cfg: &LiveParams<'_, E>,
+    history: SizeHistory<'_>,
+    ended: bool,
+    cursor: &mut LiveCursor,
+    window: &mut LookaheadWindow,
+    lanes: &mut BlockLanes,
+) -> Option<PictureSchedule> {
+    let ready = live_ready(cfg, history.pushed(), ended, cursor)?;
+    if history.pushed() < ready.need {
+        return None; // wait for more pushes
+    }
+    Some(decide_ready(cfg, history, ready, cursor, window, lanes))
 }
 
 /// How many leading sizes a session may prune right now: the largest

@@ -11,6 +11,7 @@
 //!
 //! Feasibility (paper eq. (1)): `D ≥ (K + 1)·τ`.
 
+use crate::smoother::TIME_EPS;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -190,6 +191,22 @@ impl SmootherParams {
         }
     }
 
+    /// Pictures fully arrived by time `time`: the `j` with
+    /// `(j + 1)·τ ≤ time`, with [`TIME_EPS`] of slack for the
+    /// exact-boundary float case — `⌊(time + ε)/τ⌋`.
+    ///
+    /// The one source of truth for this formula: the offline, adaptive
+    /// and live smoothers all derive their arrived-by-`t_i` watermark
+    /// here. The `as usize` cast truncates toward zero and saturates
+    /// negatives and NaN to 0 and overflow to `usize::MAX`, so it equals
+    /// `.floor() as usize` for every f64 (pinned by a proptest over
+    /// arbitrary bit patterns) — without the `floor` libcall baseline
+    /// x86-64 needs.
+    #[inline]
+    pub fn arrived_by(&self, time: f64) -> usize {
+        ((time + TIME_EPS) / self.tau) as usize
+    }
+
     /// Slack above the feasibility minimum: `D − (K + 1)·τ`.
     pub fn slack(&self) -> f64 {
         self.delay_bound - (self.k as f64 + 1.0) * self.tau
@@ -204,6 +221,7 @@ impl SmootherParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     const TAU: f64 = 1.0 / 30.0;
 
@@ -265,6 +283,55 @@ mod tests {
             let p = SmootherParams::constant_slack(k, 9, TAU);
             assert!((p.slack() - 0.1333).abs() < 1e-12, "k={k}");
             assert!(p.is_feasible());
+        }
+    }
+
+    /// Bit patterns that stress the cast: ±0, subnormals, the
+    /// `(−1, 0)` band where truncation and `floor` part ways before
+    /// saturating, integers and their neighbours, values at and past
+    /// 2⁶⁴, ±∞ and NaN — plus arbitrary bits.
+    fn edge_f64() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            any::<u64>().prop_map(f64::from_bits),
+            (0usize..16).prop_map(|i| {
+                [
+                    0.0,
+                    -0.0,
+                    f64::from_bits(1),
+                    -f64::from_bits(1),
+                    f64::MIN_POSITIVE,
+                    -0.5,
+                    -1.0,
+                    -1.0 + f64::EPSILON,
+                    3.0,
+                    3.0 - 4.0 * f64::EPSILON,
+                    18446744073709551616.0, // 2^64
+                    18446744073709549568.0, // largest f64 below 2^64
+                    f64::MAX,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                ][i]
+            }),
+            -1.0e6..1.0e6f64,
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn cast_equals_floor_for_every_f64(x in edge_f64()) {
+            prop_assert_eq!(x as usize, x.floor() as usize, "x = {:e} ({:#x})", x, x.to_bits());
+        }
+
+        #[test]
+        fn arrived_by_equals_the_floor_formula(
+            time in edge_f64(),
+            tau in prop_oneof![Just(TAU), Just(1.0 / 24.0), Just(1.0 / 60.0), 1.0e-6..10.0f64],
+        ) {
+            let p = SmootherParams::new_unchecked(1.0, 1, 1, tau);
+            prop_assert_eq!(p.arrived_by(time), ((time + TIME_EPS) / tau).floor() as usize);
         }
     }
 

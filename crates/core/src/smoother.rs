@@ -526,7 +526,6 @@ fn run_core<E: SizeEstimator + ?Sized>(
     selection: RateSelection,
     scratch: &mut SmoothScratch,
 ) -> SmoothingResult {
-    let tau = params.tau;
     let k = params.k;
     let h_max = params.h;
     let n_total = trace.len();
@@ -563,11 +562,8 @@ fn run_core<E: SizeEstimator + ?Sized>(
         // Pictures fully arrived by `time`: j with (j+1)τ ≤ time.
         // Pictures i .. i+K−1 are arrived by construction of `time`;
         // the max() guards the exact-boundary float case. Monotone in
-        // i (t_i is), as the window engine requires. `as usize`
-        // truncates toward zero, which equals `.floor()` for the
-        // nonnegative quotient — without the `floor` libcall baseline
-        // x86-64 needs.
-        let arrived_by_time = (((time + TIME_EPS) / tau) as usize).min(n_total);
+        // i (t_i is), as the window engine requires.
+        let arrived_by_time = params.arrived_by(time).min(n_total);
         let arrived = arrived_by_time.max((i + k).min(n_total));
 
         let visible = &sizes[..arrived];

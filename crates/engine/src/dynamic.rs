@@ -478,9 +478,9 @@ impl DynamicEngine {
     /// boundary ([`advance_to`](Self::advance_to) return, [`leave`]
     /// (Self::leave), snapshots, digests) still observes tick-exact
     /// state. Decisions and digests are invariant in this knob
-    /// ([`decide_live`] caps each decision at its own `need`, so batch
-    /// splits cannot change what is decided — the churn proptests pin
-    /// this); it only sets how much per-slot work each visit amortizes.
+    /// ([`smooth_core::live_ready`] caps each decision at its own
+    /// `need`, so batch splits cannot change what is decided — the
+    /// churn proptests pin this); it only sets how much per-slot work each visit amortizes.
     /// `1` recovers the strict one-arrival-per-visit cadence.
     ///
     /// # Panics

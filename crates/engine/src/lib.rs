@@ -20,10 +20,12 @@
 //!   contract. Resident memory per session is O(H + N + K + D/τ), not
 //!   O(pictures pushed) (see [`SessionEngine::state_bytes_per_session`]).
 //!   One step body feeds a slot its arrivals and drains every decision
-//!   whose paper preconditions are met via [`smooth_core::decide_live`]
-//!   — the *same* decision function `OnlineSmoother` uses, so a
-//!   session's schedule is bit-identical to a dedicated smoother fed the
-//!   same sizes (pinned by proptests). Per-class configuration is shared
+//!   whose paper preconditions are met through the two halves of
+//!   [`smooth_core::decide_live`] ([`smooth_core::live_ready`] and the
+//!   inlined [`smooth_core::decide_ready`]) — the *same* decision
+//!   function `OnlineSmoother` uses, so a session's schedule is
+//!   bit-identical to a dedicated smoother fed the same sizes (pinned by
+//!   proptests). Per-class configuration is shared
 //!   across all sessions of a [`SessionClass`].
 //! * **Two engines over that store.** [`SessionEngine`] advances a fixed
 //!   fleet in lockstep picture ticks: sessions sit in contiguous slots in

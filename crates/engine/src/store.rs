@@ -9,12 +9,16 @@
 //! staging tail are shared by every slot of the store.
 //!
 //! [`step_slot`](SlotStore::step_slot) is the one per-session step body:
-//! push a run of arrivals, drain every decision the paper's
-//! preconditions allow through [`decide_live`], prune the history in
-//! whole GOP periods. The lockstep [`SessionEngine`](crate::SessionEngine)
-//! drives it through [`sweep`](SlotStore::sweep), every slot in slot
-//! order; the [`DynamicEngine`](crate::DynamicEngine) drives it from its
-//! timing wheel, one due slot at a time. Sessions are independent state
+//! push a run of arrivals, make every decision the paper's
+//! preconditions allow, prune the history in whole GOP periods. It runs
+//! [`decide_live`]'s two halves itself: [`live_ready`] once on entry
+//! and once after each decision, so a push that completes no decision
+//! costs one integer compare, and the inlined [`decide_ready`] for each
+//! ready picture; the end-of-stream drain calls `decide_live`. The
+//! lockstep [`SessionEngine`](crate::SessionEngine) drives it through
+//! [`sweep`](SlotStore::sweep), every slot in slot order; the
+//! [`DynamicEngine`](crate::DynamicEngine) drives it from its timing
+//! wheel, one due slot at a time. Sessions are independent state
 //! machines, so a session's schedule depends only on its stream and
 //! class, never on which engine or visit pattern ran it.
 //!
@@ -23,8 +27,8 @@
 //! — pinned by the engine-vs-[`smooth_core::OnlineSmoother`] proptests.
 
 use smooth_core::{
-    decide_live, prunable_prefix, BlockLanes, LiveCursor, LiveParams, LookaheadWindow,
-    PictureSchedule, SizeHistory,
+    decide_live, decide_ready, live_ready, prunable_prefix, BlockLanes, LiveCursor, LiveParams,
+    LookaheadWindow, PictureSchedule, SizeHistory,
 };
 
 use crate::dynamic::SessionSnapshot;
@@ -111,7 +115,7 @@ pub(crate) struct SlotStore {
     free: Vec<u32>,
     /// Widened `u64` mirror of the *active* slot's retained tail:
     /// refilled when a slot is entered (once per visit), kept in sync by
-    /// push/prune, and always L1-hot — [`decide_live`] reads sizes from
+    /// push/prune, and always L1-hot — decisions read sizes from
     /// here, so only the halved `u32` ring streams from DRAM. The
     /// widening is exact, so this changes no bits.
     stage: Vec<u64>,
@@ -331,10 +335,10 @@ impl SlotStore {
     /// `ended` is set, the end-of-stream drain. Every scalar is loaded
     /// into a local once, carried through the whole visit, and stored
     /// back once. A session's schedule is the same for *any* split of
-    /// its arrivals into visits: `decide_live` caps what a decision may
-    /// consult at the decision's own `need`, never at everything pushed,
-    /// so feeding a batch of arrivals decides exactly what feeding them
-    /// one visit apiece would. Every decision is offered to
+    /// its arrivals into visits: [`live_ready`] caps what a decision
+    /// may consult at the decision's own `need`, never at everything
+    /// pushed, so feeding a batch of arrivals decides exactly what
+    /// feeding them one visit apiece would. Every decision is offered to
     /// `sink(sid, schedule)` (pass a no-op closure when nothing
     /// listens) and counted in [`decisions`](Self::decisions). Returns
     /// the decisions made.
@@ -384,39 +388,68 @@ impl SlotStore {
             total: None,
         };
 
-        let steps = pushes + u64::from(ended);
-        for t in 0..steps {
-            let live = t < pushes;
-            if live {
-                if len == cap {
-                    // The push path found the slot full: prune now or
-                    // die. Theorem 1 bounds the live tail well below
-                    // `ring_cap`, so an empty prune here means the slot
-                    // was mis-sized — a bug, not a load condition.
-                    let cut = prunable_prefix(&cursor, Some(info.hist), n);
-                    let drop = cut.saturating_sub(base);
-                    assert!(
-                        drop > 0,
-                        "session {sid} history slot full ({cap} sizes) with nothing prunable"
-                    );
-                    self.ring.copy_within(off + drop..off + len, off);
-                    self.stage.copy_within(drop..len, 0);
-                    len -= drop;
-                    self.stage.truncate(len);
-                    base = cut;
-                    // The window caches base-shifted coordinates; force
-                    // a refill (bit-identical to sliding — pinned by
-                    // the lookahead proptests).
-                    self.windows[j].reset();
-                }
-                let size = source.size(stream, (base + len) as u64);
-                self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
-                    panic!("picture size {size} bits exceeds the engine's u32 size word")
-                });
-                self.stage.push(size);
-                len += 1;
+        // The next decision's readiness, carried through the visit:
+        // derived on entry and again after each decision (from the new
+        // `depart`), so a push that completes no decision costs one
+        // integer compare. A live session (`total: None`, not ended)
+        // always has a next picture.
+        let next = |cursor: &LiveCursor| {
+            live_ready(&cfg, 0, false, cursor).expect("a live session has a next picture")
+        };
+        let mut ready = next(&cursor);
+
+        for _ in 0..pushes {
+            if len == cap {
+                // The push path found the slot full: prune now or die.
+                // Theorem 1 bounds the live tail well below `ring_cap`,
+                // so an empty prune here means the slot was mis-sized —
+                // a bug, not a load condition.
+                let cut = prunable_prefix(&cursor, Some(info.hist), n);
+                assert!(
+                    cut > base,
+                    "session {sid} history slot full ({cap} sizes) with nothing prunable"
+                );
+                self.drop_prefix(j, cut, &mut base, &mut len);
             }
-            let tail_drain = !live;
+            let size = source.size(stream, (base + len) as u64);
+            self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
+                panic!("picture size {size} bits exceeds the engine's u32 size word")
+            });
+            self.stage.push(size);
+            len += 1;
+
+            debug_assert_eq!(Some(ready), live_ready(&cfg, base + len, false, &cursor));
+            if base + len < ready.need {
+                // Nothing decidable, so nothing newly prunable either:
+                // the cursor is unchanged since the last prune check,
+                // and a longer slice only raises its `len / 2` bar.
+                continue;
+            }
+            while base + len >= ready.need {
+                let history = SizeHistory {
+                    base,
+                    tail: &self.stage[..len],
+                };
+                let decision = decide_ready(
+                    &cfg,
+                    history,
+                    ready,
+                    &mut cursor,
+                    &mut self.windows[j],
+                    &mut self.lanes,
+                );
+                digest = fold_decision(digest, &decision);
+                sink(sid, &decision);
+                made += 1;
+                ready = next(&cursor);
+            }
+            self.prune_lazily(j, &cursor, info.hist, n, &mut base, &mut len);
+        }
+
+        if ended {
+            // End of stream: the lookahead is cut at the last picture,
+            // so every remaining decision is ready; drain them through
+            // the checked composition.
             loop {
                 let history = SizeHistory {
                     base,
@@ -425,34 +458,18 @@ impl SlotStore {
                 let Some(decision) = decide_live(
                     &cfg,
                     history,
-                    tail_drain,
+                    true,
                     &mut cursor,
                     &mut self.windows[j],
                     &mut self.lanes,
                 ) else {
                     break;
                 };
-                digest = fnv(digest, decision.index as u64);
-                digest = fnv(digest, decision.start.to_bits());
-                digest = fnv(digest, decision.rate.to_bits());
-                digest = fnv(digest, decision.depart.to_bits());
+                digest = fold_decision(digest, &decision);
                 sink(sid, &decision);
                 made += 1;
             }
-
-            // Lazy prune: drop the decided-and-unneeded prefix once it
-            // covers at least half the retained slice (amortized O(1)
-            // per push).
-            let cut = prunable_prefix(&cursor, Some(info.hist), n);
-            let drop = cut.saturating_sub(base);
-            if drop > 0 && drop >= len / 2 {
-                self.ring.copy_within(off + drop..off + len, off);
-                self.stage.copy_within(drop..len, 0);
-                len -= drop;
-                self.stage.truncate(len);
-                base = cut;
-                self.windows[j].reset();
-            }
+            self.prune_lazily(j, &cursor, info.hist, n, &mut base, &mut len);
         }
 
         let h = &mut self.hot[j];
@@ -469,4 +486,50 @@ impl SlotStore {
         self.decisions += made;
         made
     }
+
+    /// Lazy prune of slot `j`: drops the decided-and-unneeded prefix
+    /// once it covers at least half the retained slice (amortized O(1)
+    /// per push).
+    #[inline(always)]
+    fn prune_lazily(
+        &mut self,
+        j: usize,
+        cursor: &LiveCursor,
+        hist: usize,
+        n: usize,
+        base: &mut usize,
+        len: &mut usize,
+    ) {
+        let cut = prunable_prefix(cursor, Some(hist), n);
+        let drop = cut.saturating_sub(*base);
+        if drop > 0 && drop >= *len / 2 {
+            self.drop_prefix(j, cut, base, len);
+        }
+    }
+
+    /// Drops slot `j`'s retained sizes below logical index `cut` from
+    /// the ring and the stage.
+    fn drop_prefix(&mut self, j: usize, cut: usize, base: &mut usize, len: &mut usize) {
+        let off = j * self.slot_cap;
+        let drop = cut - *base;
+        self.ring.copy_within(off + drop..off + *len, off);
+        self.stage.copy_within(drop..*len, 0);
+        *len -= drop;
+        self.stage.truncate(*len);
+        *base = cut;
+        // The window caches base-shifted coordinates; force a refill
+        // (bit-identical to sliding — pinned by the lookahead
+        // proptests).
+        self.windows[j].reset();
+    }
+}
+
+/// Folds one decision into a session's FNV-1a fingerprint (index,
+/// start, rate, depart bits).
+#[inline(always)]
+fn fold_decision(digest: u64, d: &PictureSchedule) -> u64 {
+    let digest = fnv(digest, d.index as u64);
+    let digest = fnv(digest, d.start.to_bits());
+    let digest = fnv(digest, d.rate.to_bits());
+    fnv(digest, d.depart.to_bits())
 }

@@ -83,13 +83,23 @@ impl SumTree {
         // width` implies `2 * (k / 2) + 1 < 2 * width`) and drop the
         // per-level bounds checks — this is the hottest loop of the
         // incremental aggregation path.
+        //
+        // The path sum rides in a register: each level adds the
+        // sibling `nodes[k ^ 1]` to the value just stored at `k`
+        // instead of reloading both children. IEEE addition is
+        // commutative (−0.0 and +0.0 included), so `acc + sibling` has
+        // the bits of `nodes[2k] + nodes[2k + 1]` whichever child `k`
+        // is, and every node keeps the value a from-scratch build gives
+        // it.
         let width = self.width;
         let nodes = &mut self.nodes[..2 * width];
         let mut k = width + i;
-        nodes[k] = v;
+        let mut acc = v;
+        nodes[k] = acc;
         while k > 1 {
+            acc += nodes[k ^ 1];
             k /= 2;
-            nodes[k] = nodes[2 * k] + nodes[2 * k + 1];
+            nodes[k] = acc;
         }
     }
 
@@ -102,12 +112,18 @@ impl SumTree {
     /// that incrementally maintained trees ([`SumTree::set`]) and
     /// from-scratch evaluation agree bit-for-bit.
     pub fn sum_of(values: &[f64]) -> f64 {
+        Self::from_leaves(values).total()
+    }
+
+    /// A tree built bottom-up from `values`, every node the sum of its
+    /// two children.
+    fn from_leaves(values: &[f64]) -> Self {
         let mut tree = SumTree::new(values.len());
         tree.nodes[tree.width..tree.width + values.len()].copy_from_slice(values);
         for k in (1..tree.width).rev() {
             tree.nodes[k] = tree.nodes[2 * k] + tree.nodes[2 * k + 1];
         }
-        tree.total()
+        tree
     }
 }
 
@@ -238,6 +254,23 @@ mod tests {
         top.total()
     }
 
+    /// Leaf values for the history test: ordinary magnitudes, signed
+    /// zeros (whose sum's sign depends on both operands), and ±1e15
+    /// beside ±1, where a sum cancels to a value that rounding history
+    /// could otherwise show through.
+    fn leaf() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -1.0e6..1.0e6f64,
+            Just(0.0),
+            Just(-0.0),
+            Just(1.0e15),
+            Just(-1.0e15),
+            Just(1.0),
+            Just(-1.0),
+            (-3i32..=3).prop_map(|m| f64::from(m) * 0.5 + 1.0e15),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -268,11 +301,12 @@ mod tests {
 
         #[test]
         fn updates_cannot_leak_history_into_bits(
-            values in proptest::collection::vec(-1.0e6..1.0e6f64, 1..40),
-            overwrites in proptest::collection::vec((0usize..40, -1.0e6..1.0e6f64), 0..40),
+            values in proptest::collection::vec(leaf(), 1..40),
+            overwrites in proptest::collection::vec((0usize..40, leaf()), 0..40),
         ) {
             // Apply a churn of overwrites, then restore the original
-            // values: the root must be exactly the from-scratch sum.
+            // values: the root — and every interior node on the way —
+            // must be exactly the from-scratch tree.
             let mut tree = SumTree::new(values.len());
             for (i, &v) in values.iter().enumerate() {
                 tree.set(i, v);
@@ -287,6 +321,8 @@ mod tests {
                 tree.total().to_bits(),
                 SumTree::sum_of(&values).to_bits()
             );
+            let bits = |t: &SumTree| t.nodes.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&tree), bits(&SumTree::from_leaves(&values)));
         }
     }
 }
