@@ -81,7 +81,7 @@ pub use receiver::{
 };
 pub use simd::SimdLevel;
 pub use smoother::{
-    smooth, smooth_batch, smooth_with, smooth_with_scratch, BlockLanes, PictureSchedule,
-    RateSegment, RateSelection, SmoothScratch, Smoother, SmoothingResult, TIME_EPS,
+    smooth, smooth_with, smooth_with_scratch, BlockLanes, PictureSchedule, RateSegment,
+    RateSelection, SmoothScratch, Smoother, SmoothingResult, TIME_EPS,
 };
 pub use verify::{check_theorem1, theorem_applies, Theorem1Report};

@@ -453,7 +453,8 @@ pub(crate) fn finish_decision(
 /// One `SmoothScratch` serves any number of sequential runs — across
 /// pictures, traces, and parameter points — so the hot path allocates
 /// nothing once the window has reached its steady-state capacity. Create
-/// one per worker thread in batch settings (see [`smooth_batch`]).
+/// one per worker thread in batch settings and pass it to
+/// [`smooth_with_scratch`].
 #[derive(Debug, Default)]
 pub struct SmoothScratch {
     pub(crate) window: LookaheadWindow,
@@ -623,22 +624,6 @@ pub fn smooth_with_scratch(
     // estimate inlines into the window engine.
     let estimator = PatternEstimator::default();
     run_core(trace, params, &estimator, RateSelection::Basic, scratch)
-}
-
-/// Smooths many (trace, params) jobs sequentially through one reused
-/// [`SmoothScratch`], with the paper's default estimator and selection.
-///
-/// This is the serial batch primitive: after the first job's warm-up the
-/// per-picture hot path performs no allocations at all. The parallel
-/// counterpart (`smooth_batch` in the `smooth-sweep` crate) shards jobs
-/// across workers, each holding its own scratch.
-pub fn smooth_batch<'a>(
-    jobs: impl IntoIterator<Item = (&'a VideoTrace, SmootherParams)>,
-    scratch: &mut SmoothScratch,
-) -> Vec<SmoothingResult> {
-    jobs.into_iter()
-        .map(|(trace, params)| smooth_with_scratch(trace, params, scratch))
-        .collect()
 }
 
 #[cfg(test)]

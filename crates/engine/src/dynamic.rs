@@ -56,8 +56,8 @@
 //! index-ordered [`smooth_sweep::par_map`], and the fleet digest folds
 //! per-session digests in session-id order — so a churn trace replays
 //! bit-identically for any thread count, and against the brute-force
-//! scan-all reference (`tests/scanref`), which is frozen as the
-//! proptest oracle.
+//! scan-all reference (`smooth_oracle::scanref`), which is frozen as
+//! the proptest oracle.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -83,7 +83,7 @@ pub struct DynamicClass {
 }
 
 /// Scheduler ticks per simulated second used by the standard mixes,
-/// `mpeg-smooth churn` and the benchmark: 600 divides evenly by 24, 25,
+/// `mpeg-smooth fleet` and the benchmark: 600 divides evenly by 24, 25,
 /// 30, and 60 fps, so every broadcast picture clock lands on integer
 /// ticks.
 pub const TICKS_PER_SEC: u64 = 600;
@@ -95,7 +95,9 @@ pub const TICKS_PER_SEC: u64 = 600;
 /// # Panics
 ///
 /// Panics if `fps` does not divide [`TICKS_PER_SEC`] (the mix helpers
-/// exist for the broadcast clocks 24/25/30/60).
+/// exist for the broadcast clocks 24/25/30/60), or if it is below
+/// 10 fps, where `D = 0.2 s` is shorter than the `(K + 1)τ = 2τ` the
+/// smoother needs.
 pub fn fps_class(fps: u64) -> DynamicClass {
     assert!(
         fps > 0 && TICKS_PER_SEC % fps == 0,

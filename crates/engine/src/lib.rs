@@ -57,7 +57,7 @@ use smooth_core::{
     PatternEstimator, PictureSchedule, RateSelection, SizeEstimator, SmootherParams,
 };
 use smooth_mpeg::GopPattern;
-use smooth_sweep::{par_map, par_map_pinned};
+use smooth_sweep::par_map;
 
 pub mod dynamic;
 pub mod livemux;
@@ -443,49 +443,13 @@ impl SessionEngine {
         }
     }
 
-    /// Like [`add_sessions`](Self::add_sessions), but constructs the new
-    /// shards **in parallel with first-touch placement**: worker `w`
-    /// (pinned to logical CPU `w`, best-effort) allocates and fills
-    /// shards `w, w + threads, …` of the new range — the same static
-    /// shard→thread striping [`run_pinned`](Self::run_pinned) uses — so
-    /// each shard's memory is first touched by the thread that will
-    /// advance it (on NUMA machines, in that thread's local node).
-    /// Shard contents are a pure function of the session ids, so the
-    /// resulting engine is indistinguishable from one built by
-    /// [`add_sessions`](Self::add_sessions) (pinned by tests).
-    ///
-    /// # Panics
-    ///
-    /// As [`add_sessions`](Self::add_sessions); additionally, placed
-    /// growth must start on a shard boundary (the current session count
-    /// a multiple of the shard size).
-    pub fn add_sessions_placed(&mut self, class_id: usize, count: usize, threads: usize) {
-        assert!(
-            self.ticks == 0 && !self.ended,
-            "add sessions before ticking"
-        );
-        assert!(class_id < self.classes.len(), "unknown class {class_id}");
-        assert!(
-            self.sessions % self.shard_size == 0,
-            "placed growth must start on a shard boundary"
-        );
-        let shard_size = self.shard_size;
-        let slot_cap = self.slot_cap;
-        let first = self.sessions as u64;
-        let idx: Vec<usize> = (0..count.div_ceil(shard_size)).collect();
-        let built = par_map_pinned(threads, &idx, |_, &s| {
-            let mut store = SlotStore::new(slot_cap);
-            let in_shard = shard_size.min(count - s * shard_size);
-            Self::fill(
-                &mut store,
-                first + (s * shard_size) as u64,
-                class_id,
-                in_shard,
-            );
-            Mutex::new(store)
-        });
-        self.shards.extend(built);
-        self.sessions += count;
+    /// [`add_sessions`](Self::add_sessions); `threads` is ignored. Kept
+    /// because the repository benchmark (`crates/bench/src/bin/benchmark`)
+    /// builds its lockstep fleet through this name. Shard contents are a
+    /// pure function of the session ids, so the engine is the same for
+    /// any `threads`.
+    pub fn add_sessions_placed(&mut self, class_id: usize, count: usize, _threads: usize) {
+        self.add_sessions(class_id, count);
     }
 
     /// Number of sessions in the fleet.
@@ -537,8 +501,7 @@ impl SessionEngine {
     }
 
     /// Sweeps every shard through `pushes` ticks (plus, when `ended` is
-    /// set, the end-of-stream drain) over `threads` workers, with shards
-    /// striped over pinned workers when `pinned` is set. Returns the
+    /// set, the end-of-stream drain) over `threads` workers. Returns the
     /// decisions made.
     fn par_sweep<S: SizeSource>(
         &self,
@@ -546,19 +509,14 @@ impl SessionEngine {
         pushes: u64,
         ended: bool,
         threads: usize,
-        pinned: bool,
     ) -> u64 {
         let idx: Vec<usize> = (0..self.shards.len()).collect();
-        let sweep = |_, &s: &usize| {
+        par_map(threads, &idx, |_, &s| {
             let mut store = self.shards[s].lock().expect("shard poisoned");
             store.sweep(&self.classes, source, pushes, ended, &mut |_, _| {})
-        };
-        let made = if pinned {
-            par_map_pinned(threads, &idx, sweep)
-        } else {
-            par_map(threads, &idx, sweep)
-        };
-        made.into_iter().sum()
+        })
+        .into_iter()
+        .sum()
     }
 
     /// Serial sweep of every shard, in session-id order, offering every
@@ -590,7 +548,7 @@ impl SessionEngine {
     /// Panics after [`finish`](Self::finish).
     pub fn tick<S: SizeSource>(&mut self, source: &S, threads: usize) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let made = self.par_sweep(source, 1, false, threads, false);
+        let made = self.par_sweep(source, 1, false, threads);
         self.ticks += 1;
         made
     }
@@ -598,7 +556,7 @@ impl SessionEngine {
     /// Signals end-of-stream to every session and drains the remaining
     /// tail decisions. Returns the number of decisions made.
     pub fn finish<S: SizeSource>(&mut self, source: &S, threads: usize) -> u64 {
-        let made = self.par_sweep(source, 0, true, threads, false);
+        let made = self.par_sweep(source, 0, true, threads);
         self.ended = true;
         made
     }
@@ -627,7 +585,7 @@ impl SessionEngine {
         threads: usize,
     ) -> u64 {
         assert!(!self.ended, "tick after finish");
-        let made = self.par_sweep(source, ticks, finish, threads, false);
+        let made = self.par_sweep(source, ticks, finish, threads);
         self.ticks += ticks;
         self.ended = finish;
         made
@@ -706,33 +664,6 @@ impl SessionEngine {
         self.ticks = ticks;
         self.ended = true;
         Ok(mux.finalize())
-    }
-
-    /// [`run`](Self::run) with **static shard→thread striping and
-    /// pinned workers** ([`smooth_sweep::par_map_pinned`]): worker `w`
-    /// advances shards `w, w + threads, …`, so across repeated calls
-    /// with the same `threads` every shard stays with one thread — and,
-    /// when the shards were built by
-    /// [`add_sessions_placed`](Self::add_sessions_placed) at the same
-    /// worker count, with the thread that first touched its memory.
-    /// Bit-identical to [`run`](Self::run) for any thread count (shards
-    /// are disjoint; only placement differs) — pinned by tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`finish`](Self::finish).
-    pub fn run_pinned<S: SizeSource>(
-        &mut self,
-        source: &S,
-        ticks: u64,
-        finish: bool,
-        threads: usize,
-    ) -> u64 {
-        assert!(!self.ended, "tick after finish");
-        let made = self.par_sweep(source, ticks, finish, threads, true);
-        self.ticks += ticks;
-        self.ended = finish;
-        made
     }
 
     /// Serial [`tick`](Self::tick) that also hands every decision to
@@ -915,21 +846,21 @@ mod tests {
     }
 
     #[test]
-    fn placed_build_and_pinned_run_match_serial() {
+    fn placed_build_matches_serial() {
         let (mut a, fleet) = small_engine(16);
-        for _ in 0..33 {
-            a.tick(&fleet, 1);
-        }
-        a.finish(&fleet, 1);
+        a.run(&fleet, 33, true, 1);
         let pattern = GopPattern::new(3, 9).unwrap();
         let class = SessionClass::new(SmootherParams::at_30fps(0.2, 1, 9).unwrap(), pattern);
         for threads in [1, 2, 5] {
             let mut b = SessionEngine::with_shard_size(vec![class.clone()], 16);
             b.add_sessions_placed(0, 50, threads);
             assert_eq!(b.session_count(), 50);
-            b.run_pinned(&fleet, 33, true, threads);
-            assert_eq!(a.digest(), b.digest(), "threads={threads}");
-            assert_eq!(a.session_digests(), b.session_digests());
+            b.run(&fleet, 33, true, threads);
+            assert_eq!(
+                a.session_digests(),
+                b.session_digests(),
+                "threads={threads}"
+            );
             assert_eq!(a.decisions(), b.decisions());
         }
     }

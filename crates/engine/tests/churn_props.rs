@@ -3,7 +3,7 @@
 //! 1. **Wheel vs. scan.** Replaying a churn trace through the
 //!    timing-wheel [`DynamicEngine`] yields the same per-session
 //!    digests, fleet digest, and decision count as the frozen
-//!    brute-force scan-all reference ([`scanref`], test-only) —
+//!    brute-force scan-all reference (`smooth_oracle::scanref`) —
 //!    the wheel, the compact store, and slot recycling are invisible.
 //! 2. **Determinism.** The digests are invariant under thread count and
 //!    shard size, and under mid-run snapshot/restore migration,
@@ -13,16 +13,14 @@
 //!    engine fed only the survivors' traces produces — a recycled slot
 //!    carries nothing over from its previous occupant.
 
-mod scanref;
-
 use proptest::prelude::*;
-use scanref::run_scan;
 use smooth_core::SmootherParams;
 use smooth_engine::{
     churn_trace, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass, DynamicEngine, SessionClass,
     SyntheticFleet,
 };
 use smooth_mpeg::GopPattern;
+use smooth_oracle::scanref::run_scan;
 
 const TAU: f64 = 1.0 / 30.0;
 

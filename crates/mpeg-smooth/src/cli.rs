@@ -12,24 +12,23 @@
 //!                      [--threads N] [--csv out.csv] \
 //!                      [--sources N] [--capacity-mbps C] [--buffer-kbit B] [--mux-seed S]
 //! mpeg-smooth verify   --trace trace.csv --d 0.2 --k 1 --h 9
-//! mpeg-smooth sessions [--sessions N] [--pictures N] [--threads N] [--seed S]
-//!                      [--classes 24:1,30:2]
-//! mpeg-smooth churn    [--sessions N] [--seconds S] [--churn-ppm P] [--threads N]
-//!                      [--seed S] [--classes 24:1,25:1,30:1,60:1] [--shard-size N]
-//!                      [--batch B]
-//! mpeg-smooth scale    [--sessions N] [--pictures N] [--repeats R]
-//!                      [--max-threads T]
+//! mpeg-smooth fleet    [--sessions N] [--pictures P | --seconds S [--churn-ppm R]]
+//!                      [--classes 24:1,25:1,30:1,60:1] [--seed S] [--threads N]
+//!                      [--mux-capacity-mbps C [--mux-buffer-kbit B]]
 //! ```
 //!
-//! The fleet commands (`sessions`, `churn`) print the decision digest on
-//! a stable machine-parsable line — `fleet_digest=<16 hex digits>` — the
-//! determinism witness scripts can grep for, identical for every thread
-//! count.
+//! `fleet` prints the decision digest on a stable machine-parsable line
+//! — `fleet_digest=<16 hex digits>` — the determinism witness scripts
+//! can grep for, identical for every thread count.
 //!
 //! All functions take an output sink so the test suite can drive the CLI
 //! without spawning processes.
 
 use smooth_core::{check_theorem1, smooth_with, PatternEstimator, RateSelection, SmootherParams};
+use smooth_engine::{
+    churn_trace, ChurnSpec, DynamicClass, DynamicEngine, LiveMux, LiveMuxStats, MuxConfig,
+    SessionEngine, SyntheticFleet, SESSIONS_PER_SHARD, TICKS_PER_SEC,
+};
 use smooth_metrics::{measure, schedule_to_csv, segments_to_csv};
 use smooth_trace::{
     analyze, autocorrelation, generate, load_csv, save_csv, SequenceId, VideoTrace,
@@ -122,15 +121,9 @@ usage:
                        [--h <h1,h2,...>] [--threads N] [--csv <out.csv>]
                        [--sources N] [--capacity-mbps C] [--buffer-kbit B] [--mux-seed S]
   mpeg-smooth verify   --trace <trace.csv> --d <seconds> [--k K] [--h H]
-  mpeg-smooth sessions [--sessions N] [--pictures N] [--threads N] [--seed S]
-                       [--classes <fps:weight,...>]
+  mpeg-smooth fleet    [--sessions N] [--pictures P | --seconds S [--churn-ppm R]]
+                       [--classes <fps:weight,...>] [--seed S] [--threads N]
                        [--mux-capacity-mbps C [--mux-buffer-kbit B]]
-  mpeg-smooth churn    [--sessions N] [--seconds S] [--churn-ppm P] [--threads N]
-                       [--seed S] [--classes <fps:weight,...>] [--shard-size N]
-                       [--batch B]
-                       [--mux-capacity-mbps C [--mux-buffer-kbit B]]
-  mpeg-smooth scale    [--sessions N] [--pictures N] [--repeats R]
-                       [--max-threads T]
   mpeg-smooth help
 ";
 
@@ -146,9 +139,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         "smooth" => cmd_smooth(rest, out),
         "sweep" => cmd_sweep(rest, out),
         "verify" => cmd_verify(rest, out),
-        "sessions" => cmd_sessions(rest, out),
-        "churn" => cmd_churn(rest, out),
-        "scale" => cmd_scale(rest, out),
+        "fleet" => cmd_fleet(rest, out),
         "help" | "--help" | "-h" => {
             let _ = write!(out, "{USAGE}");
             Ok(0)
@@ -558,14 +549,16 @@ fn cmd_sweep(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     Ok(0)
 }
 
+/// The lowest picture rate [`smooth_engine::fps_class`] admits: its
+/// `D = 0.2 s` must cover the smoother's `(K + 1)τ = 2/fps`.
+const MIN_CLASS_FPS: u64 = 10;
+
 /// Parses a `--classes` fps mix (`24:1,25:1,30:2`; the weight defaults
 /// to 1) into [`smooth_engine::fps_class`] classes plus their weights.
-/// Each fps must divide the scheduler clock
-/// ([`smooth_engine::TICKS_PER_SEC`] = 600 ticks/s) so picture periods
-/// are whole ticks.
-fn parse_classes(raw: &str) -> Result<(Vec<smooth_engine::DynamicClass>, Vec<u32>), CliError> {
-    use smooth_engine::{fps_class, TICKS_PER_SEC};
-
+/// Each fps must divide the scheduler clock ([`TICKS_PER_SEC`] = 600
+/// ticks/s) so picture periods are whole ticks, and be at least
+/// [`MIN_CLASS_FPS`].
+fn parse_classes(raw: &str) -> Result<(Vec<DynamicClass>, Vec<u32>), CliError> {
     let mut classes = Vec::new();
     let mut weights = Vec::new();
     for part in raw.split(',') {
@@ -586,6 +579,12 @@ fn parse_classes(raw: &str) -> Result<(Vec<smooth_engine::DynamicClass>, Vec<u32
                  (try 24, 25, 30, or 60)"
             )));
         }
+        if fps < MIN_CLASS_FPS {
+            return Err(err(format!(
+                "--classes: fps {fps} is below {MIN_CLASS_FPS}: the 0.2 s delay bound \
+                 must cover two picture periods"
+            )));
+        }
         let weight: u32 = match weight_str {
             None => 1,
             Some(w) => w
@@ -595,13 +594,25 @@ fn parse_classes(raw: &str) -> Result<(Vec<smooth_engine::DynamicClass>, Vec<u32
         if weight == 0 {
             return Err(err("--classes: weights must be at least 1"));
         }
-        classes.push(fps_class(fps));
+        classes.push(smooth_engine::fps_class(fps));
         weights.push(weight);
     }
     if classes.is_empty() {
         return Err(err("--classes: empty list"));
     }
     Ok((classes, weights))
+}
+
+/// The fleet's class when `--classes` is not given: the paper's
+/// recommended smoother (30 fps, `D = 0.2 s`, `K = 1`, `H = N = 9`) on
+/// its (3, 9) GOP pattern, 20 ticks per picture on the scheduler clock.
+fn paper_class() -> DynamicClass {
+    let pattern = smooth_mpeg::GopPattern::new(3, 9).expect("(3,9) is valid");
+    let params = SmootherParams::at_30fps(0.2, 1, 9).expect("0.2 s is feasible");
+    DynamicClass {
+        class: smooth_engine::SessionClass::new(params, pattern),
+        period_ticks: TICKS_PER_SEC / 30,
+    }
 }
 
 /// Splits `total` sessions across classes proportionally to `weights`
@@ -623,9 +634,9 @@ fn split_by_weight(total: usize, weights: &[u32]) -> Vec<usize> {
     counts
 }
 
-/// Parses the fused-mux link flags shared by `sessions` and `churn`:
-/// `--mux-capacity-mbps` switches the fused fleet-to-link path on, and
-/// `--mux-buffer-kbit` (default 500) sizes the link buffer. Returns
+/// Parses the fused-mux link flags of `fleet`: `--mux-capacity-mbps`
+/// switches the fused fleet-to-link path on, and `--mux-buffer-kbit`
+/// (default 500) sizes the link buffer. Returns
 /// `(capacity_bps, buffer_bits)` when the fused path is requested.
 fn take_mux_link(opts: &mut Options) -> Result<Option<(f64, f64)>, CliError> {
     let capacity = opts.take_parsed::<f64>("mux-capacity-mbps")?;
@@ -664,11 +675,7 @@ fn check_link(
 
 /// Prints the fused run's outcome: link stats, peak, and the
 /// machine-parsable `mux_digest=` witness (next to `fleet_digest=`).
-fn report_mux(
-    out: &mut dyn Write,
-    stats: &smooth_engine::LiveMuxStats,
-    mux: &smooth_engine::LiveMux,
-) {
+fn report_mux(out: &mut dyn Write, stats: &LiveMuxStats, mux: &LiveMux) {
     let c = mux.config();
     let _ = writeln!(
         out,
@@ -694,368 +701,280 @@ fn report_mux(
     );
 }
 
-/// `sessions`: advance a fleet of concurrent live smoothing sessions
-/// (synthetic picture sizes, the paper-recommended class — or a
-/// `--classes` fps mix) through the session engine and report aggregate
-/// throughput plus the decision digest — the determinism witness,
-/// identical for every thread count and echoed on the machine-parsable
-/// `fleet_digest=` line.
-fn cmd_sessions(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
-    use smooth_engine::{SessionClass, SessionEngine, SyntheticFleet};
+/// The setup `fleet` shares between its two engines.
+struct Fleet {
+    classes: Vec<DynamicClass>,
+    weights: Vec<u32>,
+    sessions: usize,
+    /// The one size source, on the first class's GOP pattern.
+    src: SyntheticFleet,
+    threads: usize,
+    /// `(capacity_bps, buffer_bits)` of the fused link, if any.
+    link: Option<(f64, f64)>,
+}
 
+/// What either engine reports for `fleet`'s shared output tail.
+struct FleetRun {
+    decisions: u64,
+    digest: u64,
+    max_retained: usize,
+    slot_bytes: usize,
+    /// Seconds spent deciding (and aggregating, when fused).
+    wall: f64,
+    mux: Option<(LiveMuxStats, LiveMux)>,
+}
+
+/// `fleet`: run a fleet of concurrent live smoothing sessions on
+/// synthetic picture sizes and report the decision digest — the
+/// determinism witness, identical for every thread count and echoed on
+/// the machine-parsable `fleet_digest=` line. `--pictures` runs a fixed
+/// fleet in lockstep ([`SessionEngine`]); `--seconds` replays a seeded
+/// churn trace on the timing wheel ([`DynamicEngine`]). With
+/// `--mux-capacity-mbps` every decision also streams into the online
+/// link aggregate ([`LiveMux`]), which adds the `mux_digest=` line.
+fn cmd_fleet(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     let mut opts = Options::parse(args)?;
     let sessions = opts.take_parsed::<usize>("sessions")?.unwrap_or(10_000);
-    let pictures = opts.take_parsed::<u64>("pictures")?.unwrap_or(32);
-    let threads = smooth_sweep::resolve_threads(opts.take_parsed::<usize>("threads")?);
-    let seed = opts.take_parsed::<u64>("seed")?.unwrap_or(0x5e55be7c);
+    let pictures = opts.take_parsed::<u64>("pictures")?;
+    let seconds = opts.take_parsed::<u64>("seconds")?;
+    let churn_ppm = opts.take_parsed::<u64>("churn-ppm")?;
     let classes_raw = opts.take("classes");
-    let mux_link = take_mux_link(&mut opts)?;
+    let seed = opts.take_parsed::<u64>("seed")?.unwrap_or(0x5e55be7c);
+    let threads = smooth_sweep::resolve_threads(opts.take_parsed::<usize>("threads")?);
+    let link = take_mux_link(&mut opts)?;
     opts.finish()?;
     if sessions == 0 {
         return Err(err("--sessions: must be at least 1"));
     }
-    if pictures == 0 {
-        return Err(err("--pictures: must be at least 1"));
-    }
-
-    let pattern = smooth_mpeg::GopPattern::new(3, 9).expect("(3,9) is valid");
-    let fleet = SyntheticFleet { seed, pattern };
-    let mut engine;
-    // Widest picture period in the mix, for the fused measurement
-    // window (lockstep ticks land every class's τ on it).
-    let mut max_period_ticks = 20u64;
-    match classes_raw.as_deref() {
-        None => {
-            // The paper-recommended single class at 30 fps.
-            let params = SmootherParams::at_30fps(0.2, 1, 9).expect("0.2 s is feasible");
-            let class = SessionClass::new(params, pattern);
-            engine = SessionEngine::new(vec![class]);
-            engine.add_sessions(0, sessions);
-            let cap = engine.class_ring_cap(0);
-            let _ = writeln!(
-                out,
-                "sessions: {sessions} concurrent x {pictures} pictures (seed {seed:#x})"
-            );
-            let _ = writeln!(
-                out,
-                "class: D={:.4}s K={} H={} pattern {pattern}, ring slot {cap} sizes/session",
-                params.delay_bound, params.k, params.h
-            );
+    let (classes, weights) = match classes_raw.as_deref() {
+        Some(raw) => parse_classes(raw)?,
+        None => (vec![paper_class()], vec![1]),
+    };
+    let fleet = Fleet {
+        src: SyntheticFleet {
+            seed,
+            pattern: classes[0].class.pattern,
+        },
+        classes,
+        weights,
+        sessions,
+        threads,
+        link,
+    };
+    let run = match (pictures, seconds) {
+        (Some(_), Some(_)) => {
+            return Err(err(
+                "--pictures and --seconds exclude each other: --pictures runs a lockstep \
+                 fleet, --seconds replays a churn trace",
+            ))
         }
-        Some(raw) => {
-            // A heterogeneous fps mix: one engine class per entry,
-            // sessions split proportionally to the weights. Lockstep
-            // ticks feed every class; the per-class τ shapes the
-            // smoother's delay budget.
-            let (mix, weights) = parse_classes(raw)?;
-            let counts = split_by_weight(sessions, &weights);
-            max_period_ticks = mix.iter().map(|c| c.period_ticks).max().expect("non-empty");
-            engine = SessionEngine::new(mix.iter().map(|c| c.class.clone()).collect());
-            for (i, &n) in counts.iter().enumerate() {
-                engine.add_sessions(i, n);
+        (_, None) if churn_ppm.is_some() => {
+            return Err(err("--churn-ppm: requires --seconds"));
+        }
+        (pictures, None) => {
+            let pictures = pictures.unwrap_or(32);
+            if pictures == 0 {
+                return Err(err("--pictures: must be at least 1"));
             }
-            let _ = writeln!(
+            fleet.header(
                 out,
-                "sessions: {sessions} concurrent x {pictures} pictures (seed {seed:#x})"
+                &format!("{sessions} sessions x {pictures} pictures in lockstep"),
             );
-            let desc: Vec<String> = mix
-                .iter()
-                .zip(&counts)
-                .map(|(c, n)| format!("{}fps x {n}", TICKS_PER_SEC_FPS / c.period_ticks))
-                .collect();
-            let _ = writeln!(out, "classes: {}", desc.join(", "));
+            fleet.lockstep(out, pictures)?
         }
-    }
+        (None, Some(seconds)) => {
+            let churn_ppm = churn_ppm.unwrap_or(10_000);
+            if seconds == 0 {
+                return Err(err("--seconds: must be at least 1"));
+            }
+            if TICKS_PER_SEC.checked_mul(seconds).is_none() {
+                return Err(err("--seconds: too long for the tick clock"));
+            }
+            // `churn_trace`'s per-tick accumulators add sessions x ppm to
+            // a value under 10^6 x TICKS_PER_SEC.
+            if (sessions as u64)
+                .checked_mul(churn_ppm)
+                .and_then(|n| n.checked_add(1_000_000 * TICKS_PER_SEC))
+                .is_none()
+            {
+                return Err(err("--churn-ppm: too high for --sessions"));
+            }
+            fleet.header(
+                out,
+                &format!("{sessions} initial sessions x {seconds}s at {churn_ppm} ppm/s churn"),
+            );
+            fleet.churn(out, seconds, churn_ppm)?
+        }
+    };
 
-    let mut fused = None;
-    let t0 = std::time::Instant::now();
-    match mux_link {
-        None => {
-            engine.run(&fleet, pictures, true, threads);
-        }
-        Some((capacity_bps, buffer_bits)) => {
-            // Fused fleet-to-link: decisions stream straight into the
-            // online aggregator — no materialized schedules, no
-            // second pass. ρ defaults to the per-session fair share.
-            let cfg = smooth_engine::MuxConfig {
-                capacity_bps,
-                buffer_bits,
-                t_start: 0.0,
-                t_end: pictures as f64 * max_period_ticks as f64 / TICKS_PER_SEC_FPS as f64,
-                descriptor_rho_bps: capacity_bps / sessions as f64,
-            };
-            let mut mux = smooth_engine::LiveMux::new(sessions, engine.shard_size(), cfg);
-            let stats = engine
-                .run_fused(&fleet, pictures, threads, &mut mux)
-                .map_err(|e| err(e.to_string()))?;
-            fused = Some((stats, mux));
-        }
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let decisions = engine.decisions();
-    let rate = if wall > 0.0 {
-        decisions as f64 / wall
+    let rate = if run.wall > 0.0 {
+        run.decisions as f64 / run.wall
     } else {
         0.0
     };
-
     let _ = writeln!(
         out,
-        "decisions: {decisions} (digest {:016x}, max retained {})",
-        engine.digest(),
-        engine.max_retained()
+        "decisions: {} (digest {:016x}, max retained {}, {} B/slot)",
+        run.decisions, run.digest, run.max_retained, run.slot_bytes
     );
-    let _ = writeln!(out, "fleet_digest={:016x}", engine.digest());
-    if let Some((stats, mux)) = &fused {
+    let _ = writeln!(out, "fleet_digest={:016x}", run.digest);
+    if let Some((stats, mux)) = &run.mux {
         report_mux(out, stats, mux);
     }
     // Only this line may vary between runs; the determinism tests strip
     // lines containing "thread(s)".
     let _ = writeln!(
         out,
-        "throughput: {rate:.0} decisions/s on {threads} thread(s) ({wall:.3}s)"
+        "throughput: {rate:.0} decisions/s on {threads} thread(s) ({:.3}s)",
+        run.wall
     );
     Ok(0)
 }
 
-/// [`smooth_engine::TICKS_PER_SEC`], locally named so the fps-back
-/// calculation (`600 / period_ticks`) reads as what it is.
-const TICKS_PER_SEC_FPS: u64 = smooth_engine::TICKS_PER_SEC;
-
-/// `churn`: replay a seeded arrival/departure process through the
-/// event-driven [`smooth_engine::DynamicEngine`] — heterogeneous
-/// picture clocks on the timing wheel, live slot recycling — and report
-/// fleet stats plus the decision digest (`fleet_digest=`, identical for
-/// every thread count, shard size, and `--batch` arrival-batch quantum).
-fn cmd_churn(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
-    use smooth_engine::{churn_trace, ChurnSpec, DynamicEngine, SyntheticFleet, TICKS_PER_SEC};
-
-    let mut opts = Options::parse(args)?;
-    let sessions = opts.take_parsed::<usize>("sessions")?.unwrap_or(10_000);
-    let seconds = opts.take_parsed::<u64>("seconds")?.unwrap_or(2);
-    let churn_ppm = opts.take_parsed::<u64>("churn-ppm")?.unwrap_or(10_000);
-    let threads = smooth_sweep::resolve_threads(opts.take_parsed::<usize>("threads")?);
-    let seed = opts.take_parsed::<u64>("seed")?.unwrap_or(0xC_0041_7E57);
-    let shard_size = opts.take_parsed::<usize>("shard-size")?.unwrap_or(4096);
-    let batch = opts
-        .take_parsed::<u64>("batch")?
-        .unwrap_or(smooth_engine::ARRIVAL_BATCH);
-    let classes_raw = opts
-        .take("classes")
-        .unwrap_or_else(|| "24:1,25:1,30:1,60:1".to_string());
-    let mux_link = take_mux_link(&mut opts)?;
-    opts.finish()?;
-    if sessions == 0 {
-        return Err(err("--sessions: must be at least 1"));
-    }
-    if seconds == 0 {
-        return Err(err("--seconds: must be at least 1"));
-    }
-    let horizon = TICKS_PER_SEC
-        .checked_mul(seconds)
-        .ok_or_else(|| err("--seconds: too long for the tick clock"))?;
-    // `churn_trace`'s per-tick accumulators add sessions x ppm to a
-    // value under 10^6 x TICKS_PER_SEC.
-    if (sessions as u64)
-        .checked_mul(churn_ppm)
-        .and_then(|n| n.checked_add(1_000_000 * TICKS_PER_SEC))
-        .is_none()
-    {
-        return Err(err("--churn-ppm: too high for --sessions"));
-    }
-    if shard_size == 0 {
-        return Err(err("--shard-size: must be at least 1"));
-    }
-    if batch == 0 || batch > 1 << 20 {
-        return Err(err("--batch: must be in 1..=1048576"));
+impl Fleet {
+    /// Prints the run's first two lines: the workload and the class mix.
+    fn header(&self, out: &mut dyn Write, workload: &str) {
+        let mix: Vec<String> = self
+            .classes
+            .iter()
+            .zip(&self.weights)
+            .map(|(c, w)| {
+                let p = &c.class.params;
+                format!(
+                    "{}fps:{w} (D={:.4}s K={} H={} pattern {})",
+                    TICKS_PER_SEC / c.period_ticks,
+                    p.delay_bound,
+                    p.k,
+                    p.h,
+                    c.class.pattern
+                )
+            })
+            .collect();
+        let _ = writeln!(out, "fleet: {workload} (seed {:#x})", self.src.seed);
+        let _ = writeln!(out, "classes: {}", mix.join(", "));
     }
 
-    let (classes, weights) = parse_classes(&classes_raw)?;
-    let trace = churn_trace(&ChurnSpec {
-        seed,
-        initial: sessions,
-        weights: weights.clone(),
-        periods: classes.iter().map(|c| c.period_ticks).collect(),
-        ticks_per_sec: TICKS_PER_SEC,
-        horizon,
-        churn_ppm_per_sec: churn_ppm,
-    });
-    let src = SyntheticFleet {
-        seed,
-        pattern: classes[0].class.pattern,
-    };
-    let desc: Vec<String> = classes
-        .iter()
-        .zip(&weights)
-        .map(|(c, w)| format!("{}fps:{w}", TICKS_PER_SEC / c.period_ticks))
-        .collect();
-    let _ = writeln!(
-        out,
-        "churn: {sessions} initial x {seconds}s at {churn_ppm} ppm/s (seed {seed:#x})"
-    );
-    let _ = writeln!(
-        out,
-        "classes: {} | {} events, peak {} live",
-        desc.join(","),
-        trace.events.len(),
-        trace.peak_live
-    );
-
-    let mut engine = DynamicEngine::new(classes.clone(), trace.peak_live, shard_size)
-        .map_err(|e| err(e.to_string()))?;
-    engine.set_arrival_batch(batch);
-    // Fused churn-to-link: the wheel drain and the online aggregation
-    // advance together; the window covers the trace and ρ is the
-    // initial fleet's fair share.
-    let mut mux = mux_link.map(|(capacity_bps, buffer_bits)| {
-        let cfg = smooth_engine::MuxConfig {
+    /// The fused link over the window `[0, t_end]`, if one is set; ρ is
+    /// the fleet's fair share of the capacity.
+    fn mux_config(&self, t_end: f64) -> Option<MuxConfig> {
+        self.link.map(|(capacity_bps, buffer_bits)| MuxConfig {
             capacity_bps,
             buffer_bits,
             t_start: 0.0,
-            t_end: seconds as f64,
-            descriptor_rho_bps: capacity_bps / sessions as f64,
-        };
-        smooth_engine::LiveMux::with_joins(trace.total_joins(), shard_size, cfg)
-    });
-    // Only the event-driven replay is timed.
-    let t0 = std::time::Instant::now();
-    let stats = match &mut mux {
-        None => {
-            engine
-                .run_trace(&src, &trace, threads)
-                .map_err(|e| err(e.to_string()))?;
-            None
+            t_end,
+            descriptor_rho_bps: capacity_bps / self.sessions as f64,
+        })
+    }
+
+    /// `fleet --pictures`: the sessions split over the classes by
+    /// weight, every session fed `pictures` pictures in session-major
+    /// batches (or fused with the link). Only the run is timed.
+    fn lockstep(&self, out: &mut dyn Write, pictures: u64) -> Result<FleetRun, CliError> {
+        let counts = split_by_weight(self.sessions, &self.weights);
+        let split: Vec<String> = self
+            .classes
+            .iter()
+            .zip(&counts)
+            .map(|(c, n)| format!("{}fps x {n}", TICKS_PER_SEC / c.period_ticks))
+            .collect();
+        let _ = writeln!(out, "split: {}", split.join(", "));
+        let mut engine = SessionEngine::new(self.classes.iter().map(|c| c.class.clone()).collect());
+        for (i, &n) in counts.iter().enumerate() {
+            engine.add_sessions(i, n);
         }
-        Some(mux) => {
-            engine
-                .run_trace_fused(&src, &trace, threads, mux)
-                .map_err(|e| err(e.to_string()))?;
-            Some(engine.finish_fused(&src, threads, mux))
-        }
-    };
-    let wall = t0.elapsed().as_secs_f64();
-    let decisions = engine.decisions();
-    let rate = if wall > 0.0 {
-        decisions as f64 / wall
-    } else {
-        0.0
-    };
+        // Lockstep ticks land every class's τ, so the widest period
+        // spans the run.
+        let max_period_ticks = self.classes.iter().map(|c| c.period_ticks).max();
+        let t_end =
+            pictures as f64 * max_period_ticks.expect("non-empty") as f64 / TICKS_PER_SEC as f64;
 
-    let _ = writeln!(
-        out,
-        "fleet: {} joined, {} live at horizon, {} slots resident ({} B/slot)",
-        engine.joined(),
-        engine.live_sessions(),
-        engine.allocated_slots(),
-        engine.state_bytes_per_slot()
-    );
-    let _ = writeln!(
-        out,
-        "decisions: {decisions} (digest {:016x})",
-        engine.digest()
-    );
-    let _ = writeln!(out, "fleet_digest={:016x}", engine.digest());
-    if let (Some(stats), Some(mux)) = (&stats, &mux) {
-        report_mux(out, stats, mux);
-    }
-    // Only this line may vary between runs; the determinism tests strip
-    // lines containing "thread(s)".
-    let _ = writeln!(
-        out,
-        "throughput: {rate:.0} decisions/s on {threads} thread(s) ({wall:.3}s)"
-    );
-    Ok(0)
-}
-
-/// `scale`: regenerate the cores-vs-throughput curve standalone — the
-/// megasession engine at a 1, 2, 4, … worker ladder with cache-aware
-/// shard placement (first-touch construction by the advancing worker,
-/// static shard→thread striping, best-effort CPU pinning). Each rung
-/// prints one `T=<workers>:` line with its fastest and median wall of
-/// `--repeats` runs and the (rung-invariant) decision digest.
-fn cmd_scale(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
-    use smooth_engine::{SessionClass, SessionEngine, SyntheticFleet};
-
-    let mut opts = Options::parse(args)?;
-    let sessions = opts.take_parsed::<usize>("sessions")?.unwrap_or(1_000_000);
-    let pictures = opts.take_parsed::<u64>("pictures")?.unwrap_or(32);
-    let repeats = opts.take_parsed::<usize>("repeats")?.unwrap_or(3);
-    let max_threads = opts
-        .take_parsed::<usize>("max-threads")?
-        .unwrap_or_else(smooth_sweep::logical_cores);
-    opts.finish()?;
-    if sessions == 0 {
-        return Err(err("--sessions: must be at least 1"));
-    }
-    if pictures == 0 {
-        return Err(err("--pictures: must be at least 1"));
-    }
-    if repeats == 0 {
-        return Err(err("--repeats: must be at least 1"));
-    }
-    if max_threads == 0 {
-        return Err(err("--max-threads: must be at least 1"));
-    }
-
-    // The worker ladder: powers of two up to the cap, cap included.
-    let mut ladder = Vec::new();
-    let mut t = 1;
-    while t < max_threads {
-        ladder.push(t);
-        t *= 2;
-    }
-    ladder.push(max_threads);
-
-    let pattern = smooth_mpeg::GopPattern::new(3, 9).expect("(3,9) is valid");
-    let params = SmootherParams::at_30fps(0.2, 1, 9).expect("0.2 s is feasible");
-    let class = SessionClass::new(params, pattern);
-    let fleet = SyntheticFleet {
-        seed: 0x5e55be7c,
-        pattern,
-    };
-    let pinned = smooth_sweep::pinning_supported();
-    let _ = writeln!(
-        out,
-        "scale: {sessions} sessions x {pictures} pictures, ladder {ladder:?} \
-         ({} physical / {} logical cores, pinning {})",
-        smooth_sweep::physical_cores(),
-        smooth_sweep::logical_cores(),
-        if pinned { "on" } else { "unavailable" }
-    );
-
-    for &threads in &ladder {
-        let mut walls = Vec::with_capacity(repeats);
-        let mut decisions = 0u64;
-        let mut digest = 0u64;
-        for _ in 0..repeats {
-            let mut engine = SessionEngine::new(vec![class.clone()]);
-            engine.add_sessions_placed(0, sessions, threads);
-            let t0 = std::time::Instant::now();
-            engine.run_pinned(&fleet, pictures, true, threads);
-            walls.push(t0.elapsed().as_secs_f64());
-            decisions = engine.decisions();
-            digest = engine.digest();
-        }
-        walls.sort_by(f64::total_cmp);
-        let mid = walls.len() / 2;
-        let median = if walls.len() % 2 == 1 {
-            walls[mid]
-        } else {
-            0.5 * (walls[mid - 1] + walls[mid])
+        let t0 = std::time::Instant::now();
+        let mux = match self.mux_config(t_end) {
+            None => {
+                engine.run(&self.src, pictures, true, self.threads);
+                None
+            }
+            Some(cfg) => {
+                let mut mux = LiveMux::new(self.sessions, engine.shard_size(), cfg);
+                let stats = engine
+                    .run_fused(&self.src, pictures, self.threads, &mut mux)
+                    .map_err(|e| err(e.to_string()))?;
+                Some((stats, mux))
+            }
         };
-        let min = walls[0];
-        let rate = if min > 0.0 {
-            decisions as f64 / min
-        } else {
-            0.0
-        };
+        let wall = t0.elapsed().as_secs_f64();
+        Ok(FleetRun {
+            wall,
+            decisions: engine.decisions(),
+            digest: engine.digest(),
+            max_retained: engine.max_retained(),
+            slot_bytes: engine.state_bytes_per_session(0),
+            mux,
+        })
+    }
+
+    /// `fleet --seconds`: a churn trace of `seconds` simulated seconds
+    /// replayed through the event-driven engine (or fused with the
+    /// link). Only the replay is timed.
+    fn churn(
+        &self,
+        out: &mut dyn Write,
+        seconds: u64,
+        churn_ppm: u64,
+    ) -> Result<FleetRun, CliError> {
+        let trace = churn_trace(&ChurnSpec {
+            seed: self.src.seed,
+            initial: self.sessions,
+            weights: self.weights.clone(),
+            periods: self.classes.iter().map(|c| c.period_ticks).collect(),
+            ticks_per_sec: TICKS_PER_SEC,
+            horizon: TICKS_PER_SEC * seconds,
+            churn_ppm_per_sec: churn_ppm,
+        });
         let _ = writeln!(
             out,
-            "T={threads}: {rate:.0} decisions/s ({decisions} decisions, {min:.3}s min, \
-             {median:.3}s median, digest {digest:016x})",
+            "churn: {} events, peak {} live",
+            trace.events.len(),
+            trace.peak_live
         );
+        let mut engine =
+            DynamicEngine::new(self.classes.clone(), trace.peak_live, SESSIONS_PER_SHARD)
+                .map_err(|e| err(e.to_string()))?;
+        let mut mux = self
+            .mux_config(seconds as f64)
+            .map(|cfg| LiveMux::with_joins(trace.total_joins(), SESSIONS_PER_SHARD, cfg));
+        let t0 = std::time::Instant::now();
+        let stats = match &mut mux {
+            None => {
+                engine
+                    .run_trace(&self.src, &trace, self.threads)
+                    .map_err(|e| err(e.to_string()))?;
+                None
+            }
+            Some(mux) => {
+                engine
+                    .run_trace_fused(&self.src, &trace, self.threads, mux)
+                    .map_err(|e| err(e.to_string()))?;
+                Some(engine.finish_fused(&self.src, self.threads, mux))
+            }
+        };
+        let wall = t0.elapsed().as_secs_f64();
+        let _ = writeln!(
+            out,
+            "sessions: {} joined, {} live at horizon, {} slots resident",
+            engine.joined(),
+            engine.live_sessions(),
+            engine.allocated_slots()
+        );
+        Ok(FleetRun {
+            wall,
+            decisions: engine.decisions(),
+            digest: engine.digest(),
+            max_retained: engine.max_retained(),
+            slot_bytes: engine.state_bytes_per_slot(),
+            mux: stats.zip(mux),
+        })
     }
-    Ok(0)
 }
 
 fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
@@ -1468,10 +1387,35 @@ mod tests {
         }
     }
 
+    /// Strips the one line allowed to vary between runs.
+    fn strip_timing(s: &str) -> String {
+        s.lines()
+            .filter(|l| !l.contains("thread(s)"))
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn fleet_digest(text: &str) -> &str {
+        let line = text
+            .lines()
+            .find(|l| l.starts_with("fleet_digest="))
+            .expect("fleet_digest line");
+        let hex = line.strip_prefix("fleet_digest=").unwrap();
+        assert_eq!(hex.len(), 16, "{line}");
+        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()), "{line}");
+        hex
+    }
+
+    fn assert_rejected(args: &[&str]) {
+        let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+        let mut out = Vec::new();
+        assert!(run(&args, &mut out).is_err(), "{args:?}");
+    }
+
     #[test]
     fn sessions_reports_fleet_and_digest() {
         let (code, text) = run_cli(&[
-            "sessions",
+            "fleet",
             "--sessions",
             "500",
             "--pictures",
@@ -1480,16 +1424,24 @@ mod tests {
             "1",
         ]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("500 concurrent x 20 pictures"), "{text}");
+        assert!(
+            text.contains("500 sessions x 20 pictures in lockstep"),
+            "{text}"
+        );
+        // The paper class when no --classes is given.
+        assert!(
+            text.contains("classes: 30fps:1 (D=0.2000s K=1 H=9 pattern IBBPBBPBB)"),
+            "{text}"
+        );
         // Lockstep completeness: every session decides every picture.
         assert!(text.contains("decisions: 10000"), "{text}");
-        assert!(text.contains("digest"), "{text}");
-        assert!(text.contains("ring slot"), "{text}");
+        assert!(text.contains("B/slot"), "{text}");
+        fleet_digest(&text);
     }
 
     #[test]
     fn sessions_output_is_thread_count_invariant() {
-        let base = ["sessions", "--sessions", "300", "--pictures", "25"];
+        let base = ["fleet", "--sessions", "300", "--pictures", "25"];
         let run_with = |threads: &str| {
             let mut args: Vec<&str> = base.to_vec();
             args.extend(["--threads", threads]);
@@ -1500,21 +1452,19 @@ mod tests {
         for threads in ["2", "8"] {
             let (code, parallel) = run_with(threads);
             assert_eq!(code, 0);
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.contains("thread(s)"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(strip(&serial), strip(&parallel), "threads={threads}");
+            assert_eq!(
+                strip_timing(&serial),
+                strip_timing(&parallel),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn sessions_seed_changes_the_digest() {
-        let digest_line = |seed: &str| {
+        let digest_of = |seed: &str| {
             let (code, text) = run_cli(&[
-                "sessions",
+                "fleet",
                 "--sessions",
                 "64",
                 "--pictures",
@@ -1525,19 +1475,16 @@ mod tests {
                 "1",
             ]);
             assert_eq!(code, 0, "{text}");
-            text.lines()
-                .find(|l| l.contains("digest"))
-                .expect("digest line")
-                .to_string()
+            fleet_digest(&text).to_string()
         };
-        assert_ne!(digest_line("1"), digest_line("2"));
-        assert_eq!(digest_line("7"), digest_line("7"));
+        assert_ne!(digest_of("1"), digest_of("2"));
+        assert_eq!(digest_of("7"), digest_of("7"));
     }
 
     #[test]
     fn sessions_classes_mix_reports_split_and_fleet_digest() {
         let (code, text) = run_cli(&[
-            "sessions",
+            "fleet",
             "--sessions",
             "100",
             "--pictures",
@@ -1549,57 +1496,77 @@ mod tests {
         ]);
         assert_eq!(code, 0, "{text}");
         // Largest-remainder split of 100 over weights 1:3.
-        assert!(text.contains("classes: 24fps x 25, 30fps x 75"), "{text}");
-        let digest_line = text
-            .lines()
-            .find(|l| l.starts_with("fleet_digest="))
-            .expect("fleet_digest line");
-        let hex = digest_line.strip_prefix("fleet_digest=").unwrap();
-        assert_eq!(hex.len(), 16, "{digest_line}");
-        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()), "{digest_line}");
+        assert!(text.contains("split: 24fps x 25, 30fps x 75"), "{text}");
+        fleet_digest(&text);
+    }
+
+    /// A lockstep `--classes` mix feeds each session the picture types
+    /// of the pattern its class smooths: `--classes 30:1` is exactly a
+    /// `SessionEngine` of `fps_class(30)` on a (3, 12) source.
+    #[test]
+    fn lockstep_classes_feed_the_class_pattern() {
+        let (code, text) = run_cli(&[
+            "fleet",
+            "--sessions",
+            "40",
+            "--pictures",
+            "30",
+            "--threads",
+            "1",
+            "--classes",
+            "30:1",
+        ]);
+        assert_eq!(code, 0, "{text}");
+        let class = smooth_engine::fps_class(30).class;
+        let src = SyntheticFleet {
+            seed: 0x5e55be7c,
+            pattern: smooth_mpeg::GopPattern::new(3, 12).unwrap(),
+        };
+        let mut engine = SessionEngine::new(vec![class]);
+        engine.add_sessions(0, 40);
+        engine.run(&src, 30, true, 1);
+        assert_eq!(fleet_digest(&text), format!("{:016x}", engine.digest()));
     }
 
     #[test]
     fn churn_reports_fleet_and_digest() {
         let (code, text) = run_cli(&[
-            "churn",
+            "fleet",
             "--sessions",
             "300",
             "--seconds",
             "1",
             "--churn-ppm",
             "100000",
+            "--classes",
+            "24:1,25:1,30:1,60:1",
             "--threads",
             "1",
         ]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("300 initial x 1s"), "{text}");
         assert!(
-            text.contains("classes: 24fps:1,25fps:1,30fps:1,60fps:1"),
+            text.contains("300 initial sessions x 1s at 100000 ppm/s churn"),
             "{text}"
         );
+        assert!(text.contains("classes: 24fps:1 ("), "{text}");
+        assert!(text.contains(", 60fps:1 ("), "{text}");
         assert!(text.contains("joined"), "{text}");
-        let digest_line = text
-            .lines()
-            .find(|l| l.starts_with("fleet_digest="))
-            .expect("fleet_digest line");
-        let hex = digest_line.strip_prefix("fleet_digest=").unwrap();
-        assert_eq!(hex.len(), 16, "{digest_line}");
-        assert!(hex.chars().all(|c| c.is_ascii_hexdigit()), "{digest_line}");
+        fleet_digest(&text);
     }
+
+    /// Enough sessions for two engine shards and two mux blocks.
+    const TWO_SHARDS: &str = "4500";
 
     #[test]
     fn churn_output_is_thread_count_invariant() {
         let base = [
-            "churn",
+            "fleet",
             "--sessions",
-            "200",
+            TWO_SHARDS,
             "--seconds",
             "2",
             "--churn-ppm",
             "200000",
-            "--shard-size",
-            "32",
         ];
         let run_with = |threads: &str| {
             let mut args: Vec<&str> = base.to_vec();
@@ -1611,53 +1578,18 @@ mod tests {
         for threads in ["2", "8"] {
             let (code, parallel) = run_with(threads);
             assert_eq!(code, 0);
-            let strip = |s: &str| {
-                s.lines()
-                    .filter(|l| !l.contains("thread(s)"))
-                    .collect::<Vec<_>>()
-                    .join("\n")
-            };
-            assert_eq!(strip(&serial), strip(&parallel), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn churn_output_is_batch_invariant() {
-        let base = [
-            "churn",
-            "--sessions",
-            "200",
-            "--seconds",
-            "2",
-            "--churn-ppm",
-            "200000",
-            "--shard-size",
-            "32",
-        ];
-        let run_with = |batch: &str| {
-            let mut args: Vec<&str> = base.to_vec();
-            args.extend(["--batch", batch]);
-            run_cli(&args)
-        };
-        let (code, reference) = run_with("1");
-        assert_eq!(code, 0);
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("thread(s)"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
-        for batch in ["2", "7", "16", "64"] {
-            let (code, batched) = run_with(batch);
-            assert_eq!(code, 0);
-            assert_eq!(strip(&reference), strip(&batched), "batch={batch}");
+            assert_eq!(
+                strip_timing(&serial),
+                strip_timing(&parallel),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn fused_sessions_prints_mux_digest_and_is_thread_invariant() {
         let base = [
-            "sessions",
+            "fleet",
             "--sessions",
             "150",
             "--pictures",
@@ -1674,7 +1606,7 @@ mod tests {
         };
         let (code, serial) = run_with("1");
         assert_eq!(code, 0, "{serial}");
-        assert!(serial.contains("fleet_digest="), "{serial}");
+        fleet_digest(&serial);
         let digest_line = serial
             .lines()
             .find(|l| l.starts_with("mux_digest="))
@@ -1682,33 +1614,29 @@ mod tests {
         let hex = digest_line.strip_prefix("mux_digest=").unwrap();
         assert_eq!(hex.len(), 16, "{digest_line}");
         assert!(hex.chars().all(|c| c.is_ascii_hexdigit()), "{digest_line}");
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("thread(s)"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
         for threads in ["2", "5"] {
             let (code, parallel) = run_with(threads);
             assert_eq!(code, 0);
-            assert_eq!(strip(&serial), strip(&parallel), "threads={threads}");
+            assert_eq!(
+                strip_timing(&serial),
+                strip_timing(&parallel),
+                "threads={threads}"
+            );
         }
     }
 
     #[test]
     fn fused_churn_prints_mux_digest_and_is_thread_invariant() {
         let base = [
-            "churn",
+            "fleet",
             "--sessions",
-            "150",
+            TWO_SHARDS,
             "--seconds",
             "2",
             "--churn-ppm",
             "200000",
-            "--shard-size",
-            "32",
             "--mux-capacity-mbps",
-            "180",
+            "5400",
         ];
         let run_with = |threads: &str| {
             let mut args: Vec<&str> = base.to_vec();
@@ -1718,17 +1646,15 @@ mod tests {
         let (code, serial) = run_with("1");
         assert_eq!(code, 0, "{serial}");
         assert!(serial.contains("mux_digest="), "{serial}");
-        assert!(serial.contains("fleet_digest="), "{serial}");
-        let strip = |s: &str| {
-            s.lines()
-                .filter(|l| !l.contains("thread(s)"))
-                .collect::<Vec<_>>()
-                .join("\n")
-        };
+        fleet_digest(&serial);
         for threads in ["2", "8"] {
             let (code, parallel) = run_with(threads);
             assert_eq!(code, 0);
-            assert_eq!(strip(&serial), strip(&parallel), "threads={threads}");
+            assert_eq!(
+                strip_timing(&serial),
+                strip_timing(&parallel),
+                "threads={threads}"
+            );
         }
     }
 
@@ -1741,18 +1667,20 @@ mod tests {
             assert!(e.0.contains(needle), "{e}");
         };
         fail(
-            &["sessions", "--sessions", "10", "--mux-buffer-kbit", "500"],
+            &["fleet", "--sessions", "10", "--mux-buffer-kbit", "500"],
             "requires --mux-capacity-mbps",
         );
         fail(
-            &["sessions", "--sessions", "10", "--mux-capacity-mbps", "0"],
+            &["fleet", "--sessions", "10", "--mux-capacity-mbps", "0"],
             "must be positive",
         );
         fail(
             &[
-                "churn",
+                "fleet",
                 "--sessions",
                 "10",
+                "--seconds",
+                "2",
                 "--mux-capacity-mbps",
                 "100",
                 "--mux-buffer-kbit",
@@ -1764,21 +1692,17 @@ mod tests {
         // utilization, a NaN buffer is no size at all.
         for capacity in ["inf", "NaN"] {
             fail(
-                &[
-                    "sessions",
-                    "--sessions",
-                    "10",
-                    "--mux-capacity-mbps",
-                    capacity,
-                ],
+                &["fleet", "--sessions", "10", "--mux-capacity-mbps", capacity],
                 "--mux-capacity-mbps: must be positive and finite",
             );
         }
         fail(
             &[
-                "churn",
+                "fleet",
                 "--sessions",
                 "10",
+                "--seconds",
+                "2",
                 "--mux-capacity-mbps",
                 "100",
                 "--mux-buffer-kbit",
@@ -1788,7 +1712,7 @@ mod tests {
         );
         // An infinite buffer is a lossless queue.
         let (code, text) = run_cli(&[
-            "sessions",
+            "fleet",
             "--sessions",
             "10",
             "--pictures",
@@ -1861,28 +1785,33 @@ mod tests {
     #[test]
     fn churn_rejects_degenerate_options() {
         for args in [
-            vec!["churn", "--sessions", "0"],
-            vec!["churn", "--seconds", "0"],
-            vec!["churn", "--shard-size", "0"],
-            vec!["churn", "--batch", "0"],
-            vec!["churn", "--batch", "1048577"],
-            vec!["churn", "--classes", "17:1"],
-            vec!["churn", "--classes", "30:0"],
-            vec!["churn", "--classes", ""],
-            vec!["churn", "--classes", "abc"],
-            vec!["churn", "--wat", "1"],
+            vec!["fleet", "--seconds", "2", "--sessions", "0"],
+            vec!["fleet", "--seconds", "0"],
+            vec!["fleet", "--seconds", "2", "--classes", "17:1"],
+            vec!["fleet", "--seconds", "2", "--classes", "30:0"],
+            vec!["fleet", "--seconds", "2", "--classes", ""],
+            vec!["fleet", "--seconds", "2", "--classes", "abc"],
+            vec!["fleet", "--seconds", "2", "--wat", "1"],
+            // The tuning knobs are not options: digests never depend on
+            // them (churn_props sweeps shard sizes and arrival batches).
+            vec!["fleet", "--seconds", "2", "--shard-size", "32"],
+            vec!["fleet", "--seconds", "2", "--batch", "7"],
+            // One workload at a time, and churn only on the wheel.
+            vec!["fleet", "--pictures", "8", "--seconds", "2"],
+            vec!["fleet", "--churn-ppm", "100"],
+            vec!["fleet", "--pictures", "8", "--churn-ppm", "100"],
             // 600 ticks/s x seconds overflows u64; so does sessions x
             // ppm, or it leaves no headroom for `churn_trace`'s
             // accumulators.
             vec![
-                "churn",
+                "fleet",
                 "--sessions",
                 "10",
                 "--seconds",
                 "30744573456182587",
             ],
             vec![
-                "churn",
+                "fleet",
                 "--sessions",
                 "10",
                 "--seconds",
@@ -1891,7 +1820,7 @@ mod tests {
                 "18446744073709551615",
             ],
             vec![
-                "churn",
+                "fleet",
                 "--sessions",
                 "10",
                 "--seconds",
@@ -1900,87 +1829,60 @@ mod tests {
                 "1844674407370955161",
             ],
         ] {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let mut out = Vec::new();
-            assert!(run(&args, &mut out).is_err(), "{args:?}");
+            assert_rejected(&args);
         }
     }
 
     #[test]
     fn sessions_rejects_degenerate_counts() {
         for args in [
-            vec!["sessions", "--sessions", "0"],
-            vec!["sessions", "--pictures", "0"],
-            vec!["sessions", "--sessions", "abc"],
-            vec!["sessions", "--wat", "1"],
+            vec!["fleet", "--sessions", "0"],
+            vec!["fleet", "--pictures", "0"],
+            vec!["fleet", "--sessions", "abc"],
+            vec!["fleet", "--wat", "1"],
+            vec!["fleet", "--repeats", "3"],
+            vec!["fleet", "--max-threads", "2"],
         ] {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
-            let mut out = Vec::new();
-            assert!(run(&args, &mut out).is_err(), "{args:?}");
+            assert_rejected(&args);
         }
     }
 
+    /// `fps_class`'s `D = 0.2 s` needs two picture periods, so a class
+    /// below 10 fps is a `--classes` error on either engine, not a
+    /// panic.
     #[test]
-    fn scale_reports_the_ladder() {
+    fn classes_below_ten_fps_are_rejected() {
+        for fps in ["1", "2", "3", "4", "5", "6", "8"] {
+            let classes = format!("{fps}:1");
+            for workload in [["--pictures", "4"], ["--seconds", "1"]] {
+                let mut args = vec!["fleet", "--sessions", "4", "--classes", &classes];
+                args.extend(workload);
+                let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+                let mut out = Vec::new();
+                let e = run(&args, &mut out).unwrap_err();
+                assert!(e.0.starts_with("--classes: fps"), "{args:?}: {e}");
+            }
+        }
         let (code, text) = run_cli(&[
-            "scale",
+            "fleet",
             "--sessions",
-            "400",
+            "4",
             "--pictures",
-            "10",
-            "--repeats",
-            "1",
-            "--max-threads",
-            "3",
+            "4",
+            "--classes",
+            "10:1",
         ]);
         assert_eq!(code, 0, "{text}");
-        assert!(text.contains("ladder [1, 2, 3]"), "{text}");
-        assert!(text.contains("T=1:"), "{text}");
-        assert!(text.contains("T=3:"), "{text}");
-        assert!(text.contains("4000 decisions"), "{text}");
     }
 
+    /// The three fleet commands `fleet` replaced are gone.
     #[test]
-    fn scale_digest_is_thread_count_invariant() {
-        let digest_of = |max: &str| {
-            let (code, text) = run_cli(&[
-                "scale",
-                "--sessions",
-                "200",
-                "--pictures",
-                "8",
-                "--repeats",
-                "1",
-                "--max-threads",
-                max,
-            ]);
-            assert_eq!(code, 0, "{text}");
-            text.lines()
-                .filter_map(|l| l.split("digest ").nth(1))
-                .map(|d| d.trim_end_matches(')').to_string())
-                .collect::<Vec<_>>()
-        };
-        let serial = digest_of("1");
-        assert_eq!(serial.len(), 1);
-        let ladder = digest_of("4");
-        assert_eq!(ladder.len(), 3); // T = 1, 2, 4
-        for d in &ladder {
-            assert_eq!(d, &serial[0]);
-        }
-    }
-
-    #[test]
-    fn scale_rejects_degenerate_options() {
-        for args in [
-            vec!["scale", "--sessions", "0"],
-            vec!["scale", "--pictures", "0"],
-            vec!["scale", "--repeats", "0"],
-            vec!["scale", "--max-threads", "0"],
-            vec!["scale", "--wat", "1"],
-        ] {
-            let args: Vec<String> = args.iter().map(|s| s.to_string()).collect();
+    fn retired_fleet_commands_are_unknown() {
+        for command in ["sessions", "churn", "scale"] {
+            let args = vec![command.to_string()];
             let mut out = Vec::new();
-            assert!(run(&args, &mut out).is_err(), "{args:?}");
+            let e = run(&args, &mut out).unwrap_err();
+            assert!(e.0.contains("unknown command"), "{e}");
         }
     }
 

@@ -28,10 +28,10 @@
 //! * [`netsim`] (`smooth-netsim`) — an ATM-style packetizer and
 //!   finite-buffer multiplexer demonstrating the statistical-multiplexing
 //!   motivation;
-//! * [`engine`] (`smooth-engine`) — the million-session fleet engine:
+//! * [`engine`] (`smooth-engine`) — the million-session fleet engines:
 //!   up to 1M concurrent live smoothing sessions advanced in lockstep
-//!   picture ticks with bounded per-session memory (the `sessions` CLI
-//!   subcommand drives it).
+//!   picture ticks or on a timing wheel under churn, with bounded
+//!   per-session memory (the `fleet` CLI subcommand drives both).
 //!
 //! ## Sixty seconds to smoothed video
 //!

@@ -10,9 +10,11 @@
 //!   the sweep is itself pinned to;
 //! * [`materialize_schedules`] — runs a lockstep fleet to completion and
 //!   returns every session's schedule as a step function, the input the
-//!   fused fleet-to-link path is compared against.
+//!   fused fleet-to-link path is compared against;
+//! * [`scanref::run_scan`] — the brute-force scan-all replay of a churn
+//!   trace the timing-wheel `DynamicEngine` is pinned to.
 //!
-//! All three share the canonical [`smooth_sweep::SumTree`] summation
+//! The mux oracles share the canonical [`smooth_sweep::SumTree`] summation
 //! order and the [`smooth_netsim::QueueState`] stepper with the
 //! production path, which is what makes bit identity an achievable spec.
 
@@ -20,6 +22,7 @@
 #![forbid(unsafe_code)]
 
 pub mod mux;
+pub mod scanref;
 pub mod sweep;
 
 pub use mux::{materialize_schedules, reference};

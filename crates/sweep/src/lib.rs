@@ -14,35 +14,23 @@
 //! hermetic (no crates.io), so the dependency is vendored in spirit — the
 //! API mirrors a `par_iter().map().collect()` at the one call shape the
 //! workspace needs. Swapping the internals for rayon later only touches
-//! [`par_map_with`] (which [`par_map`] and [`smooth_batch`] wrap).
+//! [`par_map`].
 //!
 //! Thread-count resolution order: explicit argument, else a process-wide
 //! override ([`set_default_threads`], what `--threads` flags set), else
 //! the `SMOOTH_THREADS` environment variable, else all cores
 //! ([`std::thread::available_parallelism`]).
 
-// `unsafe` is denied everywhere except the one hand-declared
-// `sched_setaffinity` FFI call in [`place`], which scopes an `allow`
-// and documents its safety argument; nested unsafe operations always
-// need their own block.
-#![deny(unsafe_code)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Instant;
 
 use smooth_core::estimate::SizeEstimator;
-use smooth_core::{
-    smooth_with, smooth_with_scratch, RateSelection, SmoothScratch, SmootherParams, SmoothingResult,
-};
+use smooth_core::{smooth_with, RateSelection, SmootherParams, SmoothingResult};
 use smooth_trace::VideoTrace;
 
-pub mod place;
 pub mod reduce;
 
-pub use place::{
-    logical_cores, par_map_pinned, physical_cores, pin_current_thread, pinning_supported,
-};
 pub use reduce::{ShardPlan, SumTree};
 
 /// Process-wide thread-count override; 0 means unset.
@@ -80,7 +68,7 @@ pub fn resolve_threads(requested: Option<usize>) -> usize {
             }
         }
     }
-    logical_cores()
+    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// Applies `f` to every item and collects results **in input order**.
@@ -98,34 +86,10 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    par_map_with(threads, items, || (), |_, i, t| f(i, t))
-}
-
-/// [`par_map`] with per-worker state: each worker calls `init` once and
-/// threads the resulting value through every job it claims.
-///
-/// Determinism is unchanged — results are placed by input index, and the
-/// contract on `f` is that its *output* must not depend on the state's
-/// history (state is scratch memory, not an accumulator). This is the
-/// hook [`smooth_batch`] uses to give every worker one reused
-/// [`SmoothScratch`], so the per-picture hot path allocates nothing no
-/// matter how jobs are distributed.
-pub fn par_map_with<T, R, S, I, F>(threads: usize, items: &[T], init: I, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, usize, &T) -> R + Sync,
-{
     let n = items.len();
     let workers = threads.max(1).min(n.max(1));
     if workers <= 1 {
-        let mut state = init();
-        return items
-            .iter()
-            .enumerate()
-            .map(|(i, t)| f(&mut state, i, t))
-            .collect();
+        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
     }
 
     let cursor = AtomicUsize::new(0);
@@ -133,14 +97,13 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 scope.spawn(|| {
-                    let mut state = init();
                     let mut local = Vec::new();
                     loop {
                         let i = cursor.fetch_add(1, Ordering::Relaxed);
                         if i >= n {
                             break;
                         }
-                        local.push((i, f(&mut state, i, &items[i])));
+                        local.push((i, f(i, &items[i])));
                     }
                     local
                 })
@@ -185,72 +148,6 @@ pub fn smooth_jobs(
     })
 }
 
-/// Runs [`smooth_with`] over the full cross product `traces × params`,
-/// row-major (all parameter points of `traces[0]`, then `traces[1]`, ...).
-pub fn smooth_grid(
-    threads: usize,
-    traces: &[&VideoTrace],
-    params: &[SmootherParams],
-    estimator: &(dyn SizeEstimator + Sync),
-    selection: RateSelection,
-) -> Vec<SmoothingResult> {
-    let jobs: Vec<SweepJob<'_>> = traces
-        .iter()
-        .flat_map(|t| {
-            params.iter().map(move |&p| SweepJob {
-                trace: t,
-                params: p,
-            })
-        })
-        .collect();
-    smooth_jobs(threads, &jobs, estimator, selection)
-}
-
-/// Aggregate throughput of one [`smooth_batch`] call.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BatchStats {
-    /// Jobs executed.
-    pub jobs: usize,
-    /// Total pictures scheduled across all jobs.
-    pub pictures: u64,
-    /// Wall-clock seconds for the whole batch.
-    pub wall_seconds: f64,
-    /// Worker threads used.
-    pub threads: usize,
-}
-
-impl BatchStats {
-    /// Aggregate pictures scheduled per wall-clock second.
-    pub fn pictures_per_sec(&self) -> f64 {
-        if self.wall_seconds > 0.0 {
-            self.pictures as f64 / self.wall_seconds
-        } else {
-            0.0
-        }
-    }
-}
-
-/// Smooths many (trace, params) jobs with the paper's defaults, sharding
-/// across `threads` deterministic workers that each reuse one
-/// [`SmoothScratch`], and reports aggregate throughput.
-///
-/// Results arrive in job order and are bit-identical for every thread
-/// count (the `batch_is_thread_count_invariant` proptest pins this); only
-/// [`BatchStats::wall_seconds`] varies between runs.
-pub fn smooth_batch(threads: usize, jobs: &[SweepJob<'_>]) -> (Vec<SmoothingResult>, BatchStats) {
-    let t0 = Instant::now();
-    let results = par_map_with(threads, jobs, SmoothScratch::new, |scratch, _, job| {
-        smooth_with_scratch(job.trace, job.params, scratch)
-    });
-    let stats = BatchStats {
-        jobs: jobs.len(),
-        pictures: jobs.iter().map(|j| j.trace.len() as u64).sum(),
-        wall_seconds: t0.elapsed().as_secs_f64(),
-        threads: threads.max(1),
-    };
-    (results, stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -288,23 +185,32 @@ mod tests {
         assert_eq!(par_map(8, &[7u32], |_, &x| x + 1), vec![8]);
     }
 
+    /// Every job of the `traces × params` grid, row-major (all
+    /// parameter points of `traces[0]`, then `traces[1]`, ...).
+    fn grid<'a>(traces: &[&'a VideoTrace], params: &[SmootherParams]) -> Vec<SweepJob<'a>> {
+        traces
+            .iter()
+            .flat_map(|&trace| params.iter().map(move |&params| SweepJob { trace, params }))
+            .collect()
+    }
+
     #[test]
     fn grid_results_are_identical_across_thread_counts() {
         let t0 = trace(120, 1);
         let t1 = trace(120, 2);
-        let traces = [&t0, &t1];
         let params: Vec<SmootherParams> = [(0.1, 1, 9), (0.2, 1, 9), (0.2, 3, 18)]
             .iter()
             .map(|&(d, k, h)| SmootherParams::at_30fps(d, k, h).unwrap())
             .collect();
+        let jobs = grid(&[&t0, &t1], &params);
         let est = PatternEstimator::default();
 
-        let serial = smooth_grid(1, &traces, &params, &est, RateSelection::Basic);
+        let serial = smooth_jobs(1, &jobs, &est, RateSelection::Basic);
         for threads in [2, 4, 16] {
-            let parallel = smooth_grid(threads, &traces, &params, &est, RateSelection::Basic);
+            let parallel = smooth_jobs(threads, &jobs, &est, RateSelection::Basic);
             assert_eq!(serial, parallel, "threads={threads}");
         }
-        assert_eq!(serial.len(), traces.len() * params.len());
+        assert_eq!(serial.len(), 2 * params.len());
     }
 
     #[test]
@@ -316,7 +222,7 @@ mod tests {
             SmootherParams::at_30fps(0.2, 1, 9).unwrap(),
         ];
         let est = PatternEstimator::default();
-        let out = smooth_grid(4, &[&t0, &t1], &params, &est, RateSelection::Basic);
+        let out = smooth_jobs(4, &grid(&[&t0, &t1], &params), &est, RateSelection::Basic);
         assert_eq!(out[0].params, params[0]);
         assert_eq!(out[1].params, params[1]);
         // Rows 2,3 are the second trace: same params again, different data.
@@ -331,24 +237,9 @@ mod tests {
         assert!(resolve_threads(Some(0)) >= 1);
     }
 
-    #[test]
-    fn par_map_with_reuses_state_within_worker() {
-        let items: Vec<usize> = (0..50).collect();
-        // State counts how many jobs this worker has run; output must not
-        // depend on it (the contract), but we can observe reuse serially.
-        let out = par_map_with(
-            1,
-            &items,
-            || 0usize,
-            |seen, i, &x| {
-                *seen += 1;
-                assert_eq!(*seen, i + 1, "serial worker sees every job");
-                x * 2
-            },
-        );
-        assert_eq!(out, items.iter().map(|x| x * 2).collect::<Vec<_>>());
-    }
-
+    /// A batch of jobs run back to back through one reused
+    /// [`SmoothScratch`](smooth_core::SmoothScratch) — the offline
+    /// benchmark's loop — equals [`smooth_jobs`] at any thread count.
     #[test]
     fn batch_matches_smooth_jobs_for_any_thread_count() {
         let t0 = trace(120, 3);
@@ -361,14 +252,15 @@ mod tests {
         .into_iter()
         .map(|(trace, params)| SweepJob { trace, params })
         .collect();
+        let mut scratch = smooth_core::SmoothScratch::new();
+        let batch: Vec<SmoothingResult> = jobs
+            .iter()
+            .map(|j| smooth_core::smooth_with_scratch(j.trace, j.params, &mut scratch))
+            .collect();
         let est = PatternEstimator::default();
-        let expected = smooth_jobs(1, &jobs, &est, RateSelection::Basic);
         for threads in [1, 2, 4] {
-            let (got, stats) = smooth_batch(threads, &jobs);
-            assert_eq!(got, expected, "threads={threads}");
-            assert_eq!(stats.jobs, 3);
-            assert_eq!(stats.pictures, 120 + 90 + 120);
-            assert!(stats.pictures_per_sec() > 0.0);
+            let got = smooth_jobs(threads, &jobs, &est, RateSelection::Basic);
+            assert_eq!(got, batch, "threads={threads}");
         }
     }
 }

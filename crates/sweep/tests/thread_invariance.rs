@@ -1,15 +1,15 @@
 //! Property: sweep output never depends on the worker count.
 //!
-//! `par_map` must equal the serial map for any thread count, and a
-//! `smooth_with` grid over a random trace must come back bit-identical
+//! `par_map` must equal the serial map for any thread count, and
+//! `smooth_jobs` over a random trace must come back bit-identical
 //! (full `SmoothingResult` equality — schedules, rates, departures)
 //! whether computed on 1 thread or many.
 
 use proptest::prelude::*;
 use smooth_core::estimate::PatternEstimator;
-use smooth_core::{smooth, RateSelection, SmootherParams};
+use smooth_core::{smooth, smooth_with_scratch, RateSelection, SmoothScratch, SmootherParams};
 use smooth_mpeg::{GopPattern, Resolution};
-use smooth_sweep::{par_map, smooth_batch, smooth_grid, SweepJob};
+use smooth_sweep::{par_map, smooth_jobs, SweepJob};
 use smooth_trace::VideoTrace;
 
 proptest! {
@@ -45,18 +45,19 @@ proptest! {
         let d = [0.15, 0.2, 0.35][d_idx];
         let params = SmootherParams::at_30fps(d, k, h);
         prop_assume!(params.is_ok());
-        let params = vec![params.expect("checked feasible")];
+        let jobs = vec![SweepJob { trace: &trace, params: params.expect("checked feasible") }];
         let est = PatternEstimator::default();
 
-        let serial = smooth_grid(1, &[&trace], &params, &est, RateSelection::Basic);
-        let parallel = smooth_grid(threads, &[&trace], &params, &est, RateSelection::Basic);
+        let serial = smooth_jobs(1, &jobs, &est, RateSelection::Basic);
+        let parallel = smooth_jobs(threads, &jobs, &est, RateSelection::Basic);
         prop_assert_eq!(serial, parallel);
     }
 
-    /// `smooth_batch` (scratch-reusing workers) equals the one-shot
-    /// offline smoother per job, for any worker count — reused scratch
-    /// must never leak state between jobs, and sharding must never
-    /// reorder results.
+    /// A batch of jobs equals the one-shot offline smoother per job,
+    /// both through `smooth_jobs` at any worker count (sharding must
+    /// never reorder results) and through one `SmoothScratch` reused
+    /// across the batch (reused scratch must never leak state between
+    /// jobs).
     #[test]
     fn batch_is_thread_count_invariant_and_matches_one_shot(
         sizes_a in proptest::collection::vec(1_000u64..400_000, 1..90),
@@ -80,13 +81,15 @@ proptest! {
             .map(|trace| SweepJob { trace, params })
             .collect();
 
-        let (results, stats) = smooth_batch(threads, &jobs);
         let expected: Vec<_> = jobs.iter().map(|j| smooth(j.trace, j.params)).collect();
-        prop_assert_eq!(results, expected);
-        prop_assert_eq!(stats.jobs, jobs.len());
-        prop_assert_eq!(
-            stats.pictures,
-            (3 * ta.len() + 2 * tb.len()) as u64
-        );
+        let est = PatternEstimator::default();
+        let results = smooth_jobs(threads, &jobs, &est, RateSelection::Basic);
+        prop_assert_eq!(&results, &expected);
+        let mut scratch = SmoothScratch::new();
+        let reused: Vec<_> = jobs
+            .iter()
+            .map(|j| smooth_with_scratch(j.trace, j.params, &mut scratch))
+            .collect();
+        prop_assert_eq!(reused, expected);
     }
 }
