@@ -27,10 +27,17 @@
 //! loop in [`crate::smoother`] remains O(H) per picture; it is the
 //! paper's own algorithm and is excluded from the engine's cost bound.
 //!
-//! The window stores its slots in a flat `Vec` with a moving start
-//! offset, compacted once the dead prefix exceeds the live length
-//! (amortized O(1) per advance), so the live region is always one
-//! contiguous `&[f64]` — exactly what `DecideCtx::sizes_ahead` wants.
+//! The window keeps its slots in a fixed storage of
+//! [`window_capacity`]`(look)` values with a moving start offset, moved
+//! back to the front whenever an append would run off the end (at most
+//! two slot copies per advance), so the live region is always one
+//! contiguous `&[f64]` —
+//! exactly what `DecideCtx::sizes_ahead` wants. The storage is either
+//! the window's own ([`LookaheadWindow`]) or a slice of a slab a session
+//! store shares across its sessions ([`WindowState`] + [`WindowMut`]).
+//! A caller that prunes whole GOP periods off the history the window
+//! indexes renumbers it with [`WindowState::rebase`] instead of
+//! refilling it.
 //!
 //! **Bit-identity.** Every resolved value is the same pure function of
 //! `(j, visible prefix)` the naive refill computes — exact slots are
@@ -43,58 +50,92 @@
 
 pub use crate::estimate::Invalidation;
 
-/// Incrementally maintained lookahead window (see the module docs).
+/// Slot storage a window of up to `look` live slots works in: `look`
+/// plus a slack of `⌈look / 2⌉`, at least 4. The live window slides one
+/// slot to the right per advance, so once every `slack` advances it
+/// reaches the end of its storage and is copied back to the front:
+/// `look / slack ≤ 2` slot copies per advance, so maintenance stays
+/// O(1) per picture at any `H`, in a storage that never grows (14
+/// slots at `H = 9`, 18 at `H = 12`). EXPERIMENTS.md, "Lean session
+/// state", has the measurements.
+pub const fn window_capacity(look: usize) -> usize {
+    let slack = look.div_ceil(2);
+    look + if slack < 4 { 4 } else { slack }
+}
+
+/// A lookahead window's position, without its slot storage: which
+/// storage slots are live and which pictures and arrivals they reflect.
+/// [`LookaheadWindow`] pairs one with its own buffer; a store holding
+/// many sessions keeps these in one array and the slots of all windows
+/// in one slab, and joins the two per decision with [`WindowMut::new`].
 ///
-/// One instance serves one smoothing run at a time but is designed to be
-/// **reused across runs** (and across traces, in batch mode): `advance`
-/// detects non-successive picture indices and falls back to a full
-/// refill, so a fresh run simply starts with its first picture. All
-/// buffers are retained between runs — after warm-up the hot path
-/// performs no allocations at all.
-#[derive(Debug, Default)]
-pub struct LookaheadWindow {
-    /// Slot storage; the live window is `buf[lo .. lo + len]`.
-    buf: Vec<f64>,
-    /// Start of the live window within `buf`.
-    lo: usize,
-    /// Number of live slots.
-    len: usize,
-    /// Display index of the picture in `buf[lo]`.
-    front: usize,
+/// The default value is an empty window: its next advance refills.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WindowState {
+    /// Start of the live window within the storage.
+    lo: u32,
+    /// Number of live slots; 0 forces a refill on the next advance.
+    len: u32,
+    /// The picture a sliding advance expects next (the live window's
+    /// first picture is `next − 1`).
+    next: usize,
     /// Arrived-prefix length (`visible.len()`) at the last advance.
     /// Slots `j < watermark` hold exact sizes; slots `j ≥ watermark`
     /// hold estimates.
     watermark: usize,
-    /// `false` until the first `advance` after construction/reset.
-    primed: bool,
 }
 
-impl LookaheadWindow {
-    /// Creates an empty window. Capacity grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets all cached state; the next [`advance`](Self::advance)
-    /// performs a full refill. Buffer capacity is retained.
+impl WindowState {
+    /// Forgets all cached state; the next advance performs a full
+    /// refill.
+    #[inline]
     pub fn reset(&mut self) {
-        self.primed = false;
+        self.len = 0;
     }
 
-    /// Touches the window's slot storage so batch drivers interleaving
-    /// many windows can pull the *next* session's buffer toward cache
-    /// while still working on the current one. The buffer is the one
-    /// per-session heap block in an otherwise struct-of-arrays layout,
-    /// so its demand-miss latency is otherwise fully exposed.
+    /// Renumbers the window after its caller dropped the first `drop`
+    /// pictures of the history it indexes: picture `j` becomes `j −
+    /// drop`, so the next sliding advance expects `next − drop` and the
+    /// watermark moves down by the same amount. The cached slot values
+    /// stay: `drop` must be a whole number of GOP periods, and under an
+    /// estimator's [`history_window`](crate::SizeEstimator::history_window)
+    /// promise every resolved value depends only on `j mod N` and the
+    /// retained sizes, which a whole-pattern shift leaves unchanged (the
+    /// same argument that keeps pruned schedules bit-identical). A drop
+    /// past the next expected picture or past the watermark leaves
+    /// nothing to renumber, and resets.
+    #[inline]
+    pub fn rebase(&mut self, drop: usize) {
+        if drop > self.next || drop > self.watermark {
+            self.reset();
+        } else {
+            self.next -= drop;
+            self.watermark -= drop;
+        }
+    }
+}
+
+/// A window's state joined with the storage it resolves into, for one
+/// [`advance`](Self::advance). The storage must be the same slice, with
+/// the same length, on every advance of one window between refills.
+pub struct WindowMut<'a> {
+    state: &'a mut WindowState,
+    slots: &'a mut [f64],
+}
+
+impl<'a> WindowMut<'a> {
+    /// Joins `state` with its slot storage.
     #[inline(always)]
-    pub fn prewarm(&self) {
-        std::hint::black_box(self.buf.first().copied());
-        std::hint::black_box(self.buf.last().copied());
+    pub fn new(state: &'a mut WindowState, slots: &'a mut [f64]) -> Self {
+        WindowMut { state, slots }
     }
 
     /// Slides the window to picture `i` and returns the resolved sizes
     /// `S_i .. S_{i+look−1}` as a contiguous slice.
     ///
+    /// * `look` — at most the storage length; a storage of
+    ///   [`window_capacity`]`(look)` slots copies at most two slots an
+    ///   advance to stay contiguous.
     /// * `visible` — the arrived prefix (`visible[x]` is the exact size
     ///   of picture `x`); its length is the arrived-watermark and must be
     ///   non-decreasing across successive calls of one run.
@@ -109,35 +150,40 @@ impl LookaheadWindow {
     /// run, a reset, or any non-sliding access) falls back to a full
     /// refill, which is exactly the naive
     /// [`crate::reference::fill_lookahead`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `look` exceeds the storage.
     #[inline(always)]
     pub fn advance(
-        &mut self,
+        self,
         i: usize,
         look: usize,
         visible: &[u64],
         invalidation: Invalidation,
         slot_modulus: usize,
         mut estimate: impl FnMut(usize) -> f64,
-    ) -> &[f64] {
+    ) -> &'a [f64] {
+        let WindowMut { state, slots } = self;
         let w1 = visible.len();
-        let sliding = self.primed && self.len > 0 && i == self.front + 1 && w1 >= self.watermark;
+        let sliding = state.len > 0 && i == state.next && w1 >= state.watermark;
         if !sliding {
-            return self.refill(i, look, visible, estimate);
+            return refill(state, slots, i, look, visible, estimate);
         }
 
         // 1. Drop the slot for picture i − 1.
-        self.lo += 1;
-        self.len -= 1;
-        self.front = i;
+        let mut lo = state.lo as usize + 1;
+        let mut len = state.len as usize - 1;
+        state.next = i + 1;
 
         // Live-window view: `win[j − i]` is picture `j`'s slot. The loops
         // below index it with `j < i + win.len()`, a bound the optimizer
-        // can discharge, where the equivalent `self.buf[self.lo + …]`
-        // stores each kept a checked add.
-        let win = &mut self.buf[self.lo..self.lo + self.len];
+        // can discharge, where the equivalent `slots[lo + …]` stores
+        // each kept a checked add.
+        let win = &mut slots[lo..lo + len];
 
         // 2. Estimate → exact for slots that crossed the watermark.
-        let w0 = self.watermark;
+        let w0 = state.watermark;
         for j in w0.max(i)..w1.min(i + win.len()) {
             win[j - i] = visible[j] as f64;
         }
@@ -185,76 +231,148 @@ impl LookaheadWindow {
                 }
             }
         }
-        self.watermark = w1;
+        state.watermark = w1;
 
-        // 4. Grow or shrink the back edge to the requested length. In
-        //    steady state this appends exactly the one newly exposed
-        //    slot; near the end of a finite trace `look` shrinks and
-        //    nothing is appended.
-        while self.len < look {
-            let j = i + self.len;
-            let v = if j < w1 {
-                visible[j] as f64
-            } else if invalidation == Invalidation::OnSameSlotArrival
-                && slot_modulus >= 1
-                && j - i >= slot_modulus
-                && j - slot_modulus >= w1
-            {
-                // The slot one GOP period back is in the window, is
-                // itself unresolved, and was brought current above — so
-                // under the `OnSameSlotArrival` class-equality promise
-                // its cached value *is* `estimate(j)`, for free.
-                self.buf[self.lo + (j - slot_modulus - i)]
-            } else {
-                estimate(j)
-            };
-            debug_assert_eq!(self.buf.len(), self.lo + self.len);
-            self.buf.push(v);
-            self.len += 1;
+        // 4. Grow the back edge to the requested length. In steady state
+        //    this appends exactly the one newly exposed slot; near the
+        //    end of a finite trace `look` shrinks and nothing is
+        //    appended. An append that would run past the storage first
+        //    moves the live window to its front.
+        if len < look {
+            if lo + look > slots.len() {
+                slots.copy_within(lo..lo + len, 0);
+                lo = 0;
+            }
+            while len < look {
+                let j = i + len;
+                let v = if j < w1 {
+                    visible[j] as f64
+                } else if invalidation == Invalidation::OnSameSlotArrival
+                    && slot_modulus >= 1
+                    && j - i >= slot_modulus
+                    && j - slot_modulus >= w1
+                {
+                    // The slot one GOP period back is in the window, is
+                    // itself unresolved, and was brought current above —
+                    // so under the `OnSameSlotArrival` class-equality
+                    // promise its cached value *is* `estimate(j)`, for
+                    // free.
+                    slots[lo + (j - slot_modulus - i)]
+                } else {
+                    estimate(j)
+                };
+                slots[lo + len] = v;
+                len += 1;
+            }
         }
-        if self.len > look {
-            self.len = look;
-            self.buf.truncate(self.lo + self.len);
-        }
+        len = len.min(look);
 
-        // 5. Compact once the dead prefix outweighs the live window
-        //    (amortized O(1): `lo` grows by one per advance and each
-        //    compaction copies at most `len ≤ lo` slots).
-        if self.lo > self.len {
-            self.buf.copy_within(self.lo.., 0);
-            self.buf.truncate(self.len);
-            self.lo = 0;
-        }
+        state.lo = lo as u32;
+        state.len = len as u32;
+        &slots[lo..lo + len]
+    }
+}
 
-        &self.buf[self.lo..self.lo + self.len]
+/// Full refill — the naive resolution, used for the first picture of a
+/// run and as the fallback for non-sliding access. Kept out of line so
+/// the inlined sliding fast path stays small.
+#[cold]
+#[inline(never)]
+fn refill<'a>(
+    state: &mut WindowState,
+    slots: &'a mut [f64],
+    i: usize,
+    look: usize,
+    visible: &[u64],
+    mut estimate: impl FnMut(usize) -> f64,
+) -> &'a [f64] {
+    assert!(
+        look <= slots.len() && u32::try_from(slots.len()).is_ok(),
+        "a {look}-slot lookahead does not fit a {}-slot window storage",
+        slots.len()
+    );
+    *state = WindowState {
+        lo: 0,
+        len: look as u32,
+        next: i + 1,
+        watermark: visible.len(),
+    };
+    for (slot, j) in slots[..look].iter_mut().zip(i..) {
+        *slot = if j < visible.len() {
+            visible[j] as f64
+        } else {
+            estimate(j)
+        };
+    }
+    &slots[..look]
+}
+
+/// Incrementally maintained lookahead window (see the module docs) that
+/// owns its storage.
+///
+/// One instance serves one smoothing run at a time but is designed to be
+/// **reused across runs** (and across traces, in batch mode): `advance`
+/// detects non-successive picture indices and falls back to a full
+/// refill, so a fresh run simply starts with its first picture. The
+/// storage is sized once, to [`window_capacity`] of the longest
+/// lookahead asked, and kept between runs — after warm-up the hot path
+/// performs no allocations at all.
+#[derive(Debug, Default)]
+pub struct LookaheadWindow {
+    state: WindowState,
+    slots: Vec<f64>,
+}
+
+impl LookaheadWindow {
+    /// Creates an empty window. Storage is allocated on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Full refill — the naive resolution, used for the first picture of
-    /// a run and as the fallback for non-sliding access. Kept out of line
-    /// so the inlined sliding fast path stays small.
+    /// Forgets all cached state; the next [`advance`](Self::advance)
+    /// performs a full refill. Storage is retained.
+    pub fn reset(&mut self) {
+        self.state.reset();
+    }
+
+    /// [`WindowState::rebase`]: renumbers the window after the caller
+    /// pruned `drop` (a whole number of GOP periods) leading pictures.
+    pub fn rebase(&mut self, drop: usize) {
+        self.state.rebase(drop);
+    }
+
+    /// Borrows the window with storage for up to `look` live slots,
+    /// allocating it (exactly [`window_capacity`]`(look)` slots) the
+    /// first time, or when a longer lookahead is asked.
+    #[inline(always)]
+    pub fn view(&mut self, look: usize) -> WindowMut<'_> {
+        let cap = window_capacity(look);
+        if self.slots.len() < cap {
+            self.grow(cap);
+        }
+        WindowMut::new(&mut self.state, &mut self.slots)
+    }
+
     #[cold]
     #[inline(never)]
-    fn refill(
+    fn grow(&mut self, cap: usize) {
+        self.slots.reserve_exact(cap - self.slots.len());
+        self.slots.resize(cap, 0.0);
+    }
+
+    /// [`WindowMut::advance`] on the window's own storage.
+    #[inline(always)]
+    pub fn advance(
         &mut self,
         i: usize,
         look: usize,
         visible: &[u64],
-        mut estimate: impl FnMut(usize) -> f64,
+        invalidation: Invalidation,
+        slot_modulus: usize,
+        estimate: impl FnMut(usize) -> f64,
     ) -> &[f64] {
-        self.buf.clear();
-        self.lo = 0;
-        self.len = look;
-        self.front = i;
-        self.watermark = visible.len();
-        self.primed = true;
-        for j in i..i + look {
-            self.buf.push(if j < visible.len() {
-                visible[j] as f64
-            } else {
-                estimate(j)
-            });
-        }
-        &self.buf[..]
+        self.view(look)
+            .advance(i, look, visible, invalidation, slot_modulus, estimate)
     }
 }
 

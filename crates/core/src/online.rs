@@ -36,7 +36,7 @@
 //! [`crate::reference::smooth_live_reference`]).
 
 use crate::estimate::{PatternEstimator, SizeEstimator};
-use crate::lookahead::LookaheadWindow;
+use crate::lookahead::{LookaheadWindow, WindowMut};
 use crate::params::SmootherParams;
 use crate::smoother::{
     decide_one, BlockLanes, DecideCtx, PictureSchedule, RateSelection, SmoothingResult,
@@ -184,8 +184,9 @@ pub fn live_ready<E: SizeEstimator + ?Sized>(
 /// registers; [`decide_live`] is the checked composition.
 ///
 /// `lanes` is decision scratch a driver hoists across sessions;
-/// `window` is per-session sliding lookahead state and must see the same
-/// session (and the same `history.base`) on every call — reset it after
+/// `window` is per-session sliding lookahead state with room for
+/// `cfg.params.h` slots, and must see the same session on every call —
+/// [`rebase`](crate::WindowState::rebase) it by the pruned count after
 /// pruning.
 #[inline(always)]
 pub fn decide_ready<E: SizeEstimator + ?Sized>(
@@ -193,7 +194,7 @@ pub fn decide_ready<E: SizeEstimator + ?Sized>(
     history: SizeHistory<'_>,
     ready: Ready,
     cursor: &mut LiveCursor,
-    window: &mut LookaheadWindow,
+    window: WindowMut<'_>,
     lanes: &mut BlockLanes,
 ) -> PictureSchedule {
     let i = cursor.decided;
@@ -262,7 +263,7 @@ pub fn decide_live<E: SizeEstimator + ?Sized>(
     history: SizeHistory<'_>,
     ended: bool,
     cursor: &mut LiveCursor,
-    window: &mut LookaheadWindow,
+    window: WindowMut<'_>,
     lanes: &mut BlockLanes,
 ) -> Option<PictureSchedule> {
     let ready = live_ready(cfg, history.pushed(), ended, cursor)?;
@@ -449,6 +450,7 @@ impl<E: SizeEstimator> OnlineSmoother<E> {
                 base: *base,
                 tail: buf,
             };
+            let window = window.view(params.h);
             match decide_live(&cfg, history, *ended, cursor, window, &mut lanes) {
                 Some(decision) => out.push(decision),
                 None => break,
@@ -468,9 +470,9 @@ impl<E: SizeEstimator> OnlineSmoother<E> {
         }
         self.buf.drain(..drop);
         self.base = cut;
-        // The window caches `base`-shifted coordinates; force a refill
-        // (bit-identical to sliding — pinned by the lookahead proptests).
-        self.window.reset();
+        // The window indexes `base`-shifted pictures; renumber it (its
+        // cached values survive a whole-pattern shift).
+        self.window.rebase(drop);
     }
 
     /// Collects all decisions made so far into a [`SmoothingResult`]-style

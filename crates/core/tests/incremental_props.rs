@@ -6,15 +6,17 @@
 //! every trace, parameter set, and estimator. These properties quantify
 //! over random inputs in three regimes — offline, online with a declared
 //! length, and live streaming with an unknown length — plus the
-//! closed-form pattern estimate on its own.
+//! closed-form pattern estimate on its own, and a window renumbered by
+//! [`LookaheadWindow::rebase`] after a whole-pattern prune.
 
 use proptest::prelude::*;
 use smooth_core::reference::{
-    smooth_live_reference, smooth_reference_with, walk_back_estimate, ReferencePatternEstimator,
+    fill_lookahead, smooth_live_reference, smooth_reference_with, walk_back_estimate,
+    ReferencePatternEstimator,
 };
 use smooth_core::{
-    smooth, smooth_streaming, smooth_with, OnlineSmoother, PatternEstimator, RateSelection,
-    SizeEstimator, SmootherParams, TypeDefaultEstimator,
+    smooth, smooth_streaming, smooth_with, LookaheadWindow, OnlineSmoother, PatternEstimator,
+    RateSelection, SizeEstimator, SmootherParams, TypeDefaultEstimator,
 };
 use smooth_mpeg::{GopPattern, Resolution};
 use smooth_trace::VideoTrace;
@@ -150,4 +152,127 @@ proptest! {
         prop_assert_eq!(schedule.len(), reference.schedule.len());
         prop_assert_eq!(schedule, reference.schedule);
     }
+}
+
+/// Slides `window` and a fresh window side by side from picture `from`
+/// over `steps` pictures of `sizes` (the arrived prefix at picture `i` is
+/// `i + lead` long) and checks both against the naive refill. Returns
+/// whether every slice matched bit for bit.
+fn slides_like_a_refill(
+    window: &mut LookaheadWindow,
+    estimator: &dyn SizeEstimator,
+    pattern: &GopPattern,
+    sizes: &[u64],
+    (from, steps, h, lead): (usize, usize, usize, usize),
+) -> bool {
+    let mut fresh = LookaheadWindow::new();
+    let mut naive = Vec::new();
+    let n = pattern.n();
+    for i in from..(from + steps).min(sizes.len()) {
+        let look = h.min(sizes.len() - i);
+        let visible = &sizes[..(i + lead).min(sizes.len())];
+        let est = |j| estimator.estimate(j, visible, pattern);
+        let inv = estimator.invalidation();
+        let got = window.advance(i, look, visible, inv, n, est).to_vec();
+        let want = fresh.advance(i, look, visible, inv, n, est).to_vec();
+        fill_lookahead(&mut naive, i, look, visible, est);
+        if got
+            .iter()
+            .map(|v| v.to_bits())
+            .ne(want.iter().map(|v| v.to_bits()))
+            || got
+                .iter()
+                .map(|v| v.to_bits())
+                .ne(naive.iter().map(|v| v.to_bits()))
+        {
+            return false;
+        }
+        // `fresh` refills on every call: reset it so it never slides.
+        fresh.reset();
+    }
+    true
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// A window renumbered by `rebase` after the caller drops a whole
+    /// number of GOP periods from the front of its history resolves
+    /// exactly what a fresh refill of the shortened history resolves,
+    /// on the first advance after the cut and on every slide after it.
+    /// The cut is any whole-pattern prefix the pruning contract allows
+    /// — below the next picture (the largest is one past the window's
+    /// front) and leaving the estimator's history window retained.
+    #[test]
+    fn rebase_equals_a_fresh_refill(
+        pattern in arb_pattern(),
+        sizes in proptest::collection::vec(1_000u64..1_000_000, 20..160),
+        h in 1usize..=40,
+        lead in 1usize..=80,
+        at in 0usize..1_000,
+        pick in 0usize..1_000,
+        type_default in any::<bool>(),
+    ) {
+        let pattern_est = PatternEstimator::default();
+        let type_est = TypeDefaultEstimator::default();
+        let estimator: &dyn SizeEstimator = if type_default { &type_est } else { &pattern_est };
+        let n = pattern.n();
+        let hist = estimator.history_window(&pattern).expect("bounded window");
+        // Slide up to picture `i`, then cut.
+        let i = at % (sizes.len() - 1);
+        let mut window = LookaheadWindow::new();
+        prop_assert!(slides_like_a_refill(
+            &mut window, estimator, &pattern, &sizes, (0, i + 1, h, lead)
+        ));
+        let w = (i + lead).min(sizes.len());
+        let max_cut = (i + 1).min(w.saturating_sub(hist));
+        let cuts = max_cut / n;
+        prop_assume!(cuts > 0);
+        // Bias toward the largest cut, one past the window's front when
+        // `i + 1` is a pattern multiple.
+        let drop = n * if pick % 2 == 0 { cuts } else { 1 + pick % cuts };
+        window.rebase(drop);
+        let shifted = &sizes[drop..];
+        prop_assert!(slides_like_a_refill(
+            &mut window, estimator, &pattern, shifted, (i + 1 - drop, 2 * h + n, h, lead)
+        ));
+    }
+}
+
+/// The largest cut the pruning contract allows is one past the window's
+/// front: the window then holds no picture below the cut, and the
+/// renumbered window's first picture is the next one. It slides on —
+/// one estimate for the one newly exposed slot, where a refill would
+/// estimate every slot past the watermark — and matches a refill.
+#[test]
+fn rebase_one_past_the_front_slides_on() {
+    let pattern = GopPattern::new(3, 9).expect("regular pattern");
+    let sizes: Vec<u64> = (0..120).map(|x| 10_000 + (x * 7919) % 90_000).collect();
+    // History window 0, so a one-arrival lead allows the cut.
+    let estimator = TypeDefaultEstimator::default();
+    let (h, lead) = (9, 1);
+    let mut window = LookaheadWindow::new();
+    // Front at picture 26: the cut at 27 = 3·9 is one past it.
+    assert!(slides_like_a_refill(
+        &mut window,
+        &estimator,
+        &pattern,
+        &sizes,
+        (0, 27, h, lead)
+    ));
+    window.rebase(27);
+    let shifted = &sizes[27..];
+    let calls = std::cell::Cell::new(0);
+    window.advance(0, h, &shifted[..lead], estimator.invalidation(), 9, |j| {
+        calls.set(calls.get() + 1);
+        estimator.estimate(j, &shifted[..lead], &pattern)
+    });
+    assert_eq!(calls.get(), 1, "the first advance after the cut refilled");
+    assert!(slides_like_a_refill(
+        &mut window,
+        &estimator,
+        &pattern,
+        shifted,
+        (1, 40, h, lead)
+    ));
 }

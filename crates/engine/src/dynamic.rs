@@ -66,7 +66,7 @@ use smooth_core::{PictureSchedule, TimingWheel};
 use smooth_sweep::par_map;
 
 use crate::livemux::{LiveMux, LiveMuxStats};
-use crate::store::{SlotStore, FREE};
+use crate::store::{SlotShape, SlotStore, FREE};
 use crate::synthetic::{ChurnEvent, ChurnTrace};
 use crate::{fnv, ClassInfo, EngineError, SessionClass, SizeSource, FNV_OFFSET};
 
@@ -232,9 +232,9 @@ struct DynShard {
 }
 
 impl DynShard {
-    fn new(slot_cap: usize) -> Self {
+    fn new(shape: SlotShape) -> Self {
         DynShard {
-            store: SlotStore::new(slot_cap),
+            store: SlotStore::new(shape),
             wheel: TimingWheel::new(),
             due: Vec::new(),
         }
@@ -389,7 +389,7 @@ pub struct DynamicEngine {
     shards: Vec<Mutex<DynShard>>,
     shard_size: usize,
     capacity: usize,
-    slot_cap: usize,
+    shape: SlotShape,
     now: u64,
     live: usize,
     /// Arrivals fed per wheel visit ([`set_arrival_batch`]
@@ -439,12 +439,12 @@ impl DynamicEngine {
             periods.push(c.period_ticks);
             infos.push(ClassInfo::try_new(c.class)?);
         }
-        // Every slot is the widest class's ring_cap so recycling works
-        // across classes.
-        let slot_cap = infos.iter().map(|c| c.ring_cap).max().expect("non-empty");
+        // Every slot fits the widest class so recycling works across
+        // classes.
+        let shape = SlotShape::of(&infos);
         let shard_count = capacity.div_ceil(shard_size);
         let shards = (0..shard_count)
-            .map(|_| Mutex::new(DynShard::new(slot_cap)))
+            .map(|_| Mutex::new(DynShard::new(shape)))
             .collect();
         Ok(DynamicEngine {
             classes: infos,
@@ -452,7 +452,7 @@ impl DynamicEngine {
             shards,
             shard_size,
             capacity,
-            slot_cap,
+            shape,
             now: 0,
             live: 0,
             batch: ARRIVAL_BATCH,
@@ -540,12 +540,13 @@ impl DynamicEngine {
             .sum()
     }
 
-    /// Resident array bytes per session slot under the dynamic compact
+    /// Resident bytes per session slot under the dynamic compact
     /// layout: the one-cache-line scalar header, the cold session id,
-    /// and the uniform `u32` history slot (`slot_cap` — the widest
-    /// class's `ring_cap`, so any class can recycle any slot).
+    /// the uniform `u32` history slot (the widest class's `ring_cap`, so
+    /// any class can recycle any slot) and the lookahead window (its
+    /// state and `f64` slots for the largest `H`).
     pub fn state_bytes_per_slot(&self) -> usize {
-        SlotStore::bytes_per_slot(self.slot_cap)
+        self.shape.bytes()
     }
 
     /// Peak retained history length across live sessions (diagnostics).

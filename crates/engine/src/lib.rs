@@ -64,7 +64,7 @@ pub mod livemux;
 mod store;
 pub mod synthetic;
 
-use store::SlotStore;
+use store::{SlotShape, SlotStore};
 
 pub use livemux::{mux_digest, LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor};
 
@@ -263,12 +263,26 @@ pub(crate) struct ClassInfo {
     /// The estimator's declared history window (`2N` for the pattern
     /// estimator).
     pub(crate) hist: usize,
-    /// Fixed per-session history slot size. Sized from Theorem 1: the
-    /// undecided backlog never exceeds ⌈D/τ⌉ + K (+1 for the picture
-    /// pushed this tick); on top of that live tail the prune cut lags by
-    /// at most the watermark lead (another backlog), the estimator
-    /// window, and pattern alignment. Doubled so compaction is amortized
-    /// (each memmove frees at least half the slot), plus slack.
+    /// Fixed per-session history slot size: the most sizes a session
+    /// ever holds, which Theorem 1 bounds. The store prunes after every
+    /// push at the whole-pattern cut `⌊min(c, w − hist)⌋_N`, where `c`
+    /// is the next undecided picture and `w ≥ c` the watermark (the
+    /// previous decision's `need`). Once a push's decisions are made,
+    /// picture `c` is not ready, so `pushed ≤ need(c) − 1`, and
+    ///
+    /// * `need(c) − c ≤ lead = max(⌈D/τ⌉ − 1, 1)`: Theorem 1 puts
+    ///   `t_c ≤ (c−1)·τ + D`, by which at most `c − 1 + ⌈D/τ⌉` pictures
+    ///   have arrived; `c + K` is no more (`D ≥ (K+1)·τ`), and the `c + 1`
+    ///   floor is the `1`;
+    /// * so `pushed − min(c, w − hist) ≤ lead − 1 + hist`, and rounding
+    ///   the cut down to a pattern boundary keeps up to `N − 1` more.
+    ///
+    /// The next push adds one size, so a slot needs `lead + hist + N −
+    /// 1` words and no margin on top: the bound is attained (the engine
+    /// proptests reach it), and one word less fails. The push path's
+    /// `len == ring_cap` guard is the check that it holds: for `K = 0`,
+    /// where Theorem 1's delay bound may break, no violation has been
+    /// seen to reach it, and one that does panics there.
     pub(crate) ring_cap: usize,
 }
 
@@ -285,9 +299,10 @@ impl ClassInfo {
             return Err(EngineError::UnboundedEstimator);
         };
         let n = class.pattern.n();
-        let backlog =
-            (class.params.delay_bound / class.params.tau).ceil() as usize + class.params.k + 1;
-        let ring_cap = 2 * (backlog + hist + n + 2) + 16;
+        let lead = ((class.params.delay_bound / class.params.tau).ceil() as usize)
+            .saturating_sub(1)
+            .max(1);
+        let ring_cap = lead + hist + n - 1;
         // The compact layout stores retained lengths as `u16`.
         if ring_cap > u16::MAX as usize {
             return Err(EngineError::RingCapExceedsLenWord {
@@ -336,8 +351,8 @@ pub struct SessionEngine {
     /// `sid % shard_size` of shard `sid / shard_size`.
     shards: Vec<Mutex<SlotStore>>,
     shard_size: usize,
-    /// Every slot's history slice: the widest class's `ring_cap`.
-    slot_cap: usize,
+    /// Every slot's storage: the widest class's ring and window.
+    shape: SlotShape,
     sessions: usize,
     ticks: u64,
     ended: bool,
@@ -388,12 +403,12 @@ impl SessionEngine {
             .into_iter()
             .map(ClassInfo::try_new)
             .collect::<Result<Vec<_>, _>>()?;
-        let slot_cap = classes.iter().map(|c| c.ring_cap).max().expect("non-empty");
+        let shape = SlotShape::of(&classes);
         Ok(SessionEngine {
             classes,
             shards: Vec::new(),
             shard_size,
-            slot_cap,
+            shape,
             sessions: 0,
             ticks: 0,
             ended: false,
@@ -427,7 +442,7 @@ impl SessionEngine {
         let mut left = count;
         while left > 0 {
             if self.sessions % self.shard_size == 0 {
-                self.shards.push(Mutex::new(SlotStore::new(self.slot_cap)));
+                self.shards.push(Mutex::new(SlotStore::new(self.shape)));
             }
             let room = self.shard_size - self.sessions % self.shard_size;
             let take = room.min(left);
@@ -484,20 +499,21 @@ impl SessionEngine {
         self.classes[class_id].ring_cap
     }
 
-    /// Resident array bytes per session of a class: the one-line
-    /// scalar header, the session id and the `u32` history slot. Every
-    /// slot is sized to the fleet's widest class, so the figure is the
-    /// same for every class of one engine. This is what a batch streams
-    /// from memory per session besides the session's lookahead-window
-    /// heap block — the numerator of the roofline's bytes-per-decision
-    /// in DESIGN.md §6.
+    /// Resident bytes per session of a class: the one-line scalar
+    /// header, the session id, the `u32` history slot and the lookahead
+    /// window (its state and `f64` slots). Every slot is sized to the
+    /// fleet's widest class, so the figure is the same for every class
+    /// of one engine. Every part lives in a flat per-shard array, so
+    /// this is all a session holds and all a batch streams from memory
+    /// per session — the numerator of the roofline's
+    /// bytes-per-decision in DESIGN.md §6.
     ///
     /// # Panics
     ///
     /// Panics on an unknown class.
     pub fn state_bytes_per_session(&self, class_id: usize) -> usize {
         assert!(class_id < self.classes.len(), "unknown class {class_id}");
-        SlotStore::bytes_per_slot(self.slot_cap)
+        self.shape.bytes()
     }
 
     /// Sweeps every shard through `pushes` ticks (plus, when `ended` is
@@ -749,11 +765,11 @@ mod tests {
         )
     }
 
-    /// Satellite regression: the `u16` retained-length guard trips at
-    /// exactly the boundary. For pattern (3, 9) with `K = 1` the slot
-    /// is `2·⌈D/τ⌉ + 78` sizes, so `⌈D/τ⌉ = 32728` is the largest
-    /// admissible backlog (65 534 ≤ 65 535) and 32 729 must be rejected
-    /// with the typed error — not a debug-only panic downstream.
+    /// The `u16` retained-length guard trips at exactly the boundary.
+    /// For pattern (3, 9) with `K = 1` the slot is `(⌈D/τ⌉ − 1) + 18 +
+    /// 9 − 1 = ⌈D/τ⌉ + 25` sizes, so `⌈D/τ⌉ = 65510` is the largest
+    /// admissible delay (65 535 words) and 65 511 must be rejected with
+    /// the typed error — not a debug-only panic downstream.
     #[test]
     fn ring_cap_u16_guard_trips_at_the_boundary() {
         let pattern = GopPattern::new(3, 9).unwrap();
@@ -763,10 +779,10 @@ mod tests {
                 pattern,
             )
         };
-        let ok = SessionEngine::try_with_shard_size(vec![class(32728.0)], 4).expect("at the limit");
-        assert_eq!(ok.class_ring_cap(0), 65534);
+        let ok = SessionEngine::try_with_shard_size(vec![class(65510.0)], 4).expect("at the limit");
+        assert_eq!(ok.class_ring_cap(0), 65535);
         assert_eq!(
-            SessionEngine::try_with_shard_size(vec![class(32729.0)], 4).err(),
+            SessionEngine::try_with_shard_size(vec![class(65511.0)], 4).err(),
             Some(EngineError::RingCapExceedsLenWord {
                 ring_cap: 65536,
                 max: 65535,
@@ -774,7 +790,7 @@ mod tests {
         );
         // The dynamic engine rejects the same class the same way.
         let dyn_class = DynamicClass {
-            class: class(32729.0),
+            class: class(65511.0),
             period_ticks: 20,
         };
         assert_eq!(
@@ -869,10 +885,17 @@ mod tests {
     fn compact_layout_reports_session_bytes() {
         let (engine, _) = small_engine(8);
         let cap = engine.class_ring_cap(0);
+        // D/τ = 6, K = 1, N = 9: a lead of 5 pictures, the estimator's
+        // 18-size window and a pattern less one.
+        assert_eq!(cap, 31);
+        // The 64-byte scalar header, the 8-byte session id, the u32
+        // ring slot, the 24-byte window state and 14 f64 window slots.
         let bytes = engine.state_bytes_per_session(0);
-        // The 64-byte scalar header and the 8-byte session id plus the
-        // u32 ring slot.
-        assert_eq!(bytes, 72 + 4 * cap);
+        assert_eq!(
+            bytes,
+            72 + 4 * cap + 24 + 8 * smooth_core::window_capacity(9)
+        );
+        assert_eq!(bytes, 332);
     }
 
     #[test]

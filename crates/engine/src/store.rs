@@ -3,14 +3,17 @@
 //! A [`SlotStore`] is one shard's worth of smoothing sessions. Each slot
 //! keeps its per-session scalars in a one-cache-line [`SlotHot`]
 //! header, its session id in a cold side array, its arrival history in
-//! a fixed `slot_cap`-word `u32` slice of one flat ring (slot `j`'s
-//! history starts at `j * slot_cap`), and its sliding
-//! [`LookaheadWindow`]. Decision scratch ([`BlockLanes`]) and the widened
-//! staging tail are shared by every slot of the store.
+//! a fixed `ring_cap`-word `u32` slice of one flat ring (slot `j`'s
+//! history starts at `j * ring_cap`), and its sliding lookahead window
+//! as a [`WindowState`] plus a fixed `window_cap`-slot slice of one
+//! flat slab — the [`SlotShape`]. Decision scratch ([`BlockLanes`]) and
+//! the widened staging tail are shared by every slot of the store.
 //!
 //! [`step_slot`](SlotStore::step_slot) is the one per-session step body:
 //! push a run of arrivals, make every decision the paper's
-//! preconditions allow, prune the history in whole GOP periods. It runs
+//! preconditions allow, prune the history in whole GOP periods as soon
+//! as a period falls out of use (renumbering the window, not refilling
+//! it), so a slot never holds more than Theorem 1's live bound. It runs
 //! [`decide_live`]'s two halves itself: [`live_ready`] once on entry
 //! and once after each decision, so a push that completes no decision
 //! costs one integer compare, and the inlined [`decide_ready`] for each
@@ -27,9 +30,11 @@
 //! — pinned by the engine-vs-[`smooth_core::OnlineSmoother`] proptests.
 
 use smooth_core::{
-    decide_live, decide_ready, live_ready, prunable_prefix, BlockLanes, LiveCursor, LiveParams,
-    LookaheadWindow, PictureSchedule, SizeHistory,
+    decide_live, decide_ready, live_ready, prunable_prefix, window_capacity, BlockLanes,
+    LiveCursor, LiveParams, PictureSchedule, SizeHistory, WindowMut, WindowState,
 };
+
+use std::cell::RefCell;
 
 use crate::dynamic::SessionSnapshot;
 use crate::{fnv, ClassInfo, SizeSource, FNV_OFFSET};
@@ -96,9 +101,43 @@ impl SlotHot {
     }
 }
 
-/// One shard's session store: slots with recycling through a LIFO free
-/// list. Every slot is `slot_cap` words (the widest class's `ring_cap`)
-/// so a freed slot can be recycled by *any* class.
+/// The fixed per-slot storage of an engine's stores: every slot is as
+/// wide as the fleet's widest class needs, so a freed slot can be
+/// recycled by *any* class.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct SlotShape {
+    /// History words a slot holds: the largest class `ring_cap`.
+    pub(crate) ring_cap: usize,
+    /// Lookahead window slots: [`window_capacity`] of the largest `H`.
+    pub(crate) window_cap: usize,
+}
+
+impl SlotShape {
+    /// The shape that fits every class of `classes` (non-empty).
+    pub(crate) fn of(classes: &[ClassInfo]) -> Self {
+        let max = |f: fn(&ClassInfo) -> usize| classes.iter().map(f).max().expect("non-empty");
+        SlotShape {
+            ring_cap: max(|c| c.ring_cap),
+            window_cap: window_capacity(max(|c| c.class.params.h)),
+        }
+    }
+
+    /// Resident bytes per slot: the one-line header, the cold session
+    /// id, the `u32` history slice, the window state and its `f64`
+    /// slots. Every part lives in one of the store's flat arrays, so
+    /// there is no per-session heap block or allocator header besides.
+    pub(crate) fn bytes(self) -> usize {
+        use std::mem::size_of;
+        size_of::<SlotHot>()
+            + size_of::<u64>()
+            + size_of::<u32>() * self.ring_cap
+            + size_of::<WindowState>()
+            + size_of::<f64>() * self.window_cap
+    }
+}
+
+/// One shard's session store: slots of one [`SlotShape`] with recycling
+/// through a LIFO free list.
 pub(crate) struct SlotStore {
     /// Per-slot scalar headers, one cache line each.
     pub(crate) hot: Vec<SlotHot>,
@@ -106,11 +145,17 @@ pub(crate) struct SlotStore {
     /// the id cannot be derived from the slot). Cold: only the decision
     /// sink, snapshots and digests read it.
     pub(crate) sid: Vec<u64>,
-    /// Flat history ring, one `slot_cap` slice per slot: slot `j`
+    /// Flat history ring, one `ring_cap` slice per slot: slot `j`
     /// retains logical pictures `base .. base + len` at
-    /// `ring[j * slot_cap ..]`, each size a checked-narrowed `u32`.
+    /// `ring[j * ring_cap ..]`, each size a checked-narrowed `u32`.
     ring: Vec<u32>,
-    windows: Vec<LookaheadWindow>,
+    /// Per-slot lookahead window positions.
+    windows: Vec<WindowState>,
+    /// Flat window storage, one `window_cap` slice per slot: one
+    /// allocation for the whole store, at an address computed from the
+    /// slot, where a window owning its buffer would cost a heap block
+    /// (and a pointer chase) per session.
+    window_slots: Vec<f64>,
     /// Recycled slots, LIFO.
     free: Vec<u32>,
     /// Widened `u64` mirror of the *active* slot's retained tail:
@@ -125,30 +170,102 @@ pub(crate) struct SlotStore {
     pub(crate) decisions: u64,
     /// Occupied slots.
     pub(crate) live: usize,
-    slot_cap: usize,
+    shape: SlotShape,
+}
+
+/// A store's per-slot arrays, emptied, with their capacity.
+#[derive(Default)]
+struct Arrays {
+    hot: Vec<SlotHot>,
+    sid: Vec<u64>,
+    ring: Vec<u32>,
+    windows: Vec<WindowState>,
+    window_slots: Vec<f64>,
+}
+
+impl Arrays {
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.hot.capacity() * size_of::<SlotHot>()
+            + self.sid.capacity() * size_of::<u64>()
+            + self.ring.capacity() * size_of::<u32>()
+            + self.windows.capacity() * size_of::<WindowState>()
+            + self.window_slots.capacity() * size_of::<f64>()
+    }
+}
+
+/// Bytes of dropped stores' arrays a thread keeps for the stores it
+/// builds next: a few default shards' worth (a paper-class shard is
+/// 1.3 MiB).
+const RETIRED_BYTES: usize = 8 << 20;
+
+thread_local! {
+    /// Arrays of stores dropped on this thread, up to [`RETIRED_BYTES`],
+    /// which the next [`SlotStore::new`] calls adopt, largest first. A
+    /// fleet that is torn down and rebuilt — a restarted server, or a
+    /// batch of fleet jobs — then refills memory it already has. Freed
+    /// instead, a shard's arrays are not the large blocks glibc's malloc
+    /// sizes its trim threshold by, so the heap is handed back to the OS
+    /// and faulted in again on every build (EXPERIMENTS.md, "Lean
+    /// session state").
+    static RETIRED: RefCell<Vec<Arrays>> = const { RefCell::new(Vec::new()) };
+}
+
+impl Drop for SlotStore {
+    fn drop(&mut self) {
+        let mut mine = Arrays {
+            hot: std::mem::take(&mut self.hot),
+            sid: std::mem::take(&mut self.sid),
+            ring: std::mem::take(&mut self.ring),
+            windows: std::mem::take(&mut self.windows),
+            window_slots: std::mem::take(&mut self.window_slots),
+        };
+        mine.hot.clear();
+        mine.sid.clear();
+        mine.ring.clear();
+        mine.windows.clear();
+        mine.window_slots.clear();
+        // During thread teardown the list may be gone; the arrays are
+        // then simply freed, as are those that do not fit.
+        let _ = RETIRED.try_with(|retired| {
+            if let Ok(mut retired) = retired.try_borrow_mut() {
+                let held: usize = retired.iter().map(Arrays::bytes).sum();
+                if held + mine.bytes() <= RETIRED_BYTES {
+                    retired.push(mine);
+                }
+            }
+        });
+    }
 }
 
 impl SlotStore {
-    pub(crate) fn new(slot_cap: usize) -> Self {
+    pub(crate) fn new(shape: SlotShape) -> Self {
+        let Arrays {
+            hot,
+            sid,
+            ring,
+            windows,
+            window_slots,
+        } = RETIRED
+            .with(|retired| {
+                let mut retired = retired.borrow_mut();
+                let largest = (0..retired.len()).max_by_key(|&i| retired[i].bytes())?;
+                Some(retired.swap_remove(largest))
+            })
+            .unwrap_or_default();
         SlotStore {
-            hot: Vec::new(),
-            sid: Vec::new(),
-            ring: Vec::new(),
-            windows: Vec::new(),
+            hot,
+            sid,
+            ring,
+            windows,
+            window_slots,
             free: Vec::new(),
             stage: Vec::new(),
             lanes: BlockLanes::default(),
             decisions: 0,
             live: 0,
-            slot_cap,
+            shape,
         }
-    }
-
-    /// Resident array bytes per slot: the one-line header, the cold
-    /// session id, and the `u32` history slice.
-    pub(crate) fn bytes_per_slot(slot_cap: usize) -> usize {
-        use std::mem::size_of;
-        size_of::<SlotHot>() + size_of::<u64>() + size_of::<u32>() * slot_cap
     }
 
     /// Slots ever allocated (live + free) — the store's resident
@@ -166,24 +283,29 @@ impl SlotStore {
     pub(crate) fn reserve(&mut self, additional: usize) {
         self.hot.reserve(additional);
         self.sid.reserve(additional);
-        self.ring.reserve(additional * self.slot_cap);
+        self.ring.reserve(additional * self.shape.ring_cap);
         self.windows.reserve(additional);
+        self.window_slots
+            .reserve(additional * self.shape.window_cap);
     }
 
     /// Grabs a slot: recycles from the free list (zeroing the history
     /// slice, so a recycled slot starts from the same bytes as a fresh
     /// one) or appends a new slot.
     pub(crate) fn alloc(&mut self) -> u32 {
+        let cap = self.shape.ring_cap;
         if let Some(slot) = self.free.pop() {
-            let off = slot as usize * self.slot_cap;
-            self.ring[off..off + self.slot_cap].fill(0);
+            let off = slot as usize * cap;
+            self.ring[off..off + cap].fill(0);
             slot
         } else {
             let j = self.allocated();
             self.hot.push(SlotHot::fresh());
             self.sid.push(0);
-            self.ring.resize(self.ring.len() + self.slot_cap, 0);
-            self.windows.push(LookaheadWindow::new());
+            self.ring.resize(self.ring.len() + cap, 0);
+            self.windows.push(WindowState::default());
+            self.window_slots
+                .resize(self.window_slots.len() + self.shape.window_cap, 0.0);
             u32::try_from(j).expect("shard slot fits u32")
         }
     }
@@ -223,7 +345,7 @@ impl SlotStore {
     /// generation.
     pub(crate) fn install_snapshot(&mut self, slot: u32, snap: &SessionSnapshot) -> u32 {
         let j = slot as usize;
-        let off = j * self.slot_cap;
+        let off = j * self.shape.ring_cap;
         let h = &mut self.hot[j];
         debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
         h.class_of = snap.class;
@@ -248,7 +370,7 @@ impl SlotStore {
     pub(crate) fn snapshot_slot(&self, j: usize) -> SessionSnapshot {
         let h = &self.hot[j];
         debug_assert_ne!(h.class_of, FREE, "snapshot of a free slot");
-        let off = j * self.slot_cap;
+        let off = j * self.shape.ring_cap;
         let len = h.len as usize;
         SessionSnapshot {
             sid: self.sid[j],
@@ -278,14 +400,14 @@ impl SlotStore {
 
     /// Pulls slot `j`'s working set toward cache while an earlier slot
     /// is still being processed: the one-line header, the head of its
-    /// history slice, and the window's heap buffer (the one pointer
-    /// chase here). Out-of-range `j` is a no-op.
+    /// history slice, and the head of its window slots. Out-of-range `j`
+    /// is a no-op.
     #[inline(always)]
     pub(crate) fn prefetch_slot(&self, j: usize) {
         if let Some(h) = self.hot.get(j) {
             std::hint::black_box(h.decided);
-            std::hint::black_box(self.ring.get(j * self.slot_cap).copied());
-            self.windows[j].prewarm();
+            std::hint::black_box(self.ring.get(j * self.shape.ring_cap).copied());
+            std::hint::black_box(self.window_slots.get(j * self.shape.window_cap).copied());
         }
     }
 
@@ -353,8 +475,10 @@ impl SlotStore {
     ) -> u64 {
         let h = &self.hot[j];
         let info = &classes[h.class_of as usize];
-        let off = j * self.slot_cap;
+        let off = j * self.shape.ring_cap;
         let cap = info.ring_cap;
+        let wc = self.shape.window_cap;
+        let wslots = j * wc..(j + 1) * wc;
         let n = info.class.pattern.n();
         let stream = h.stream;
         let sid = self.sid[j];
@@ -421,8 +545,7 @@ impl SlotStore {
             debug_assert_eq!(Some(ready), live_ready(&cfg, base + len, false, &cursor));
             if base + len < ready.need {
                 // Nothing decidable, so nothing newly prunable either:
-                // the cursor is unchanged since the last prune check,
-                // and a longer slice only raises its `len / 2` bar.
+                // the cursor is unchanged since the last prune.
                 continue;
             }
             while base + len >= ready.need {
@@ -435,7 +558,7 @@ impl SlotStore {
                     history,
                     ready,
                     &mut cursor,
-                    &mut self.windows[j],
+                    WindowMut::new(&mut self.windows[j], &mut self.window_slots[wslots.clone()]),
                     &mut self.lanes,
                 );
                 digest = fold_decision(digest, &decision);
@@ -443,7 +566,7 @@ impl SlotStore {
                 made += 1;
                 ready = next(&cursor);
             }
-            self.prune_lazily(j, &cursor, info.hist, n, &mut base, &mut len);
+            self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
         }
 
         if ended {
@@ -460,7 +583,7 @@ impl SlotStore {
                     history,
                     true,
                     &mut cursor,
-                    &mut self.windows[j],
+                    WindowMut::new(&mut self.windows[j], &mut self.window_slots[wslots.clone()]),
                     &mut self.lanes,
                 ) else {
                     break;
@@ -469,7 +592,7 @@ impl SlotStore {
                 sink(sid, &decision);
                 made += 1;
             }
-            self.prune_lazily(j, &cursor, info.hist, n, &mut base, &mut len);
+            self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
         }
 
         let h = &mut self.hot[j];
@@ -487,11 +610,13 @@ impl SlotStore {
         made
     }
 
-    /// Lazy prune of slot `j`: drops the decided-and-unneeded prefix
-    /// once it covers at least half the retained slice (amortized O(1)
-    /// per push).
+    /// Prunes slot `j` at every whole-pattern cut: drops the decided
+    /// and no longer needed prefix as soon as it is non-empty. The
+    /// memmove moves at most the live tail, which Theorem 1 bounds by a
+    /// constant, once per GOP period; pruning any later would need a
+    /// ring wider than that bound.
     #[inline(always)]
-    fn prune_lazily(
+    fn prune(
         &mut self,
         j: usize,
         cursor: &LiveCursor,
@@ -502,7 +627,7 @@ impl SlotStore {
     ) {
         let cut = prunable_prefix(cursor, Some(hist), n);
         let drop = cut.saturating_sub(*base);
-        if drop > 0 && drop >= *len / 2 {
+        if drop > 0 {
             self.drop_prefix(j, cut, base, len);
         }
     }
@@ -510,17 +635,17 @@ impl SlotStore {
     /// Drops slot `j`'s retained sizes below logical index `cut` from
     /// the ring and the stage.
     fn drop_prefix(&mut self, j: usize, cut: usize, base: &mut usize, len: &mut usize) {
-        let off = j * self.slot_cap;
+        let off = j * self.shape.ring_cap;
         let drop = cut - *base;
         self.ring.copy_within(off + drop..off + *len, off);
         self.stage.copy_within(drop..*len, 0);
         *len -= drop;
         self.stage.truncate(*len);
         *base = cut;
-        // The window caches base-shifted coordinates; force a refill
-        // (bit-identical to sliding — pinned by the lookahead
-        // proptests).
-        self.windows[j].reset();
+        // The window indexes base-shifted pictures; renumber it (its
+        // cached values survive a whole-pattern shift — pinned by the
+        // lookahead proptests).
+        self.windows[j].rebase(drop);
     }
 }
 

@@ -183,7 +183,7 @@ proptest! {
     }
 
     /// Retained history per session stays inside the fixed per-class
-    /// slot no matter how many ticks run.
+    /// slot, with room for the next push, no matter how many ticks run.
     #[test]
     fn history_bounded_for_any_run_length(
         spec in arb_fleet(),
@@ -197,10 +197,104 @@ proptest! {
             .expect("non-empty");
         for _ in 0..(spec.ticks + extra_ticks) {
             engine.tick(&source, 2);
-            prop_assert!(engine.max_retained() <= cap);
+            prop_assert!(engine.max_retained() < cap);
         }
         engine.finish(&source, 2);
-        prop_assert!(engine.max_retained() <= cap);
+        prop_assert!(engine.max_retained() < cap);
+    }
+}
+
+/// A stream whose I pictures are `big` bits and every other picture
+/// 2 kbit: each I picture stretches the delay toward `D`, the pattern
+/// that fills a session's backlog.
+struct Spiky {
+    n: u64,
+    big: u64,
+}
+
+impl SizeSource for Spiky {
+    fn size(&self, _session: u64, picture: u64) -> u64 {
+        if picture % self.n == 0 {
+            self.big
+        } else {
+            2_000
+        }
+    }
+}
+
+/// `K ∈ 0..=4` and `D/τ` spread log-uniformly from the feasibility
+/// minimum `K + 1` up to where the slot meets the `u16` guard.
+fn arb_wide_class() -> impl Strategy<Value = SessionClass> {
+    (arb_pattern(), 0usize..=4, 1usize..=16, 0.0f64..1.0).prop_map(|(pattern, k, h, u)| {
+        let min = (k + 1) as f64;
+        let max = 65_000.0f64;
+        let d = TAU * (min * (max / min).powf(u * u));
+        let params = SmootherParams::new(d, k, h, TAU).expect("feasible by construction");
+        SessionClass::new(params, pattern)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Theorem 1's live bound holds for every class the engine admits:
+    /// a session fed twice its delay's worth of pictures (at least a few
+    /// hundred; at most 2 000, as a visit restages the whole retained
+    /// history) never holds more than `ring_cap − 1` sizes after a
+    /// visit, and the push path's `len == ring_cap` guard never fires.
+    #[test]
+    fn history_stays_within_the_live_bound(
+        class in arb_wide_class(),
+        spiky in any::<bool>(),
+        big in 20_000u64..2_000_000,
+        seed in any::<u64>(),
+    ) {
+        let lead = (class.params.delay_bound / class.params.tau).ceil() as u64;
+        let ticks = (2 * lead + 200).min(2_000);
+        let n = class.pattern.n() as u64;
+        let fleet = SyntheticFleet { seed, pattern: class.pattern };
+        let mut engine = SessionEngine::with_shard_size(vec![class], 4);
+        engine.add_sessions(0, 2);
+        let cap = engine.class_ring_cap(0);
+        prop_assert!(cap <= u16::MAX as usize);
+        for _ in 0..ticks {
+            if spiky {
+                engine.tick(&Spiky { n, big }, 1);
+            } else {
+                engine.tick(&fleet, 1);
+            }
+            prop_assert!(engine.max_retained() < cap);
+        }
+    }
+}
+
+/// The live bound is attained, so `ring_cap` has no slack to give: at
+/// the smallest delay a class admits, `D = (K + 1)·τ`, with `K ≤ 1`, a
+/// spiky stream leaves a session holding `ring_cap − 1` sizes after a
+/// visit, and the next push fills the slot. A slot one word smaller
+/// trips the push path's guard here.
+#[test]
+fn live_bound_is_attained_at_the_minimum_delay() {
+    for (m, n) in [(3usize, 9usize), (3, 12), (1, 5)] {
+        for k in 0..=1 {
+            let pattern = GopPattern::new(m, n).expect("regular pattern");
+            let d = (k + 1) as f64 * TAU;
+            let params = SmootherParams::new(d, k, 9, TAU).expect("feasible");
+            let mut engine =
+                SessionEngine::with_shard_size(vec![SessionClass::new(params, pattern)], 4);
+            engine.add_sessions(0, 1);
+            let cap = engine.class_ring_cap(0);
+            let source = Spiky {
+                n: n as u64,
+                big: 300_000,
+            };
+            let mut held = 0;
+            for _ in 0..100 {
+                engine.tick(&source, 1);
+                held = held.max(engine.max_retained());
+            }
+            assert_eq!(held, cap - 1, "pattern ({m}, {n}), K = {k}");
+        }
     }
 }
 

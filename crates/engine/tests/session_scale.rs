@@ -5,14 +5,29 @@
 //! end: 1M sessions × 32 pictures decide inside the CI budget (release
 //! builds only; debug builds run a 10k-session variant with no runtime
 //! budget), every session's history stays inside its fixed ring slot,
-//! and a sharded multi-thread run of a 100k sub-fleet reproduces the
-//! serial digests bit for bit.
+//! the memory the fleet makes resident is the per-session state the
+//! engine reports (release builds on Linux), and a sharded multi-thread
+//! run of a 100k sub-fleet reproduces the serial digests bit for bit.
 
+use std::sync::Mutex;
 use std::time::Instant;
 
 use smooth_core::SmootherParams;
 use smooth_engine::{SessionClass, SessionEngine, SyntheticFleet};
 use smooth_mpeg::GopPattern;
+
+/// Held by each test for its whole run: the resident-memory check reads
+/// process-wide counters, which a fleet built concurrently by the other
+/// test would inflate.
+static ONE_FLEET_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+/// A `/proc/self/status` field (`VmRSS`, `VmHWM`) in bytes.
+fn status_bytes(field: &str) -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with(field))?;
+    let kib: usize = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kib * 1024)
+}
 
 fn paper_class() -> SessionClass {
     let pattern = GopPattern::new(3, 9).unwrap();
@@ -21,6 +36,12 @@ fn paper_class() -> SessionClass {
 
 #[test]
 fn million_session_fleet_decides_within_budget() {
+    // A poisoned lock only means the other test failed; the guard
+    // protects no data.
+    let _alone = ONE_FLEET_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
+    let rss0 = status_bytes("VmRSS");
     let sessions: usize = if cfg!(debug_assertions) {
         10_000
     } else {
@@ -47,10 +68,25 @@ fn million_session_fleet_decides_within_budget() {
     // Lockstep completeness: every session decided every picture.
     assert_eq!(engine.decisions(), sessions as u64 * ticks);
 
-    // Bounded memory: the per-session slot is a small constant (O(H + N
-    // + K + D/τ)), and no session ever outgrew it.
-    assert!(cap < 128, "ring cap {cap} is not a small constant");
-    assert!(engine.max_retained() <= cap);
+    // Bounded memory: the per-session slot is Theorem 1's live bound
+    // (a lead of 5 pictures at D/τ = 6, the 18-size estimator window and
+    // N − 1 = 8 of pattern alignment), and no session ever outgrew it.
+    assert!(cap <= 31, "ring cap {cap} exceeds the live bound");
+    assert!(engine.max_retained() < cap);
+
+    // The state the engine reports is the memory the fleet holds: the
+    // process's resident peak grew by at most 1/8 more than the
+    // reported per-session bytes (the rest is per-shard scratch).
+    if !cfg!(debug_assertions) {
+        if let (Some(rss0), Some(hwm)) = (rss0, status_bytes("VmHWM")) {
+            let reported = engine.state_bytes_per_session(0);
+            let resident = hwm.saturating_sub(rss0) / sessions;
+            assert!(
+                resident <= reported + reported / 8,
+                "{resident} resident bytes a session against {reported} reported"
+            );
+        }
+    }
 
     // Runtime budget, release only: 32M decisions well inside a minute.
     if !cfg!(debug_assertions) {
@@ -63,6 +99,9 @@ fn million_session_fleet_decides_within_budget() {
 
 #[test]
 fn sharded_parallel_subfleet_reproduces_serial_digests() {
+    let _alone = ONE_FLEET_AT_A_TIME
+        .lock()
+        .unwrap_or_else(|e| e.into_inner());
     let sessions: usize = if cfg!(debug_assertions) {
         5_000
     } else {

@@ -125,7 +125,22 @@ usage:
                        [--classes <fps:weight,...>] [--seed S] [--threads N]
                        [--mux-capacity-mbps C [--mux-buffer-kbit B]]
   mpeg-smooth help
+  mpeg-smooth <command> --help
 ";
+
+/// The lines of [`USAGE`] that describe `command`, or `None` for an
+/// unknown command.
+fn command_usage(command: &str) -> Option<String> {
+    let head = format!("  mpeg-smooth {command} ");
+    let mut lines = USAGE.lines().skip_while(|line| !line.starts_with(&head));
+    let first = lines.next()?;
+    let mut text = format!("usage:\n{first}\n");
+    for line in lines.take_while(|line| !line.starts_with("  mpeg-smooth ")) {
+        text.push_str(line);
+        text.push('\n');
+    }
+    Some(text)
+}
 
 /// Runs the CLI. Returns the process exit code.
 pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
@@ -133,6 +148,13 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
         let _ = write!(out, "{USAGE}");
         return Ok(2);
     };
+    // Every option takes a value, so a flag sits at an even position.
+    if rest.iter().step_by(2).any(|a| a == "--help" || a == "-h") {
+        if let Some(usage) = command_usage(command) {
+            let _ = write!(out, "{usage}");
+            return Ok(0);
+        }
+    }
     match command.as_str() {
         "generate" => cmd_generate(rest, out),
         "analyze" => cmd_analyze(rest, out),
@@ -799,9 +821,17 @@ fn cmd_fleet(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
             {
                 return Err(err("--churn-ppm: too high for --sessions"));
             }
+            // `churn_trace` ramps the fleet in over the first second and
+            // churns from its last tick to the horizon.
+            let churn = match seconds - 1 {
+                0 => {
+                    format!("{churn_ppm} ppm/s churn for one tick only (it starts after the ramp)")
+                }
+                rest => format!("{churn_ppm} ppm/s churn for {rest}s"),
+            };
             fleet.header(
                 out,
-                &format!("{sessions} initial sessions x {seconds}s at {churn_ppm} ppm/s churn"),
+                &format!("{sessions} initial sessions ramped in over 1s, then {churn}"),
             );
             fleet.churn(out, seconds, churn_ppm)?
         }
@@ -1036,6 +1066,29 @@ mod tests {
         assert!(text.contains("usage:"));
         let (code, _) = run_cli(&[]);
         assert_eq!(code, 2);
+    }
+
+    /// `<command> --help` (or `-h`, in any flag position) prints that
+    /// command's usage and exits 0 instead of asking for a value.
+    #[test]
+    fn command_help_prints_its_usage() {
+        for command in ["generate", "analyze", "smooth", "sweep", "verify", "fleet"] {
+            for flag in ["--help", "-h"] {
+                let (code, text) = run_cli(&[command, flag]);
+                assert_eq!(code, 0, "{command} {flag}: {text}");
+                assert!(
+                    text.starts_with(&format!("usage:\n  mpeg-smooth {command} ")),
+                    "{text}"
+                );
+                assert_eq!(text.matches("mpeg-smooth ").count(), 1, "{text}");
+            }
+        }
+        let (code, text) = run_cli(&["fleet", "--sessions", "10", "--help"]);
+        assert_eq!(code, 0, "{text}");
+        assert!(text.contains("--churn-ppm R"), "{text}");
+        // A value that happens to read `-h` is still a value.
+        let args: Vec<String> = ["generate", "--out", "-h"].map(String::from).to_vec();
+        assert!(run(&args, &mut Vec::new()).is_err());
     }
 
     #[test]
@@ -1544,8 +1597,13 @@ mod tests {
             "1",
         ]);
         assert_eq!(code, 0, "{text}");
+        // A one-second trace is all ramp but its last tick: the header
+        // must not promise a second of churn `churn_trace` never
+        // schedules.
         assert!(
-            text.contains("300 initial sessions x 1s at 100000 ppm/s churn"),
+            text.contains(
+                "300 initial sessions ramped in over 1s, then 100000 ppm/s churn for one tick only"
+            ),
             "{text}"
         );
         assert!(text.contains("classes: 24fps:1 ("), "{text}");
