@@ -74,6 +74,12 @@ pub struct TimingWheel {
     len: usize,
     /// Levels, created on demand as far-out deadlines arrive.
     levels: Vec<WheelLevel>,
+    /// Emptied higher-level slot buffers, kept with their capacity: a
+    /// cascade leaves its slot without a buffer, and the next item filed
+    /// into an empty higher-level slot takes one from here, so a wheel in
+    /// steady state stops allocating while holding buffers only for the
+    /// slots in use.
+    spare: Vec<Vec<(u64, u64)>>,
 }
 
 impl Default for TimingWheel {
@@ -89,6 +95,7 @@ impl TimingWheel {
             now: 0,
             len: 0,
             levels: vec![WheelLevel::new()],
+            spare: Vec::new(),
         }
     }
 
@@ -122,7 +129,13 @@ impl TimingWheel {
         }
         let slot = ((d >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
         let lv = &mut self.levels[level];
-        lv.slots[slot].push((d, item));
+        let items = &mut lv.slots[slot];
+        if items.capacity() == 0 {
+            if let Some(buffer) = self.spare.pop() {
+                *items = buffer;
+            }
+        }
+        items.push((d, item));
         lv.occupied |= 1 << slot;
         self.len += 1;
     }
@@ -204,13 +217,15 @@ impl TimingWheel {
             if lv.occupied & (1 << slot) == 0 {
                 continue;
             }
-            let drained = std::mem::take(&mut lv.slots[slot]);
+            let mut drained = std::mem::take(&mut lv.slots[slot]);
             lv.occupied &= !(1u64 << slot);
             self.len -= drained.len();
-            for (d, item) in drained {
+            for &(d, item) in &drained {
                 debug_assert!(d >= boundary, "cascaded deadline {d} behind {boundary}");
                 self.schedule(d, item);
             }
+            drained.clear();
+            self.spare.push(drained);
         }
     }
 }

@@ -6,7 +6,8 @@
 //! and adds the fused run's determinism witness, [`mux_digest`].
 
 pub use smooth_netsim::livemux::{
-    LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor,
+    IngestCounts, LaneTable, LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, SessionLane,
+    TrafficDescriptor,
 };
 
 /// FNV-1a fingerprint of a fused run: the six queue stats, the peak,

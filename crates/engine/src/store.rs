@@ -9,6 +9,15 @@
 //! flat slab — the [`SlotShape`]. Decision scratch ([`BlockLanes`]) and
 //! the widened staging tail are shared by every slot of the store.
 //!
+//! A fused dynamic run also keeps each session's `LiveMux` lane in its
+//! slot: the store's [`LaneTable`] holds one lane per slot beside the
+//! slot's own arrays, with the events the lanes posted, bucketed by mux
+//! shard. A [`Sink`] tells the step body where decisions go — a closure
+//! (the lockstep engine and its oracle hooks), [`Discard`], or
+//! [`ToLane`], which feeds the slot's lane inline and refreshes the
+//! lane's frontier when the visit ends. Snapshots carry the lane, so a
+//! session moves with it.
+//!
 //! [`step_slot`](SlotStore::step_slot) is the one per-session step body:
 //! push a run of arrivals, make every decision the paper's
 //! preconditions allow, prune the history in whole GOP periods as soon
@@ -36,8 +45,53 @@ use smooth_core::{
 
 use std::cell::RefCell;
 
+use smooth_netsim::livemux::{LaneTable, SessionLane};
+
 use crate::dynamic::SessionSnapshot;
 use crate::{fnv, ClassInfo, SizeSource, FNV_OFFSET};
+
+/// Where [`SlotStore::step_slot`] sends each decision it makes.
+pub(crate) trait Sink {
+    /// Takes one decision of session `sid`, whose slot is `j`; `link`
+    /// is the store's lane table.
+    fn decision(&mut self, link: &mut LaneTable, j: usize, sid: u64, d: &PictureSchedule);
+
+    /// Slot `j`'s visit is over.
+    #[inline(always)]
+    fn visited(&mut self, _link: &mut LaneTable, _j: usize) {}
+}
+
+/// A closure sink: `f(sid, decision)`.
+impl<F: FnMut(u64, &PictureSchedule)> Sink for F {
+    #[inline(always)]
+    fn decision(&mut self, _link: &mut LaneTable, _j: usize, sid: u64, d: &PictureSchedule) {
+        self(sid, d)
+    }
+}
+
+/// The sink of a pass nothing listens to.
+pub(crate) struct Discard;
+
+impl Sink for Discard {
+    #[inline(always)]
+    fn decision(&mut self, _link: &mut LaneTable, _j: usize, _sid: u64, _d: &PictureSchedule) {}
+}
+
+/// The fused sink: every decision goes to the mux lane in the session's
+/// own slot, and a visit ends by refreshing that lane's frontier.
+pub(crate) struct ToLane;
+
+impl Sink for ToLane {
+    #[inline(always)]
+    fn decision(&mut self, link: &mut LaneTable, j: usize, sid: u64, d: &PictureSchedule) {
+        link.decision(j, sid, d);
+    }
+
+    #[inline(always)]
+    fn visited(&mut self, link: &mut LaneTable, j: usize) {
+        link.visited(j);
+    }
+}
 
 /// Free-slot sentinel in [`SlotHot::class_of`].
 pub(crate) const FREE: u16 = u16::MAX;
@@ -166,6 +220,10 @@ pub(crate) struct SlotStore {
     stage: Vec<u64>,
     /// Decision scratch, shared by every slot of the store.
     lanes: BlockLanes,
+    /// The mux lane of each slot whose session streams into a
+    /// [`LiveMux`](crate::LiveMux) (a fused dynamic run), and the
+    /// events they posted; empty otherwise.
+    pub(crate) link: LaneTable,
     /// Decisions made by this store's slots.
     pub(crate) decisions: u64,
     /// Occupied slots.
@@ -261,6 +319,7 @@ impl SlotStore {
             window_slots,
             free: Vec::new(),
             stage: Vec::new(),
+            link: LaneTable::new(),
             lanes: BlockLanes::default(),
             decisions: 0,
             live: 0,
@@ -362,6 +421,9 @@ impl SlotStore {
         self.sid[j] = snap.sid;
         self.ring[off..off + snap.history.len()].copy_from_slice(&snap.history);
         self.windows[j].reset();
+        if let Some(lane) = &snap.lane {
+            self.link.open(j, lane.clone());
+        }
         self.live += 1;
         gen
     }
@@ -384,18 +446,21 @@ impl SlotStore {
             digest: h.digest,
             next_arrival: h.next_arrival,
             history: self.ring[off..off + len].to_vec(),
+            lane: self.link.lane(j).cloned(),
         }
     }
 
     /// Frees slot `j`: bumps the generation (the slot's pending wheel
-    /// item dies lazily) and pushes it onto the free list.
-    pub(crate) fn free_slot(&mut self, j: usize) {
+    /// item dies lazily), pushes it onto the free list, and returns the
+    /// mux lane it held, if any.
+    pub(crate) fn free_slot(&mut self, j: usize) -> Option<SessionLane> {
         let h = &mut self.hot[j];
         debug_assert_ne!(h.class_of, FREE, "double free");
         h.class_of = FREE;
         h.gen = h.gen.wrapping_add(1);
         self.live -= 1;
         self.free.push(j as u32);
+        self.link.close(j)
     }
 
     /// Pulls slot `j`'s working set toward cache while an earlier slot
@@ -441,7 +506,7 @@ impl SlotStore {
         source: &S,
         pushes: u64,
         ended: bool,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        sink: &mut impl Sink,
     ) -> u64 {
         let mut made = 0;
         for j in 0..self.allocated() {
@@ -461,9 +526,9 @@ impl SlotStore {
     /// may consult at the decision's own `need`, never at everything
     /// pushed, so feeding a batch of arrivals decides exactly what
     /// feeding them one visit apiece would. Every decision is offered to
-    /// `sink(sid, schedule)` (pass a no-op closure when nothing
-    /// listens) and counted in [`decisions`](Self::decisions). Returns
-    /// the decisions made.
+    /// `sink` ([`Discard`] when nothing listens; [`ToLane`] to feed the
+    /// slot's own mux lane) and counted in
+    /// [`decisions`](Self::decisions). Returns the decisions made.
     pub(crate) fn step_slot<S: SizeSource>(
         &mut self,
         j: usize,
@@ -471,7 +536,7 @@ impl SlotStore {
         source: &S,
         pushes: u64,
         ended: bool,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        sink: &mut impl Sink,
     ) -> u64 {
         let h = &self.hot[j];
         let info = &classes[h.class_of as usize];
@@ -562,7 +627,7 @@ impl SlotStore {
                     &mut self.lanes,
                 );
                 digest = fold_decision(digest, &decision);
-                sink(sid, &decision);
+                sink.decision(&mut self.link, j, sid, &decision);
                 made += 1;
                 ready = next(&cursor);
             }
@@ -589,7 +654,7 @@ impl SlotStore {
                     break;
                 };
                 digest = fold_decision(digest, &decision);
-                sink(sid, &decision);
+                sink.decision(&mut self.link, j, sid, &decision);
                 made += 1;
             }
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
@@ -607,6 +672,7 @@ impl SlotStore {
         }
         h.digest = digest;
         self.decisions += made;
+        sink.visited(&mut self.link, j);
         made
     }
 

@@ -14,11 +14,20 @@
 //!    interrupted mid-trace by an engine + mux checkpoint pair
 //!    continues bit-identically to the uninterrupted run — including
 //!    across different thread counts on the two sides of the cut.
+//!    The restored engine may have another shard size: each session's
+//!    lane travels in its snapshot.
 //! 4. **Online fence.** Over a long churn trace fed in short slices,
 //!    with sessions holding one rate for most of the run, the events
 //!    held after every ingest stay O(sessions), the live aggregate
-//!    equals the oracle fleet's rate at the link clock, and the run
-//!    ends on the oracle sweep's bits.
+//!    equals the oracle fleet's rate at the link clock, every ingest
+//!    routes exactly the events posted since the last one and reads one
+//!    frontier per live lane, and the run ends on the oracle sweep's
+//!    bits.
+//! 5. **Lanes travel with their sessions.** A fused churn replay fed in
+//!    slices, with sessions moved between slices by `rebalance` and by
+//!    `take` + `restore`, lands on the uninterrupted run's fleet and mux
+//!    digests; and a long churn keeps the engine's lanes within its
+//!    slots while the mux builds no lane block of its own.
 
 use proptest::prelude::*;
 use smooth_core::{OnlineSmoother, SmootherParams, SmoothingResult};
@@ -116,6 +125,50 @@ fn build(spec: &MuxSpec, shard_size: usize) -> (SessionEngine, SyntheticFleet) {
         pattern: spec.classes[0].pattern,
     };
     (engine, source)
+}
+
+/// The two dynamic classes of the churn properties: 30 fps on a (3, 9)
+/// GOP and 24 fps on a (3, 12) GOP.
+fn churn_classes() -> Vec<DynamicClass> {
+    vec![
+        DynamicClass {
+            class: SessionClass::new(
+                SmootherParams::new(0.2, 1, 9, 1.0 / 30.0).unwrap(),
+                GopPattern::new(3, 9).unwrap(),
+            ),
+            period_ticks: 20,
+        },
+        DynamicClass {
+            class: SessionClass::new(
+                SmootherParams::new(0.25, 2, 12, 1.0 / 24.0).unwrap(),
+                GopPattern::new(3, 12).unwrap(),
+            ),
+            period_ticks: 25,
+        },
+    ]
+}
+
+/// `trace` cut into consecutive slices of `ticks` ticks, each replaying
+/// its events up to and including its horizon — how a live server
+/// steps a fleet. The last slice ends at the trace horizon.
+fn slices(trace: &ChurnTrace, ticks: u64) -> Vec<ChurnTrace> {
+    let mut out = Vec::new();
+    let mut lo = 0;
+    let mut end = ticks - 1;
+    loop {
+        let end_here = end.min(trace.horizon);
+        let hi = lo + trace.events[lo..].partition_point(|(t, _)| *t <= end_here);
+        out.push(ChurnTrace {
+            events: trace.events[lo..hi].to_vec(),
+            horizon: end_here,
+            peak_live: trace.peak_live,
+        });
+        lo = hi;
+        if end_here == trace.horizon {
+            return out;
+        }
+        end += ticks;
+    }
 }
 
 fn config(spec: &MuxSpec) -> MuxConfig {
@@ -223,7 +276,8 @@ proptest! {
 
     /// Property 3: a churny fused replay cut mid-trace by an engine +
     /// mux checkpoint pair continues bit-identically — across thread
-    /// counts on both sides of the cut.
+    /// counts on both sides of the cut, and into an engine of another
+    /// shard size.
     #[test]
     fn churn_checkpoint_restore_is_bit_identical(
         initial in 1usize..=10,
@@ -234,23 +288,9 @@ proptest! {
         window_frac in 0.2f64..1.5,
         threads_a in 1usize..=3,
         threads_b in 1usize..=3,
+        shard_b in 1usize..=6,
     ) {
-        let classes = vec![
-            DynamicClass {
-                class: SessionClass::new(
-                    SmootherParams::new(0.2, 1, 9, 1.0 / 30.0).unwrap(),
-                    GopPattern::new(3, 9).unwrap(),
-                ),
-                period_ticks: 20,
-            },
-            DynamicClass {
-                class: SessionClass::new(
-                    SmootherParams::new(0.25, 2, 12, 1.0 / 24.0).unwrap(),
-                    GopPattern::new(3, 12).unwrap(),
-                ),
-                period_ticks: 25,
-            },
-        ];
+        let classes = churn_classes();
         let trace = churn_trace(&ChurnSpec {
             seed,
             initial,
@@ -311,7 +351,8 @@ proptest! {
         let mcp = mux.checkpoint();
 
         let mut engine =
-            DynamicEngine::restore_checkpoint(classes, trace.peak_live.max(1), 4, &ecp).unwrap();
+            DynamicEngine::restore_checkpoint(classes, trace.peak_live.max(1), shard_b, &ecp)
+                .unwrap();
         let mut mux = LiveMux::restore(&mcp);
         engine
             .run_trace_fused(&source, &second, threads_b, &mut mux)
@@ -320,6 +361,167 @@ proptest! {
         prop_assert_eq!(engine.digest(), want_engine);
         prop_assert_eq!(mux_digest(&stats, &mux.descriptors()), want_mux);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Property 5: a session's lane moves with it. A churny fused replay
+    /// fed in slices, interrupted between slices by `rebalance` and by
+    /// `take` + `restore` of random live sessions (which land in other
+    /// shards and slots), ends on the bits of the same replay fed whole.
+    #[test]
+    fn lanes_travel_with_migrated_sessions(
+        initial in 2usize..=12,
+        horizon in 600u64..1800,
+        churn_ppm in 0u64..400_000,
+        seed in any::<u64>(),
+        slice_ticks in 7u64..60,
+        shard_size in 1usize..=4,
+        threads in 1usize..=2,
+    ) {
+        let classes = churn_classes();
+        let trace = churn_trace(&ChurnSpec {
+            seed,
+            initial,
+            weights: vec![3, 2],
+            periods: vec![20, 25],
+            ticks_per_sec: TICKS_PER_SEC,
+            horizon,
+            churn_ppm_per_sec: churn_ppm,
+        });
+        let cfg = MuxConfig {
+            capacity_bps: 1.2e6 * initial as f64,
+            buffer_bits: 2.0e5,
+            t_start: 0.0,
+            t_end: horizon as f64 / TICKS_PER_SEC as f64,
+            descriptor_rho_bps: 1.5e6,
+        };
+        let source = SyntheticFleet {
+            seed: seed ^ 0x5EED,
+            pattern: GopPattern::new(3, 9).unwrap(),
+        };
+        let capacity = trace.peak_live.max(1);
+        let fresh = || {
+            (
+                DynamicEngine::new(classes.clone(), capacity, shard_size).unwrap(),
+                LiveMux::with_joins(trace.total_joins(), 4, cfg),
+            )
+        };
+
+        let (mut engine, mut mux) = fresh();
+        engine.run_trace_fused(&source, &trace, threads, &mut mux).unwrap();
+        let stats = engine.finish_fused(&source, threads, &mut mux);
+        let want = (engine.digest(), mux_digest(&stats, &mux.descriptors()));
+
+        let (mut engine, mut mux) = fresh();
+        let mut rng = seed | 1;
+        let mut next = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            rng
+        };
+        let mut moved = 0;
+        for slice in slices(&trace, slice_ticks) {
+            engine.run_trace_fused(&source, &slice, threads, &mut mux).unwrap();
+            if next() % 3 == 0 {
+                moved += engine.rebalance();
+            }
+            let live: Vec<u64> = (0..engine.joined())
+                .filter(|&sid| engine.snapshot(sid).is_ok())
+                .collect();
+            for _ in 0..next() % 4 {
+                if live.is_empty() {
+                    break;
+                }
+                let sid = live[(next() % live.len() as u64) as usize];
+                let snap = engine.take(sid).unwrap();
+                prop_assert!(snap.lane.is_some(), "session {} moved without its lane", sid);
+                engine.restore(snap).unwrap();
+                moved += 1;
+            }
+        }
+        let stats = engine.finish_fused(&source, threads, &mut mux);
+        prop_assert_eq!(
+            (engine.digest(), mux_digest(&stats, &mux.descriptors())),
+            want,
+            "after {} moves",
+            moved
+        );
+    }
+}
+
+/// Lanes scale with the sessions live at once, not with the sessions
+/// ever joined: 200 sessions churned through 20,000 joins keep at most
+/// one lane per engine slot, and the mux, fed only by the engine's lane
+/// tables, builds no lane block of its own.
+#[test]
+fn lanes_stay_within_the_engine_slots_under_churn() {
+    const LIVE: u64 = 200;
+    const JOINS: u64 = 20_000;
+    let classes = vec![fps_class(30)];
+    // Tick 0 joins LIVE sessions; every later tick retires the oldest
+    // and joins one more, so each lives LIVE ticks.
+    let mut events: Vec<(u64, ChurnEvent)> = (0..LIVE)
+        .map(|s| {
+            (
+                0,
+                ChurnEvent::Join {
+                    class: 0,
+                    stream: s,
+                    phase: s,
+                },
+            )
+        })
+        .collect();
+    for t in 1..=JOINS - LIVE {
+        events.push((t, ChurnEvent::Leave { sid: t - 1 }));
+        events.push((
+            t,
+            ChurnEvent::Join {
+                class: 0,
+                stream: LIVE + t,
+                phase: t,
+            },
+        ));
+    }
+    let horizon = JOINS - LIVE + 20;
+    let trace = ChurnTrace {
+        events,
+        horizon,
+        peak_live: LIVE as usize,
+    };
+    assert_eq!(trace.total_joins(), JOINS as usize);
+    let cfg = MuxConfig {
+        capacity_bps: 1.2e6 * LIVE as f64,
+        buffer_bits: 4.0e5,
+        t_start: 0.0,
+        t_end: horizon as f64 / TICKS_PER_SEC as f64,
+        descriptor_rho_bps: 1.5e6,
+    };
+    let source = SyntheticFleet {
+        seed: 0x1A7E,
+        pattern: classes[0].class.pattern,
+    };
+    let mut engine = DynamicEngine::new(classes, LIVE as usize, 64).unwrap();
+    let mut mux = LiveMux::with_joins(trace.total_joins(), 64, cfg);
+    engine
+        .run_trace_fused(&source, &trace, 1, &mut mux)
+        .unwrap();
+    assert_eq!(engine.joined(), JOINS);
+    assert!(
+        engine.resident_lanes() <= engine.allocated_slots(),
+        "{} lanes over {} slots",
+        engine.resident_lanes(),
+        engine.allocated_slots()
+    );
+    assert!(engine.allocated_slots() <= LIVE as usize + 64);
+    assert_eq!(mux.lane_blocks_built(), 0);
+    let stats = engine.finish_fused(&source, 1, &mut mux);
+    assert_eq!(mux.lane_blocks_built(), 0);
+    assert!(stats.mux.arrived_bits > 0.0);
+    assert_eq!(mux.descriptors().len(), JOINS as usize);
 }
 
 /// Sizes for the long-horizon fleet: streams below `steady` send one
@@ -519,18 +721,27 @@ fn fence_advances_and_pending_stays_bounded() {
     };
     let mut engine = DynamicEngine::new(classes.clone(), trace.peak_live, 4).unwrap();
     let mut mux = LiveMux::with_joins(trace.total_joins(), 4, cfg);
-    let mut lo = 0;
-    for (step, end) in (SLICE - 1..=HORIZON).step_by(SLICE as usize).enumerate() {
-        let hi = lo + trace.events[lo..].partition_point(|(t, _)| *t <= end);
-        let slice = ChurnTrace {
-            events: trace.events[lo..hi].to_vec(),
-            horizon: end,
-            peak_live: trace.peak_live,
-        };
-        lo = hi;
+    for (step, slice) in slices(&trace, SLICE).iter().enumerate() {
+        let end = slice.horizon;
+        let before = mux.ingest_counts();
         engine
-            .run_trace_fused(&source, &slice, 1 + step % 2, &mut mux)
+            .run_trace_fused(&source, slice, 1 + step % 2, &mut mux)
             .unwrap();
+        // One ingest a slice: it routes what the slice posted, each
+        // event once, and its fence reads one frontier per live lane.
+        let counts = mux.ingest_counts();
+        assert_eq!(counts.passes - before.passes, 1);
+        assert_eq!(
+            counts.routed - before.routed,
+            counts.posted - before.posted,
+            "routed vs posted after tick {end}"
+        );
+        assert_eq!(
+            counts.fence_reads - before.fence_reads,
+            engine.live_sessions() as u64,
+            "fence reads after tick {end}"
+        );
+        assert_eq!(counts.held as usize, mux.pending_events());
         let pending = mux.pending_events();
         assert!(
             pending <= bound,

@@ -80,6 +80,11 @@ impl StepFunction {
         &self.breaks
     }
 
+    /// The piece values (one fewer than the breakpoints).
+    pub fn values(&self) -> &[f64] {
+        &self.values
+    }
+
     /// The pieces as `(start, end, value)` triples.
     pub fn pieces(&self) -> impl Iterator<Item = (f64, f64, f64)> + '_ {
         (0..self.values.len()).map(|i| (self.breaks[i], self.breaks[i + 1], self.values[i]))

@@ -50,7 +50,8 @@ pub use experiment::{
     source_rate_function, MultiplexConfig, MultiplexOutcome, SourceMode,
 };
 pub use livemux::{
-    LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, TrafficDescriptor, MUX_MAX_SHARDS,
+    IngestCounts, LaneTable, LiveMux, LiveMuxStats, MuxCheckpoint, MuxConfig, SessionLane,
+    TrafficDescriptor, MUX_MAX_SHARDS,
 };
 pub use mux::{CellMux, CellMuxStats, FluidMux, FluidMuxStats, QueueState};
 pub use packetizer::{cell_times, merge_cell_streams, CELL_PAYLOAD_BITS, CELL_WIRE_BITS};

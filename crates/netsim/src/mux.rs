@@ -61,19 +61,26 @@ pub struct FluidMux {
 /// 10k-source ensemble the full [`crate::MUX_MAX_SHARDS`] shards.
 const STEP_BLOCK: usize = 64;
 
+/// Equal time windows [`FluidMux::run`] posts its inputs in, over the
+/// measurement window: each ingest then holds one window of every
+/// input's breakpoints, not all of them.
+const STEP_WINDOWS: usize = 64;
+
 impl FluidMux {
     /// Runs the multiplexer over `[t_start, t_end]` with the given input
     /// rate functions, integrating the queue exactly between breakpoints,
     /// with the aggregation fanned out over `threads` workers.
     ///
     /// Each input becomes one step-function lane of a [`LiveMux`]
-    /// ([`LiveMux::push_step_function`]), so the offline figures and the
-    /// live fleet share one aggregator. The stats are bit-identical for
-    /// every thread count, and bit-identical to the quadratic
-    /// materialize-then-resample oracle (the `step_lane_props`
-    /// proptests pin both). Buffered events are O(T) for T total
-    /// breakpoints, held for one ingest. A zero-length window yields
-    /// all-zero stats (utilization 0, not NaN).
+    /// ([`LiveMux::push_step_window`]), so the offline figures and the
+    /// live fleet share one aggregator. The inputs are posted in
+    /// 64 equal time windows, each ingested before the next is
+    /// posted, so the buffered events are one window's worth: O(S + T /
+    /// windows) for S inputs with T breakpoints in all. The stats are
+    /// bit-identical for every thread count, and bit-identical to the
+    /// quadratic materialize-then-resample oracle (the `step_lane_props`
+    /// proptests pin both). A zero-length window yields all-zero stats
+    /// (utilization 0, not NaN).
     ///
     /// # Panics
     ///
@@ -98,10 +105,23 @@ impl FluidMux {
                 descriptor_rho_bps: self.capacity_bps,
             },
         );
-        for (sid, f) in inputs.iter().enumerate() {
-            mux.push_step_function(sid as u64, f);
+        let mut next = vec![0usize; inputs.len()];
+        let span = (t_end - t_start) / STEP_WINDOWS as f64;
+        // Window ends past the first; the last window takes everything
+        // left, so the posts cover each function however the arithmetic
+        // rounds.
+        let windows = if span > 0.0 { STEP_WINDOWS } else { 1 };
+        for w in 1..=windows {
+            let until = if w < windows {
+                t_start + span * w as f64
+            } else {
+                f64::INFINITY
+            };
+            for (sid, f) in inputs.iter().enumerate() {
+                mux.push_step_window(sid as u64, f, &mut next[sid], until);
+            }
+            mux.ingest(threads, until);
         }
-        mux.ingest(threads, f64::INFINITY);
         mux.finalize().mux
     }
 }
