@@ -95,15 +95,93 @@ pub enum Invalidation {
     Never,
 }
 
+/// A picture size as a history stores it: a `u64`, or the `u32` word a
+/// session store narrows it to. Widening a word to `u64` is exact, so a
+/// decision over `u32` words is the decision over the same sizes held as
+/// `u64`, bit for bit.
+pub trait SizeWord: Copy + Into<u64> {
+    /// `sizes` as an estimator reads them.
+    fn arrived(sizes: &[Self]) -> Arrived<'_>;
+
+    /// The size as an `f64` (exact below 2⁵³, which every `u32` is).
+    #[inline(always)]
+    fn to_f64(self) -> f64 {
+        let wide: u64 = self.into();
+        wide as f64
+    }
+}
+
+impl SizeWord for u64 {
+    #[inline(always)]
+    fn arrived(sizes: &[u64]) -> Arrived<'_> {
+        Arrived::Wide(sizes)
+    }
+}
+
+impl SizeWord for u32 {
+    #[inline(always)]
+    fn arrived(sizes: &[u32]) -> Arrived<'_> {
+        Arrived::Narrow(sizes)
+    }
+}
+
+/// The arrived sizes an estimator reads, in either word width: `u64`
+/// sizes, or a session store's `u32` words read in place. Every read
+/// widens to `u64`, so an estimate is the same bits over either.
+#[derive(Debug, Clone, Copy)]
+pub enum Arrived<'a> {
+    /// Sizes held as `u64`.
+    Wide(&'a [u64]),
+    /// Sizes held as `u32` words.
+    Narrow(&'a [u32]),
+}
+
+impl Arrived<'_> {
+    /// Number of arrived pictures.
+    #[inline(always)]
+    pub fn len(&self) -> usize {
+        match self {
+            Arrived::Wide(s) => s.len(),
+            Arrived::Narrow(s) => s.len(),
+        }
+    }
+
+    /// Whether no picture has arrived.
+    #[inline(always)]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The size of picture `x`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x ≥ len()`.
+    #[inline(always)]
+    pub fn get(&self, x: usize) -> u64 {
+        match self {
+            Arrived::Wide(s) => s[x],
+            Arrived::Narrow(s) => u64::from(s[x]),
+        }
+    }
+}
+
+impl<'a> From<&'a [u64]> for Arrived<'a> {
+    fn from(sizes: &'a [u64]) -> Self {
+        Arrived::Wide(sizes)
+    }
+}
+
 /// A size estimator consulted for pictures that have not yet arrived.
 ///
 /// `arrived` holds the exact sizes of every picture that has completely
-/// arrived at estimation time (`arrived[x]` = size of display picture `x`,
-/// for `x < arrived.len()`); `j ≥ arrived.len()` is the picture being
-/// estimated.
+/// arrived at estimation time (`arrived.get(x)` = size of display picture
+/// `x`, for `x < arrived.len()`); `j ≥ arrived.len()` is the picture being
+/// estimated. The trait is object-safe: the smoothers also take it as
+/// `&dyn SizeEstimator`.
 pub trait SizeEstimator {
     /// Estimated size of picture `j`, in bits.
-    fn estimate(&self, j: usize, arrived: &[u64], pattern: &GopPattern) -> f64;
+    fn estimate(&self, j: usize, arrived: Arrived<'_>, pattern: &GopPattern) -> f64;
 
     /// Short name for reports and ablation tables.
     fn name(&self) -> &'static str;
@@ -185,7 +263,7 @@ impl SizeEstimator for PatternEstimator {
     /// covers that for the cost of a few integer subtractions; the
     /// division-based closed form is kept for far-away queries, keeping
     /// the worst case O(1).
-    fn estimate(&self, j: usize, arrived: &[u64], pattern: &GopPattern) -> f64 {
+    fn estimate(&self, j: usize, arrived: Arrived<'_>, pattern: &GopPattern) -> f64 {
         let n = pattern.n();
         if j >= n && !arrived.is_empty() {
             // Largest index ≡ j (mod N) that is both ≤ j − N (at least
@@ -195,7 +273,7 @@ impl SizeEstimator for PatternEstimator {
                 let mut back = j - n;
                 loop {
                     if back <= cap {
-                        return arrived[back] as f64;
+                        return arrived.get(back) as f64;
                     }
                     if back < n {
                         // back ≡ j (mod N) and back > cap: no arrived
@@ -208,7 +286,7 @@ impl SizeEstimator for PatternEstimator {
                 let slot = j % n;
                 if cap >= slot {
                     let back = cap - (cap - slot) % n;
-                    return arrived[back] as f64;
+                    return arrived.get(back) as f64;
                 }
             }
         }
@@ -260,7 +338,7 @@ impl Default for TypeDefaultEstimator {
 }
 
 impl SizeEstimator for TypeDefaultEstimator {
-    fn estimate(&self, j: usize, _arrived: &[u64], pattern: &GopPattern) -> f64 {
+    fn estimate(&self, j: usize, _arrived: Arrived<'_>, pattern: &GopPattern) -> f64 {
         self.defaults.for_type(pattern.type_at(j))
     }
 
@@ -289,7 +367,7 @@ pub struct OracleEstimator {
 }
 
 impl SizeEstimator for OracleEstimator {
-    fn estimate(&self, j: usize, _arrived: &[u64], pattern: &GopPattern) -> f64 {
+    fn estimate(&self, j: usize, _arrived: Arrived<'_>, pattern: &GopPattern) -> f64 {
         match self.sizes.get(j) {
             Some(&s) => s as f64,
             // Beyond the known trace, fall back to the pattern default.
@@ -310,6 +388,8 @@ impl SizeEstimator for OracleEstimator {
 mod tests {
     use super::*;
 
+    const NONE: Arrived<'static> = Arrived::Wide(&[]);
+
     fn pat9() -> GopPattern {
         GopPattern::new(3, 9).unwrap()
     }
@@ -320,17 +400,18 @@ mod tests {
         let arrived: Vec<u64> = (0..12).map(|i| 1000 * (i as u64 + 1)).collect();
         // Picture 13 (a B at slot 4): one pattern back is picture 4,
         // arrived with size 5000.
-        assert_eq!(est.estimate(13, &arrived, &pat9()), 5000.0);
+        assert_eq!(est.estimate(13, arrived[..].into(), &pat9()), 5000.0);
         // Picture 9 (an I): one back is picture 0, size 1000.
-        assert_eq!(est.estimate(9, &arrived, &pat9()), 1000.0);
+        assert_eq!(est.estimate(9, arrived[..].into(), &pat9()), 1000.0);
     }
 
     #[test]
     fn pattern_estimator_walks_back_multiple_patterns() {
         let est = PatternEstimator::default();
-        let arrived: Vec<u64> = vec![7000; 5]; // only pictures 0..4 arrived
-                                               // Picture 22 (slot 4): 22-9=13 not arrived, 13-9=4 arrived.
-        assert_eq!(est.estimate(22, &arrived, &pat9()), 7000.0);
+        // Only pictures 0..4 arrived.
+        let arrived: Vec<u64> = vec![7000; 5];
+        // Picture 22 (slot 4): 22-9=13 not arrived, 13-9=4 arrived.
+        assert_eq!(est.estimate(22, arrived[..].into(), &pat9()), 7000.0);
     }
 
     #[test]
@@ -338,12 +419,13 @@ mod tests {
         // Paper §4.4: I=200k, P=100k, B=20k before history exists.
         let est = PatternEstimator::default();
         let arrived: Vec<u64> = vec![];
-        assert_eq!(est.estimate(0, &arrived, &pat9()), 200_000.0); // I
-        assert_eq!(est.estimate(3, &arrived, &pat9()), 100_000.0); // P
-        assert_eq!(est.estimate(1, &arrived, &pat9()), 20_000.0); // B
-                                                                  // Second pattern, still nothing arrived: defaults again.
-        assert_eq!(est.estimate(9, &arrived, &pat9()), 200_000.0);
-        assert_eq!(est.estimate(12, &arrived, &pat9()), 100_000.0);
+        assert_eq!(est.estimate(0, arrived[..].into(), &pat9()), 200_000.0); // I
+        assert_eq!(est.estimate(3, arrived[..].into(), &pat9()), 100_000.0); // P
+        assert_eq!(est.estimate(1, arrived[..].into(), &pat9()), 20_000.0); // B
+
+        // Second pattern, still nothing arrived: defaults again.
+        assert_eq!(est.estimate(9, arrived[..].into(), &pat9()), 200_000.0);
+        assert_eq!(est.estimate(12, arrived[..].into(), &pat9()), 100_000.0);
     }
 
     #[test]
@@ -353,7 +435,7 @@ mod tests {
         let pat = pat9();
         let arrived: Vec<u64> = (0..20).map(|i| 100 + i as u64).collect();
         for j in 20..60 {
-            let e = est.estimate(j, &arrived, &pat);
+            let e = est.estimate(j, arrived[..].into(), &pat);
             // Find which arrived picture it came from (if any).
             let src = (0..arrived.len()).find(|&x| arrived[x] as f64 == e);
             if let Some(x) = src {
@@ -366,9 +448,9 @@ mod tests {
     fn type_default_ignores_history() {
         let est = TypeDefaultEstimator::default();
         let arrived: Vec<u64> = vec![999_999; 30];
-        assert_eq!(est.estimate(36, &arrived, &pat9()), 200_000.0);
-        assert_eq!(est.estimate(39, &arrived, &pat9()), 100_000.0);
-        assert_eq!(est.estimate(37, &arrived, &pat9()), 20_000.0);
+        assert_eq!(est.estimate(36, arrived[..].into(), &pat9()), 200_000.0);
+        assert_eq!(est.estimate(39, arrived[..].into(), &pat9()), 100_000.0);
+        assert_eq!(est.estimate(37, arrived[..].into(), &pat9()), 20_000.0);
     }
 
     #[test]
@@ -376,10 +458,10 @@ mod tests {
         let est = OracleEstimator {
             sizes: vec![11, 22, 33],
         };
-        assert_eq!(est.estimate(0, &[], &pat9()), 11.0);
-        assert_eq!(est.estimate(2, &[], &pat9()), 33.0);
+        assert_eq!(est.estimate(0, NONE, &pat9()), 11.0);
+        assert_eq!(est.estimate(2, NONE, &pat9()), 33.0);
         // Past the end: type default.
-        assert_eq!(est.estimate(9, &[], &pat9()), 200_000.0);
+        assert_eq!(est.estimate(9, NONE, &pat9()), 200_000.0);
     }
 
     #[test]
@@ -396,10 +478,10 @@ mod tests {
         for len in 1..=arrived.len() {
             let full = &arrived[..len];
             for j in len..len + 3 * n {
-                let base = est.estimate(j, full, &pat);
+                let base = est.estimate(j, full.into(), &pat);
                 let mut delta = n;
                 while delta + w <= len {
-                    let shifted = est.estimate(j - delta, &full[delta..], &pat);
+                    let shifted = est.estimate(j - delta, full[delta..].into(), &pat);
                     assert_eq!(
                         base.to_bits(),
                         shifted.to_bits(),
@@ -414,8 +496,8 @@ mod tests {
         assert_eq!(td.history_window(&pat), Some(0));
         for j in 10..40 {
             assert_eq!(
-                td.estimate(j, &arrived, &pat),
-                td.estimate(j - n, &[], &pat)
+                td.estimate(j, arrived[..].into(), &pat),
+                td.estimate(j - n, NONE, &pat)
             );
         }
 

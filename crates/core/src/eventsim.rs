@@ -16,220 +16,6 @@ use crate::smoother::{SmoothingResult, TIME_EPS};
 use serde::{Deserialize, Serialize};
 use smooth_rng::Rng;
 
-/// Slots per timing-wheel level (64 — one occupancy word per level).
-const WHEEL_SLOTS: u64 = 64;
-/// log2([`WHEEL_SLOTS`]): the per-level shift.
-const WHEEL_BITS: u32 = 6;
-/// Highest representable level: `64^(l+1)` must not overflow the u64
-/// delta shift (`6·(l+1) < 64`).
-const WHEEL_MAX_LEVEL: usize = 9;
-
-/// One wheel level: 64 slots of `(deadline, item)` entries plus an
-/// occupancy bitmap (bit `s` set iff `slots[s]` is non-empty).
-#[derive(Debug, Clone, Default)]
-struct WheelLevel {
-    slots: Vec<Vec<(u64, u64)>>,
-    occupied: u64,
-}
-
-impl WheelLevel {
-    fn new() -> Self {
-        WheelLevel {
-            slots: (0..WHEEL_SLOTS).map(|_| Vec::new()).collect(),
-            occupied: 0,
-        }
-    }
-}
-
-/// A hierarchical timing wheel over integer tick deadlines — the
-/// event-driven scheduler's core: `schedule` and `pop_due` are O(1)
-/// amortized, so advancing a fleet costs O(sessions **due**), not
-/// O(sessions live).
-///
-/// Layout (Varghese/Lauck): level `l` has 64 slots of width `64^l`
-/// ticks. An item with deadline `d` is hashed to the lowest level whose
-/// slot width covers `d − now`; when the wheel's position crosses a
-/// level boundary, the corresponding higher-level slot **cascades** —
-/// its items are re-hashed into lower levels — so by the time a
-/// deadline comes due its items sit in level 0, where one bitmap scan
-/// finds the earliest occupied slot.
-///
-/// Ordering contract (what the determinism proptests rely on):
-/// [`pop_due`](Self::pop_due) yields deadlines in non-decreasing order,
-/// every item of one deadline pops in one call, and the whole pop
-/// sequence is a pure function of the call history — bit-identical
-/// replay for identical schedules. Order *within* one deadline is
-/// deterministic but not insertion order (a cascade can re-file an
-/// early item behind a late direct insert); callers that care about
-/// cross-item order within a tick must impose their own (the session
-/// engine folds digests in session-id order, so it does not).
-/// Scheduling a deadline at or before the current position clamps to
-/// the current position rather than panicking — it pops on the next
-/// call.
-#[derive(Debug, Clone)]
-pub struct TimingWheel {
-    /// Current position: every deadline `< now` has been popped.
-    now: u64,
-    /// Scheduled items not yet popped.
-    len: usize,
-    /// Levels, created on demand as far-out deadlines arrive.
-    levels: Vec<WheelLevel>,
-    /// Emptied higher-level slot buffers, kept with their capacity: a
-    /// cascade leaves its slot without a buffer, and the next item filed
-    /// into an empty higher-level slot takes one from here, so a wheel in
-    /// steady state stops allocating while holding buffers only for the
-    /// slots in use.
-    spare: Vec<Vec<(u64, u64)>>,
-}
-
-impl Default for TimingWheel {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl TimingWheel {
-    /// An empty wheel positioned at tick 0.
-    pub fn new() -> Self {
-        TimingWheel {
-            now: 0,
-            len: 0,
-            levels: vec![WheelLevel::new()],
-            spare: Vec::new(),
-        }
-    }
-
-    /// Scheduled items not yet popped.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// `true` when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current position: every deadline `< now()` has been popped.
-    pub fn now(&self) -> u64 {
-        self.now
-    }
-
-    /// Schedules `item` for `deadline`. Deadlines at or before the
-    /// current position are clamped to it (they pop on the next
-    /// [`pop_due`](Self::pop_due)).
-    pub fn schedule(&mut self, deadline: u64, item: u64) {
-        let d = deadline.max(self.now);
-        let delta = d - self.now;
-        let mut level = 0usize;
-        while level < WHEEL_MAX_LEVEL && (delta >> (WHEEL_BITS * (level as u32 + 1))) != 0 {
-            level += 1;
-        }
-        while self.levels.len() <= level {
-            self.levels.push(WheelLevel::new());
-        }
-        let slot = ((d >> (WHEEL_BITS * level as u32)) & (WHEEL_SLOTS - 1)) as usize;
-        let lv = &mut self.levels[level];
-        let items = &mut lv.slots[slot];
-        if items.capacity() == 0 {
-            if let Some(buffer) = self.spare.pop() {
-                *items = buffer;
-            }
-        }
-        items.push((d, item));
-        lv.occupied |= 1 << slot;
-        self.len += 1;
-    }
-
-    /// Pops every item of the **earliest** pending deadline `d ≤ until`
-    /// into `out` (appending, in scheduling order) and returns `Some(d)`
-    /// after advancing the position to `d`. Returns `None` — and
-    /// advances the position to `until` — when no pending deadline is
-    /// due by `until`. Call in a loop to drain a window; items scheduled
-    /// between calls (re-armed sessions) are picked up as long as their
-    /// deadlines are not in the past.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `until` is before the current position.
-    pub fn pop_due(&mut self, until: u64, out: &mut Vec<u64>) -> Option<u64> {
-        assert!(
-            until >= self.now,
-            "pop_due({until}) behind position {}",
-            self.now
-        );
-        loop {
-            if self.len == 0 {
-                self.now = until;
-                return None;
-            }
-            // Earliest level-0 slot at or after the current position
-            // within the current 64-tick window.
-            let wstart = self.now & !(WHEEL_SLOTS - 1);
-            let idx = (self.now & (WHEEL_SLOTS - 1)) as u32;
-            let mask = self.levels[0].occupied & (u64::MAX << idx);
-            if mask != 0 {
-                let s = mask.trailing_zeros();
-                let d = wstart + u64::from(s);
-                if d > until {
-                    self.now = until;
-                    return None;
-                }
-                let lv = &mut self.levels[0];
-                let slot = &mut lv.slots[s as usize];
-                debug_assert!(slot.iter().all(|&(dl, _)| dl == d));
-                self.len -= slot.len();
-                out.extend(slot.iter().map(|&(_, item)| item));
-                slot.clear();
-                lv.occupied &= !(1u64 << s);
-                self.now = d;
-                return Some(d);
-            }
-            // Level 0 is dry for the rest of this window: either the
-            // window ends past `until` (nothing due) or we cross the
-            // boundary and cascade the higher-level slots that cover it.
-            let boundary = wstart + WHEEL_SLOTS;
-            if until < boundary {
-                self.now = until;
-                return None;
-            }
-            self.cross_boundary(boundary);
-        }
-    }
-
-    /// Advances the position to `boundary` (a multiple of 64) and
-    /// cascades every higher-level slot whose window the crossing
-    /// enters, highest level first so re-hashed items land relative to
-    /// the new position.
-    fn cross_boundary(&mut self, boundary: u64) {
-        let old = self.now;
-        self.now = boundary;
-        let mut changed = 0usize;
-        for l in 1..self.levels.len() {
-            if (old >> (WHEEL_BITS * l as u32)) != (boundary >> (WHEEL_BITS * l as u32)) {
-                changed = l;
-            } else {
-                break;
-            }
-        }
-        for l in (1..=changed).rev() {
-            let slot = ((boundary >> (WHEEL_BITS * l as u32)) & (WHEEL_SLOTS - 1)) as usize;
-            let lv = &mut self.levels[l];
-            if lv.occupied & (1 << slot) == 0 {
-                continue;
-            }
-            let mut drained = std::mem::take(&mut lv.slots[slot]);
-            lv.occupied &= !(1u64 << slot);
-            self.len -= drained.len();
-            for &(d, item) in &drained {
-                debug_assert!(d >= boundary, "cascaded deadline {d} behind {boundary}");
-                self.schedule(d, item);
-            }
-            drained.clear();
-            self.spare.push(drained);
-        }
-    }
-}
-
 /// Comparison between modeled and event-simulated delays.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct EventSimReport {
@@ -354,140 +140,6 @@ mod tests {
             validate_against_events(&result, 5).true_delays,
             validate_against_events(&result, 6).true_delays
         );
-    }
-
-    #[test]
-    fn wheel_pops_in_deadline_order() {
-        let mut w = TimingWheel::new();
-        for (d, item) in [(5u64, 50u64), (1, 10), (70, 700), (5, 51), (4100, 41_000)] {
-            w.schedule(d, item);
-        }
-        assert_eq!(w.len(), 5);
-        let mut out = Vec::new();
-        assert_eq!(w.pop_due(u64::MAX, &mut out), Some(1));
-        assert_eq!(out, vec![10]);
-        out.clear();
-        assert_eq!(w.pop_due(u64::MAX, &mut out), Some(5));
-        assert_eq!(out, vec![50, 51], "same-deadline items pop together");
-        out.clear();
-        assert_eq!(w.pop_due(u64::MAX, &mut out), Some(70));
-        assert_eq!(out, vec![700]);
-        out.clear();
-        assert_eq!(w.pop_due(u64::MAX, &mut out), Some(4100));
-        assert_eq!(out, vec![41_000]);
-        out.clear();
-        assert_eq!(w.pop_due(u64::MAX, &mut out), None);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wheel_until_bounds_the_drain_and_advances_position() {
-        let mut w = TimingWheel::new();
-        w.schedule(10, 1);
-        w.schedule(200, 2);
-        let mut out = Vec::new();
-        assert_eq!(w.pop_due(5, &mut out), None);
-        assert_eq!(w.now(), 5);
-        assert!(out.is_empty());
-        assert_eq!(w.pop_due(10, &mut out), Some(10));
-        assert_eq!(w.pop_due(199, &mut out), None);
-        assert_eq!(w.now(), 199);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop_due(10_000, &mut out), Some(200));
-        assert_eq!(out, vec![1, 2]);
-    }
-
-    #[test]
-    fn wheel_clamps_past_deadlines_to_the_position() {
-        let mut w = TimingWheel::new();
-        let mut out = Vec::new();
-        assert_eq!(w.pop_due(100, &mut out), None);
-        w.schedule(40, 7); // behind the position: clamps to 100
-        assert_eq!(w.pop_due(100, &mut out), Some(100));
-        assert_eq!(out, vec![7]);
-    }
-
-    #[test]
-    fn wheel_rearms_during_drain_loop() {
-        // The session-engine pattern: pop a deadline, re-arm the popped
-        // item one period later, keep draining the same window.
-        let mut w = TimingWheel::new();
-        w.schedule(3, 1);
-        w.schedule(5, 2);
-        let mut seen = Vec::new();
-        let mut out = Vec::new();
-        while let Some(d) = w.pop_due(20, &mut out) {
-            for item in out.drain(..) {
-                seen.push((d, item));
-                if d + 7 <= 20 {
-                    w.schedule(d + 7, item);
-                }
-            }
-        }
-        assert_eq!(w.now(), 20);
-        assert_eq!(
-            seen,
-            vec![(3, 1), (5, 2), (10, 1), (12, 2), (17, 1), (19, 2)]
-        );
-    }
-
-    /// Randomized exerciser against a binary-heap reference: interleaved
-    /// schedules (spanning several wheel levels) and bounded drains must
-    /// agree with the heap on every (deadline → item multiset) pair.
-    #[test]
-    fn wheel_matches_heap_reference() {
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-
-        for seed in [1u64, 7, 42, 0xdead] {
-            let mut rng = Rng::seed_from_u64(seed);
-            let mut wheel = TimingWheel::new();
-            let mut heap: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
-            let mut next_item = 0u64;
-            let mut pos = 0u64;
-            for _ in 0..400 {
-                // A burst of schedules at mixed horizons (within-window,
-                // next-level, far-out).
-                let burst = (rng.range_f64(0.0, 4.0)) as usize;
-                for _ in 0..burst {
-                    let horizon = match (rng.range_f64(0.0, 3.0)) as u32 {
-                        0 => 50.0,
-                        1 => 4000.0,
-                        _ => 300_000.0,
-                    };
-                    let d = pos + rng.range_f64(0.0, horizon) as u64;
-                    wheel.schedule(d, next_item);
-                    heap.push(Reverse((d.max(pos), next_item)));
-                    next_item += 1;
-                }
-                // Drain a bounded window.
-                let until = pos + rng.range_f64(0.0, 600.0) as u64;
-                let mut out = Vec::new();
-                while let Some(d) = wheel.pop_due(until, &mut out) {
-                    let mut want = Vec::new();
-                    while let Some(&Reverse((hd, hi))) = heap.peek() {
-                        if hd != d {
-                            break;
-                        }
-                        want.push(hi);
-                        heap.pop();
-                    }
-                    let mut got = std::mem::take(&mut out);
-                    got.sort_unstable();
-                    want.sort_unstable();
-                    assert_eq!(got, want, "seed {seed}: deadline {d} items diverged");
-                    if let Some(&Reverse((hd, _))) = heap.peek() {
-                        assert!(hd > d || hd > until, "seed {seed}: heap has earlier work");
-                    }
-                }
-                if let Some(&Reverse((hd, _))) = heap.peek() {
-                    assert!(hd > until, "seed {seed}: wheel left {hd} ≤ {until} behind");
-                }
-                assert_eq!(wheel.len(), heap.len(), "seed {seed}");
-                pos = until;
-                assert_eq!(wheel.now(), pos);
-            }
-        }
     }
 
     #[test]

@@ -64,10 +64,10 @@ pub mod verify;
 pub use adaptive::{same_type_estimate, smooth_adaptive};
 pub use baseline::{ideal_rates, ideal_smooth, unsmoothed, BaselineResult, BaselineSchedule};
 pub use estimate::{
-    DefaultSizes, Invalidation, OracleEstimator, PatternEstimator, SizeEstimator,
-    TypeDefaultEstimator,
+    Arrived, DefaultSizes, Invalidation, OracleEstimator, PatternEstimator, SizeEstimator,
+    SizeWord, TypeDefaultEstimator,
 };
-pub use eventsim::{validate_against_events, EventSimReport, TimingWheel};
+pub use eventsim::{validate_against_events, EventSimReport};
 pub use lookahead::{window_capacity, LookaheadWindow, WindowMut, WindowState};
 pub use lossy::{cap_peak_with_quantizer, drop_b_pictures, BDropResult, QuantizerControlResult};
 pub use online::{

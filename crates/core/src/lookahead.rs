@@ -49,6 +49,7 @@
 //! stored, and online live modes.
 
 pub use crate::estimate::Invalidation;
+use crate::estimate::SizeWord;
 
 /// Slot storage a window of up to `look` live slots works in: `look`
 /// plus a slack of `⌈look / 2⌉`, at least 4. The live window slides one
@@ -137,8 +138,9 @@ impl<'a> WindowMut<'a> {
     ///   [`window_capacity`]`(look)` slots copies at most two slots an
     ///   advance to stay contiguous.
     /// * `visible` — the arrived prefix (`visible[x]` is the exact size
-    ///   of picture `x`); its length is the arrived-watermark and must be
-    ///   non-decreasing across successive calls of one run.
+    ///   of picture `x`, as `u64` or as a store's `u32` word); its length
+    ///   is the arrived-watermark and must be non-decreasing across
+    ///   successive calls of one run.
     /// * `invalidation` — the estimator's declared contract; governs
     ///   which cached estimates are recomputed.
     /// * `slot_modulus` — the GOP pattern period `N`, consulted only for
@@ -155,11 +157,11 @@ impl<'a> WindowMut<'a> {
     ///
     /// Panics if `look` exceeds the storage.
     #[inline(always)]
-    pub fn advance(
+    pub fn advance<W: SizeWord>(
         self,
         i: usize,
         look: usize,
-        visible: &[u64],
+        visible: &[W],
         invalidation: Invalidation,
         slot_modulus: usize,
         mut estimate: impl FnMut(usize) -> f64,
@@ -185,7 +187,7 @@ impl<'a> WindowMut<'a> {
         // 2. Estimate → exact for slots that crossed the watermark.
         let w0 = state.watermark;
         for j in w0.max(i)..w1.min(i + win.len()) {
-            win[j - i] = visible[j] as f64;
+            win[j - i] = visible[j].to_f64();
         }
 
         // 3. Recompute estimates the new arrivals invalidated (slots at
@@ -246,7 +248,7 @@ impl<'a> WindowMut<'a> {
             while len < look {
                 let j = i + len;
                 let v = if j < w1 {
-                    visible[j] as f64
+                    visible[j].to_f64()
                 } else if invalidation == Invalidation::OnSameSlotArrival
                     && slot_modulus >= 1
                     && j - i >= slot_modulus
@@ -278,12 +280,12 @@ impl<'a> WindowMut<'a> {
 /// the inlined sliding fast path stays small.
 #[cold]
 #[inline(never)]
-fn refill<'a>(
+fn refill<'a, W: SizeWord>(
     state: &mut WindowState,
     slots: &'a mut [f64],
     i: usize,
     look: usize,
-    visible: &[u64],
+    visible: &[W],
     mut estimate: impl FnMut(usize) -> f64,
 ) -> &'a [f64] {
     assert!(
@@ -299,7 +301,7 @@ fn refill<'a>(
     };
     for (slot, j) in slots[..look].iter_mut().zip(i..) {
         *slot = if j < visible.len() {
-            visible[j] as f64
+            visible[j].to_f64()
         } else {
             estimate(j)
         };
@@ -362,11 +364,11 @@ impl LookaheadWindow {
 
     /// [`WindowMut::advance`] on the window's own storage.
     #[inline(always)]
-    pub fn advance(
+    pub fn advance<W: SizeWord>(
         &mut self,
         i: usize,
         look: usize,
-        visible: &[u64],
+        visible: &[W],
         invalidation: Invalidation,
         slot_modulus: usize,
         estimate: impl FnMut(usize) -> f64,

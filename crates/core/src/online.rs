@@ -28,14 +28,14 @@
 //! one integer compare and inlines the decision body. Arrived history
 //! is addressed *logically* through [`SizeHistory`]: a session that has
 //! pruned its decided prefix passes `base > 0` and only the retained
-//! tail. [`OnlineSmoother`] itself compacts its history this way
-//! whenever its estimator declares a
-//! [`SizeEstimator::history_window`], so a live session holds O(H + N +
-//! K + D/τ) sizes instead of every picture ever pushed — with schedules
-//! bit-identical to full history (pinned by proptests against
-//! [`crate::reference::smooth_live_reference`]).
+//! tail, as `u64` sizes or as the `u32` words a session store keeps.
+//! [`OnlineSmoother`] itself compacts its history this way whenever its
+//! estimator declares a [`SizeEstimator::history_window`], so a live
+//! session holds O(H + N + K + D/τ) sizes instead of every picture ever
+//! pushed — with schedules bit-identical to full history (pinned by
+//! proptests against [`crate::reference::smooth_live_reference`]).
 
-use crate::estimate::{PatternEstimator, SizeEstimator};
+use crate::estimate::{PatternEstimator, SizeEstimator, SizeWord};
 use crate::lookahead::{LookaheadWindow, WindowMut};
 use crate::params::SmootherParams;
 use crate::smoother::{
@@ -81,21 +81,24 @@ impl Default for LiveCursor {
 /// A logically addressed view of a session's arrived sizes: picture `x`
 /// (display order) has size `tail[x − base]`, for `base ≤ x < base +
 /// tail.len()`. Sessions that never prune pass `base = 0` and the full
-/// history; pruning sessions pass the retained suffix.
+/// history; pruning sessions pass the retained suffix. The sizes are
+/// `u64`, or the `u32` words of a session store read in place
+/// ([`SizeWord`]): every read widens exactly, so the width changes no
+/// decision bit.
 ///
 /// `base` must be a multiple of the GOP period `N` and must satisfy the
 /// bound from [`prunable_prefix`] — both are what keeps pruned schedules
 /// bit-identical to full history (see
 /// [`SizeEstimator::history_window`]).
 #[derive(Debug, Clone, Copy)]
-pub struct SizeHistory<'a> {
+pub struct SizeHistory<'a, W = u64> {
     /// Logical index of `tail[0]` (number of pruned sizes).
     pub base: usize,
     /// Retained sizes, in display order.
-    pub tail: &'a [u64],
+    pub tail: &'a [W],
 }
 
-impl SizeHistory<'_> {
+impl<W> SizeHistory<'_, W> {
     /// Total pictures pushed so far (pruned + retained).
     pub fn pushed(&self) -> usize {
         self.base + self.tail.len()
@@ -189,9 +192,9 @@ pub fn live_ready<E: SizeEstimator + ?Sized>(
 /// [`rebase`](crate::WindowState::rebase) it by the pruned count after
 /// pruning.
 #[inline(always)]
-pub fn decide_ready<E: SizeEstimator + ?Sized>(
+pub fn decide_ready<E: SizeEstimator + ?Sized, W: SizeWord>(
     cfg: &LiveParams<'_, E>,
-    history: SizeHistory<'_>,
+    history: SizeHistory<'_, W>,
     ready: Ready,
     cursor: &mut LiveCursor,
     window: WindowMut<'_>,
@@ -215,13 +218,14 @@ pub fn decide_ready<E: SizeEstimator + ?Sized>(
 
     let pattern = cfg.pattern;
     let estimator = cfg.estimator;
+    let arrived = W::arrived(visible);
     let sizes_ahead = window.advance(
         i - base,
         ready.look,
         visible,
         estimator.invalidation(),
         pattern.n(),
-        |j| estimator.estimate(j, visible, &pattern),
+        |j| estimator.estimate(j, arrived, &pattern),
     );
     let ctx = DecideCtx {
         params: cfg.params,
@@ -231,7 +235,7 @@ pub fn decide_ready<E: SizeEstimator + ?Sized>(
         i,
         start: ready.time,
         prev_rate: cursor.prev_rate,
-        size_i: history.tail[i - base],
+        size_i: history.tail[i - base].into(),
         // Arrivals stream in, so the size bound needed for the
         // order-free scan is not known up front.
         exact_prefix: false,
@@ -258,9 +262,9 @@ pub fn decide_ready<E: SizeEstimator + ?Sized>(
 /// slides instead of refilling.
 ///
 /// `lanes` and `window` are as for [`decide_ready`].
-pub fn decide_live<E: SizeEstimator + ?Sized>(
+pub fn decide_live<E: SizeEstimator + ?Sized, W: SizeWord>(
     cfg: &LiveParams<'_, E>,
-    history: SizeHistory<'_>,
+    history: SizeHistory<'_, W>,
     ended: bool,
     cursor: &mut LiveCursor,
     window: WindowMut<'_>,

@@ -11,7 +11,7 @@
 //!
 //! Nothing in this module is called by production code paths.
 
-use crate::estimate::{DefaultSizes, PatternEstimator, SizeEstimator};
+use crate::estimate::{Arrived, DefaultSizes, PatternEstimator, SizeEstimator};
 use crate::params::SmootherParams;
 use crate::smoother::{DecideCtx, PictureSchedule, RateSelection, SmoothingResult, TIME_EPS};
 use smooth_mpeg::GopPattern;
@@ -101,7 +101,7 @@ pub fn fill_lookahead(
 pub fn walk_back_estimate(
     defaults: &DefaultSizes,
     j: usize,
-    arrived: &[u64],
+    arrived: Arrived<'_>,
     pattern: &GopPattern,
 ) -> f64 {
     let n = pattern.n();
@@ -109,7 +109,7 @@ pub fn walk_back_estimate(
     while back >= n {
         back -= n;
         if back < arrived.len() {
-            return arrived[back] as f64;
+            return arrived.get(back) as f64;
         }
     }
     defaults.for_type(pattern.type_at(j))
@@ -133,7 +133,7 @@ impl Default for ReferencePatternEstimator {
 }
 
 impl SizeEstimator for ReferencePatternEstimator {
-    fn estimate(&self, j: usize, arrived: &[u64], pattern: &GopPattern) -> f64 {
+    fn estimate(&self, j: usize, arrived: Arrived<'_>, pattern: &GopPattern) -> f64 {
         walk_back_estimate(&self.defaults, j, arrived, pattern)
     }
 
@@ -176,7 +176,7 @@ pub fn smooth_reference_with(
             i,
             params.h.min(n_total - i),
             visible,
-            |j| estimator.estimate(j, visible, &pattern),
+            |j| estimator.estimate(j, visible.into(), &pattern),
         );
         let decision = decide_one_reference(&DecideCtx {
             params: &params,
@@ -259,7 +259,7 @@ pub fn smooth_live_reference(
                 None => params.h,
             };
             fill_lookahead(&mut sizes_ahead, i, look, visible, |j| {
-                estimator.estimate(j, visible, &pattern)
+                estimator.estimate(j, visible.into(), &pattern)
             });
             let decision = decide_one_reference(&DecideCtx {
                 params: &params,
@@ -322,8 +322,8 @@ mod tests {
             for take in [0usize, 1, 5, 9, 24, 25] {
                 let pre = &arrived[..take];
                 assert_eq!(
-                    walk_back_estimate(&est.defaults, j, pre, &pattern),
-                    est.estimate(j, pre, &pattern),
+                    walk_back_estimate(&est.defaults, j, pre.into(), &pattern),
+                    est.estimate(j, pre.into(), &pattern),
                     "j={j} take={take}"
                 );
             }

@@ -574,7 +574,7 @@ fn run_core<E: SizeEstimator + ?Sized>(
             visible,
             invalidation,
             pattern_n,
-            |j| estimator.estimate(j, visible, &pattern),
+            |j| estimator.estimate(j, visible.into(), &pattern),
         );
         let ctx = DecideCtx {
             params: &params,

@@ -6,8 +6,10 @@
 //! every trace, parameter set, and estimator. These properties quantify
 //! over random inputs in three regimes — offline, online with a declared
 //! length, and live streaming with an unknown length — plus the
-//! closed-form pattern estimate on its own, and a window renumbered by
-//! [`LookaheadWindow::rebase`] after a whole-pattern prune.
+//! closed-form pattern estimate on its own, a window renumbered by
+//! [`LookaheadWindow::rebase`] after a whole-pattern prune, and a live
+//! session deciding over `u32` history words against the same sizes
+//! held as `u64`.
 
 use proptest::prelude::*;
 use smooth_core::reference::{
@@ -15,8 +17,9 @@ use smooth_core::reference::{
     ReferencePatternEstimator,
 };
 use smooth_core::{
-    smooth, smooth_streaming, smooth_with, LookaheadWindow, OnlineSmoother, PatternEstimator,
-    RateSelection, SizeEstimator, SmootherParams, TypeDefaultEstimator,
+    decide_live, prunable_prefix, smooth, smooth_streaming, smooth_with, BlockLanes, LiveCursor,
+    LiveParams, LookaheadWindow, OnlineSmoother, PatternEstimator, PictureSchedule, RateSelection,
+    SizeEstimator, SizeHistory, SizeWord, SmootherParams, TypeDefaultEstimator,
 };
 use smooth_mpeg::{GopPattern, Resolution};
 use smooth_trace::VideoTrace;
@@ -82,8 +85,8 @@ proptest! {
         j in 0usize..220,
     ) {
         let est = PatternEstimator::default();
-        let closed = est.estimate(j, &arrived, &pattern);
-        let walked = walk_back_estimate(&est.defaults, j, &arrived, &pattern);
+        let closed = est.estimate(j, arrived[..].into(), &pattern);
+        let walked = walk_back_estimate(&est.defaults, j, arrived[..].into(), &pattern);
         prop_assert_eq!(closed.to_bits(), walked.to_bits(), "j={} n={}", j, pattern.n());
     }
 
@@ -171,7 +174,7 @@ fn slides_like_a_refill(
     for i in from..(from + steps).min(sizes.len()) {
         let look = h.min(sizes.len() - i);
         let visible = &sizes[..(i + lead).min(sizes.len())];
-        let est = |j| estimator.estimate(j, visible, pattern);
+        let est = |j| estimator.estimate(j, visible.into(), pattern);
         let inv = estimator.invalidation();
         let got = window.advance(i, look, visible, inv, n, est).to_vec();
         let want = fresh.advance(i, look, visible, inv, n, est).to_vec();
@@ -265,7 +268,7 @@ fn rebase_one_past_the_front_slides_on() {
     let calls = std::cell::Cell::new(0);
     window.advance(0, h, &shifted[..lead], estimator.invalidation(), 9, |j| {
         calls.set(calls.get() + 1);
-        estimator.estimate(j, &shifted[..lead], &pattern)
+        estimator.estimate(j, shifted[..lead].into(), &pattern)
     });
     assert_eq!(calls.get(), 1, "the first advance after the cut refilled");
     assert!(slides_like_a_refill(
@@ -275,4 +278,84 @@ fn rebase_one_past_the_front_slides_on() {
         shifted,
         (1, 40, h, lead)
     ));
+}
+
+/// A live session's decisions over `sizes`, held as words of type `W`:
+/// pushed one at a time, every ready decision made through
+/// [`decide_live`], the history pruned at every whole-pattern cut the
+/// estimator allows (the window renumbered), and the stream ended after
+/// the last push.
+fn live_decisions<W: SizeWord>(
+    sizes: &[W],
+    params: &SmootherParams,
+    pattern: GopPattern,
+    estimator: &dyn SizeEstimator,
+    selection: RateSelection,
+) -> Vec<PictureSchedule> {
+    let cfg = LiveParams {
+        params,
+        pattern,
+        estimator,
+        selection,
+        total: None,
+    };
+    let hist = estimator.history_window(&pattern);
+    let mut cursor = LiveCursor::new();
+    let mut window = LookaheadWindow::new();
+    let mut lanes = BlockLanes::default();
+    let mut out = Vec::new();
+    let mut base = 0;
+    for pushed in 1..=sizes.len() + 1 {
+        let ended = pushed > sizes.len();
+        let tail = &sizes[base..pushed.min(sizes.len())];
+        while let Some(d) = decide_live(
+            &cfg,
+            SizeHistory { base, tail },
+            ended,
+            &mut cursor,
+            window.view(params.h),
+            &mut lanes,
+        ) {
+            out.push(d);
+        }
+        let cut = prunable_prefix(&cursor, hist, pattern.n());
+        if cut > base {
+            window.rebase(cut - base);
+            base = cut;
+        }
+    }
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Narrow history ≡ wide history: a live session deciding straight
+    /// from `u32` size words (as the session engine's ring holds them)
+    /// makes bit-for-bit the decisions it makes over the same sizes
+    /// widened to `u64`, for sizes anywhere below 2³², with the pattern
+    /// and type-default estimators called through `&dyn SizeEstimator`.
+    #[test]
+    fn narrow_history_decides_like_wide_history(
+        pattern in arb_pattern(),
+        narrow in proptest::collection::vec(1u32..=u32::MAX, 1..150),
+        params in arb_params(),
+        selection in arb_selection(),
+        type_default in any::<bool>(),
+    ) {
+        let pattern_est = PatternEstimator::default();
+        let type_est = TypeDefaultEstimator::default();
+        let estimator: &dyn SizeEstimator = if type_default { &type_est } else { &pattern_est };
+        let wide: Vec<u64> = narrow.iter().map(|&w| u64::from(w)).collect();
+        let from_narrow = live_decisions(&narrow, &params, pattern, estimator, selection);
+        let from_wide = live_decisions(&wide, &params, pattern, estimator, selection);
+        prop_assert_eq!(from_narrow.len(), narrow.len());
+        let bits = |d: &PictureSchedule| {
+            (d.index, d.start.to_bits(), d.rate.to_bits(), d.depart.to_bits(), d.delay.to_bits())
+        };
+        prop_assert!(
+            from_narrow.iter().map(bits).eq(from_wide.iter().map(bits)),
+            "a u32 history decided differently from its u64 widening"
+        );
+    }
 }

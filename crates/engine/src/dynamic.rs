@@ -1,46 +1,40 @@
-//! Event-driven dynamic session engine: timing-wheel ticks,
-//! heterogeneous clocks, and live churn.
+//! Event-driven dynamic session engine: heterogeneous per-class
+//! clocks, live churn, and slot-order feeding.
 //!
 //! The lockstep [`SessionEngine`](crate::SessionEngine) sweeps every
-//! session on one shared picture clock — each tick costs O(sessions
-//! live) even when most sessions have no picture due, and the fleet is
-//! fixed at start. This module drives the same slot store (one 64-byte
-//! scalar header, session id and fixed `u32` history slice per session,
-//! one step body) event by event:
+//! session on one shared picture clock over a fleet fixed at start. This
+//! module drives the same slot store (one 64-byte scalar header, session
+//! id and fixed `u32` history slice per session, one step body) on
+//! per-session clocks under churn:
 //!
 //! * **Per-session clocks.** Time is an integer *scheduler tick* (a
 //!   [`ChurnSpec::ticks_per_sec`](crate::synthetic::ChurnSpec) base
 //!   clock — 600 ticks/s divides evenly by 24/25/30/60 fps). Each
 //!   [`DynamicClass`] carries its picture period τ in ticks; each
-//!   session carries its own next-deadline and re-arms a period after
-//!   every arrival.
-//! * **Timing-wheel scheduling.** Every shard owns a
-//!   [`smooth_core::TimingWheel`] holding its sessions' next arrivals,
-//!   so advancing the fleet to tick `t` costs O(sessions *due*), not
-//!   O(sessions *live*): [`DynamicEngine::advance_to`] drains each
-//!   shard's due slots in deadline order (the wheel's non-decreasing
-//!   deadline contract) and decided sessions re-arm into the wheel.
-//! * **Arrival batching.** Sessions re-arm every
-//!   [`ARRIVAL_BATCH`]-th picture (configurable down to strict
-//!   per-arrival cadence via [`DynamicEngine::set_arrival_batch`]) and
-//!   a popped session is fed every arrival due in one visit — the
-//!   lockstep engine's session-major amortization carried over to the
-//!   wheel, which is what holds the per-decision cost near the lockstep
-//!   path's instead of paying the full random-access toll per picture.
-//!   Decisions and digests are invariant in the batch setting (a
+//!   session's header carries its next arrival.
+//! * **Slot-order feeding.** Sessions are fed only by a flush: each
+//!   shard walks its slots in slot order and feeds every live session
+//!   all of its arrivals due by the flush tick in one visit — the
+//!   lockstep sweep's streaming access pattern. The engine flushes at
+//!   every public boundary ([`advance_to`](DynamicEngine::advance_to),
+//!   the end of [`run_trace`](DynamicEngine::run_trace) and
+//!   [`run_trace_fused`](DynamicEngine::run_trace_fused),
+//!   [`finish`](DynamicEngine::finish)) and, in a fused replay, before
+//!   each link ingest. Between churn events a replay only moves its
+//!   clock: a leave catches its own session up first, and sessions never
+//!   interact, so deferring the others changes no digest bit — a
 //!   decision consults at most its own `need`-length prefix however
-//!   many arrivals are in hand — the same property the lockstep batch
-//!   path pins), and every API boundary still observes tick-exact
-//!   state: `advance_to` flushes sub-batch tails before returning, and
-//!   a leave catches its own session up first.
+//!   many arrivals are in hand ([`smooth_core::live_ready`]). A flush
+//!   costs O(sessions live), not O(sessions due), but at a live
+//!   server's slice width about half the fleet is due each step, and
+//!   streaming every header beat both a timing wheel and a per-class
+//!   calendar of the due slots (DESIGN.md §6).
 //! * **Live churn.** [`DynamicEngine::join`] and
 //!   [`DynamicEngine::leave`] add and remove sessions mid-run. Each
-//!   shard is a slot store plus its timing wheel; the store recycles
-//!   freed slots through a LIFO free list — the history slice is zeroed
-//!   on reuse and the lookahead window reset, so a recycled slot is
-//!   indistinguishable from a fresh one (pinned by proptests). Wheel
-//!   entries of departed sessions die lazily via a per-slot generation
-//!   counter.
+//!   shard is a slot store that recycles freed slots through a LIFO free
+//!   list — the history slice is zeroed on reuse and the lookahead
+//!   window reset, so a recycled slot is indistinguishable from a fresh
+//!   one (pinned by proptests).
 //! * **Snapshot / restore.** [`DynamicEngine::snapshot`] captures one
 //!   session's hot+cold state as a self-contained [`SessionSnapshot`];
 //!   [`DynamicEngine::restore`] installs it into any engine with the
@@ -61,17 +55,16 @@
 //!   when it moves between calls.
 //!
 //! **Determinism.** Sessions are independent state machines; shards are
-//! advanced sequentially within a shard's drain and fanned out with
-//! index-ordered [`smooth_sweep::par_map`], and the fleet digest folds
-//! per-session digests in session-id order — so a churn trace replays
-//! bit-identically for any thread count, and against the brute-force
-//! scan-all reference (`smooth_oracle::scanref`), which is frozen as
-//! the proptest oracle.
+//! flushed in slot order and fanned out with index-ordered
+//! [`smooth_sweep::par_map`], and the fleet digest folds per-session
+//! digests in session-id order — so a churn trace replays
+//! bit-identically for any thread count and any cut of the trace into
+//! calls, and against the brute-force scan-all reference
+//! (`smooth_oracle::scanref`), which is frozen as the proptest oracle.
 
 use std::collections::VecDeque;
 use std::sync::Mutex;
 
-use smooth_core::TimingWheel;
 use smooth_sweep::par_map;
 
 use crate::livemux::{LiveMux, LiveMuxStats, SessionLane};
@@ -121,39 +114,10 @@ pub fn fps_class(fps: u64) -> DynamicClass {
     }
 }
 
-/// Where a live session sits: shard index and shard-local slot.
-/// `shard == u32::MAX` marks a departed (or migrating) session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Locator {
-    shard: u32,
-    slot: u32,
-}
-
-const GONE: Locator = Locator {
-    shard: u32::MAX,
-    slot: u32::MAX,
-};
-
-/// How many due-list entries ahead of the one being processed
-/// [`drain_until`](DynShard::drain_until) pulls toward cache. Deep
-/// enough to cover a line fill behind one arrival's work; past ~8 the
-/// prefetched lines start aging out before use.
-const PREFETCH_DUE: usize = 4;
-
-/// Default arrival batch: sessions are armed on the wheel every
-/// `ARRIVAL_BATCH`-th picture and fed the accumulated arrivals in one
-/// visit (see [`DynamicEngine::set_arrival_batch`]). 16 keeps the
-/// scheduling quantum sub-second on the broadcast clocks (0.27 s at
-/// 60 fps to 0.67 s at 24 fps on the 600 tick/s grid)
-/// while amortizing the per-visit slot walk far enough to clear the
-/// churn throughput bar; digests are invariant in this knob (pinned by
-/// the churn proptests), so it trades only *when* within a span a
-/// decision is computed, never what is decided.
-pub const ARRIVAL_BATCH: u64 = 16;
-
 /// How much trace time [`DynamicEngine::run_trace_fused`] lets rate
-/// events buffer in the mux lanes between [`LiveMux::ingest`] passes:
-/// half a simulated second. Each ingest pays an O(live sessions) fence
+/// events buffer in the mux lanes between [`LiveMux::ingest`] passes
+/// (it flushes the fleet to its clock before each): half a simulated
+/// second. Each ingest pays an O(live sessions) fence
 /// scan, so ingesting at every event tick would swamp a churny trace;
 /// half a second keeps the buffered-event footprint modest while
 /// holding the scan cost to a few passes per simulated second. The
@@ -219,164 +183,84 @@ pub struct EngineCheckpoint {
     pub retired: Vec<(u64, u64)>,
 }
 
-/// Wheel item of slot `slot` at generation `gen`.
-fn wheel_item(gen: u32, slot: u32) -> u64 {
-    (u64::from(gen) << 32) | u64::from(slot)
+/// Where a live session sits: shard index and shard-local slot.
+/// `shard == u32::MAX` marks a departed (or migrating) session.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Locator {
+    shard: u32,
+    slot: u32,
 }
 
-/// One dynamic shard: the shared [`SlotStore`] plus a per-shard timing
-/// wheel of its sessions' next arrivals.
-struct DynShard {
-    store: SlotStore,
-    /// Per-shard arrival wheel; items are [`wheel_item`]s.
-    wheel: TimingWheel,
-    /// `pop_due` scratch.
-    due: Vec<u64>,
-}
+const GONE: Locator = Locator {
+    shard: u32::MAX,
+    slot: u32::MAX,
+};
 
-impl DynShard {
-    fn new(shape: SlotShape) -> Self {
-        DynShard {
-            store: SlotStore::new(shape),
-            wheel: TimingWheel::new(),
-            due: Vec::new(),
-        }
+/// Ends slot `j`'s stream: feeds its not-yet-fed arrivals up to and
+/// including tick `until` (a replay defers every session's arrivals to
+/// the next flush, so a leave catches its own session up), drains the
+/// tail decisions — into the slot's mux lane, which then ends its
+/// stream too, when `fused` — records the final digest, and frees the
+/// slot. Returns the digest and the slot's lane.
+fn retire<S: SizeSource>(
+    store: &mut SlotStore,
+    j: usize,
+    classes: &[ClassInfo],
+    periods: &[u64],
+    source: &S,
+    until: u64,
+    fused: bool,
+) -> (u64, Option<SessionLane>) {
+    let h = &store.hot[j];
+    let na = h.next_arrival;
+    let period = periods[h.class_of as usize];
+    let pushes = if na <= until {
+        (until - na) / period + 1
+    } else {
+        0
+    };
+    if fused {
+        store.step_slot(j, classes, source, pushes, true, &mut ToLane);
+        let sid = store.sid[j];
+        store.link.finish(j, sid);
+    } else {
+        store.step_slot(j, classes, source, pushes, true, &mut Discard);
     }
+    let digest = store.hot[j].digest;
+    (digest, store.free_slot(j))
+}
 
-    /// Ends slot `j`'s stream: feeds its not-yet-fed arrivals up to and
-    /// including tick `until` (batched visits leave up to `batch − 1`
-    /// outstanding), drains the tail decisions — into the slot's mux
-    /// lane, which then ends its stream too, when `fused` — records the
-    /// final digest, and frees the slot. Returns the digest and the
-    /// slot's lane.
-    fn retire<S: SizeSource>(
-        &mut self,
-        j: usize,
-        classes: &[ClassInfo],
-        periods: &[u64],
-        source: &S,
-        until: u64,
-        fused: bool,
-    ) -> (u64, Option<SessionLane>) {
-        let h = &self.store.hot[j];
+/// Feeds every live slot of `store` its outstanding arrivals up to and
+/// including tick `until`, in slot order (streaming — the lockstep
+/// access pattern), one visit per slot with an arrival due.
+fn flush_until<S: SizeSource>(
+    store: &mut SlotStore,
+    classes: &[ClassInfo],
+    periods: &[u64],
+    source: &S,
+    until: u64,
+    sink: &mut impl Sink,
+) {
+    for j in 0..store.allocated() {
+        store.prefetch_slot(j + 1);
+        let h = &store.hot[j];
+        if h.class_of == FREE || h.next_arrival > until {
+            continue;
+        }
         let na = h.next_arrival;
         let period = periods[h.class_of as usize];
-        let pushes = if na <= until {
-            (until - na) / period + 1
-        } else {
-            0
-        };
-        if fused {
-            self.store
-                .step_slot(j, classes, source, pushes, true, &mut ToLane);
-            let sid = self.store.sid[j];
-            self.store.link.finish(j, sid);
-        } else {
-            self.store
-                .step_slot(j, classes, source, pushes, true, &mut Discard);
-        }
-        let digest = self.store.hot[j].digest;
-        (digest, self.store.free_slot(j))
-    }
-
-    /// Drains every wheel entry with deadline ≤ `until` in deadline
-    /// order: a popped session is fed all of its arrivals up to the
-    /// entry's deadline in one visit (up to `batch` of them — see
-    /// [`DynamicEngine::set_arrival_batch`]) and re-armed `batch`
-    /// arrivals out. The wheel yields deadlines non-decreasing; within a
-    /// deadline, due slots are sorted ascending — sessions are
-    /// independent, so this order changes no digest bit, but consecutive
-    /// slots keep the store's streaming locality (churn bursts place
-    /// whole runs of slots on one phase).
-    fn drain_until<S: SizeSource>(
-        &mut self,
-        classes: &[ClassInfo],
-        periods: &[u64],
-        source: &S,
-        until: u64,
-        batch: u64,
-        sink: &mut impl Sink,
-    ) {
-        let mut due = std::mem::take(&mut self.due);
-        loop {
-            due.clear();
-            let Some(deadline) = self.wheel.pop_due(until, &mut due) else {
-                break;
-            };
-            due.sort_unstable_by_key(|&item| item & 0xffff_ffff);
-            for (k, &item) in due.iter().enumerate() {
-                if let Some(&ahead) = due.get(k + PREFETCH_DUE) {
-                    self.store.prefetch_slot((ahead & 0xffff_ffff) as usize);
-                }
-                let j = (item & 0xffff_ffff) as usize;
-                let g = (item >> 32) as u32;
-                let h = &self.store.hot[j];
-                if h.class_of == FREE || h.gen != g {
-                    continue; // stale entry of a departed session
-                }
-                let period = periods[h.class_of as usize];
-                let na = h.next_arrival;
-                if na > deadline {
-                    // A flush already fed past this entry's deadline;
-                    // fall back onto the session's batch cadence.
-                    self.wheel.schedule(na + (batch - 1) * period, item);
-                    continue;
-                }
-                debug_assert_eq!(
-                    (deadline - na) % period,
-                    0,
-                    "wheel deadline off the session's arrival grid"
-                );
-                let pushes = (deadline - na) / period + 1;
-                self.store
-                    .step_slot(j, classes, source, pushes, false, sink);
-                self.store.hot[j].next_arrival = deadline + period;
-                self.wheel.schedule(deadline + batch * period, item);
-            }
-        }
-        self.due = due;
-    }
-
-    /// Feeds every live slot's outstanding arrivals up to and including
-    /// tick `until`, in slot order (streaming — the lockstep access
-    /// pattern). Wheel entries are left armed; a later pop whose
-    /// deadline this flush overtook re-arms without feeding. Together
-    /// with [`drain_until`](Self::drain_until) this makes a span exact:
-    /// drain feeds whole batches as they come due, flush feeds each
-    /// session's sub-batch tail.
-    fn flush_until<S: SizeSource>(
-        &mut self,
-        classes: &[ClassInfo],
-        periods: &[u64],
-        source: &S,
-        until: u64,
-        sink: &mut impl Sink,
-    ) {
-        let store = &mut self.store;
-        for j in 0..store.allocated() {
-            store.prefetch_slot(j + 1);
-            let h = &store.hot[j];
-            if h.class_of == FREE {
-                continue;
-            }
-            let na = h.next_arrival;
-            if na > until {
-                continue;
-            }
-            let period = periods[h.class_of as usize];
-            let pushes = (until - na) / period + 1;
-            store.step_slot(j, classes, source, pushes, false, sink);
-            store.hot[j].next_arrival = na + pushes * period;
-        }
+        let pushes = (until - na) / period + 1;
+        store.step_slot(j, classes, source, pushes, false, sink);
+        store.hot[j].next_arrival = na + pushes * period;
     }
 }
 
 /// The event-driven session engine: heterogeneous per-class picture
-/// clocks, timing-wheel scheduling (per-tick work O(sessions due)), and
-/// live join/leave with slot recycling. Lives alongside the lockstep
-/// [`SessionEngine`](crate::SessionEngine); both drive the same
-/// [`smooth_core::decide_live`] core, so a session's schedule depends
-/// only on its stream and class, never on which engine ran it.
+/// clocks, slot-order feeding, and live join/leave with slot recycling.
+/// Lives alongside the lockstep [`SessionEngine`](crate::SessionEngine);
+/// both drive the same [`smooth_core::decide_live`] core, so a session's
+/// schedule depends only on its stream and class, never on which engine
+/// ran it.
 ///
 /// ```
 /// use smooth_core::SmootherParams;
@@ -398,7 +282,7 @@ impl DynShard {
 pub struct DynamicEngine {
     classes: Vec<ClassInfo>,
     periods: Vec<u64>,
-    shards: Vec<Mutex<DynShard>>,
+    shards: Vec<Mutex<SlotStore>>,
     /// `0 .. shards.len()`, the items of every per-shard `par_map`.
     shard_idx: Vec<usize>,
     shard_size: usize,
@@ -406,14 +290,14 @@ pub struct DynamicEngine {
     shape: SlotShape,
     now: u64,
     live: usize,
-    /// Arrivals fed per wheel visit ([`set_arrival_batch`]
-    /// (Self::set_arrival_batch)).
-    batch: u64,
     /// Slot of each session ever joined, by sid ([`GONE`] once departed).
     locator: Vec<Locator>,
     /// Final digest of each departed session, by sid (live sessions'
     /// digests are read from their slots).
     digests: Vec<u64>,
+    /// Sessions restored with a mux lane since the last fused call,
+    /// whose lanes that call checks against the link clock.
+    restored: Vec<u64>,
     /// Decisions counted by the engine this one was recovered from.
     recovered_decisions: u64,
     /// Round-robin placement cursor (deterministic).
@@ -458,7 +342,7 @@ impl DynamicEngine {
         let shape = SlotShape::of(&infos);
         let shard_count = capacity.div_ceil(shard_size);
         let shards = (0..shard_count)
-            .map(|_| Mutex::new(DynShard::new(shape)))
+            .map(|_| Mutex::new(SlotStore::new(shape)))
             .collect();
         Ok(DynamicEngine {
             classes: infos,
@@ -470,9 +354,9 @@ impl DynamicEngine {
             shape,
             now: 0,
             live: 0,
-            batch: ARRIVAL_BATCH,
             locator: Vec::new(),
             digests: Vec::new(),
+            restored: Vec::new(),
             recovered_decisions: 0,
             rr: 0,
             ended: false,
@@ -482,34 +366,6 @@ impl DynamicEngine {
     /// Scheduler position, in ticks.
     pub fn now(&self) -> u64 {
         self.now
-    }
-
-    /// Arrivals fed per wheel visit (the scheduling quantum).
-    pub fn arrival_batch(&self) -> u64 {
-        self.batch
-    }
-
-    /// Sets how many arrivals a session accumulates between wheel
-    /// visits: sessions re-arm every `batch`-th picture, a popped
-    /// session is fed everything due in one visit, and every API
-    /// boundary ([`advance_to`](Self::advance_to) return, [`leave`]
-    /// (Self::leave), snapshots, digests) still observes tick-exact
-    /// state. Decisions and digests are invariant in this knob
-    /// ([`smooth_core::live_ready`] caps each decision at its own
-    /// `need`, so batch splits cannot change what is decided — the
-    /// churn proptests pin this); it only sets how much per-slot work each visit amortizes.
-    /// `1` recovers the strict one-arrival-per-visit cadence.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `batch` is 0 or over 2²⁰ (keeping batch-deadline
-    /// arithmetic far from `u64` wraparound).
-    pub fn set_arrival_batch(&mut self, batch: u64) {
-        assert!(
-            batch > 0 && batch <= 1 << 20,
-            "arrival batch must be in 1 ..= 2^20"
-        );
-        self.batch = batch;
     }
 
     /// Live session count.
@@ -540,7 +396,7 @@ impl DynamicEngine {
             + self
                 .shards
                 .iter()
-                .map(|s| s.lock().expect("shard poisoned").store.decisions)
+                .map(|s| s.lock().expect("shard poisoned").decisions)
                 .sum::<u64>()
     }
 
@@ -551,7 +407,7 @@ impl DynamicEngine {
     pub fn allocated_slots(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").store.allocated())
+            .map(|s| s.lock().expect("shard poisoned").allocated())
             .sum()
     }
 
@@ -568,7 +424,7 @@ impl DynamicEngine {
     pub fn max_retained(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").store.max_retained())
+            .map(|s| s.lock().expect("shard poisoned").max_retained())
             .max()
             .unwrap_or(0)
     }
@@ -577,7 +433,7 @@ impl DynamicEngine {
     pub fn shard_loads(&self) -> Vec<usize> {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").store.live)
+            .map(|s| s.lock().expect("shard poisoned").live)
             .collect()
     }
 
@@ -601,7 +457,7 @@ impl DynamicEngine {
         let n = self.shards.len();
         for k in 0..n {
             let s = (self.rr + k) % n;
-            if self.shards[s].get_mut().expect("shard poisoned").store.live < self.shard_size {
+            if self.shards[s].get_mut().expect("shard poisoned").live < self.shard_size {
                 self.rr = (s + 1) % n;
                 return Ok(s);
             }
@@ -618,9 +474,9 @@ impl DynamicEngine {
     }
 
     /// Departs session `sid` at the current scheduler position: feeds
-    /// its arrivals up to the position (batched visits may have left a
-    /// sub-batch tail outstanding), drains its tail decisions
-    /// (end-of-stream), records its final digest, and recycles its slot.
+    /// its arrivals up to the position (a replay defers arrivals to its
+    /// next flush), drains its tail decisions (end-of-stream), records
+    /// its final digest, and recycles its slot.
     pub fn leave<S: SizeSource>(&mut self, sid: u64, source: &S) -> Result<(), EngineError> {
         self.leave_mux(sid, source, None)
     }
@@ -636,20 +492,17 @@ impl DynamicEngine {
     ) -> Result<(), EngineError> {
         assert!(!self.ended, "leave after finish");
         let loc = self.locate(sid)?;
-        let classes = &self.classes;
-        let periods = &self.periods;
-        let now = self.now;
-        let (digest, lane) = self.shards[loc.shard as usize]
-            .get_mut()
-            .expect("shard poisoned")
-            .retire(
-                loc.slot as usize,
-                classes,
-                periods,
-                source,
-                now,
-                mux.is_some(),
-            );
+        let (digest, lane) = retire(
+            self.shards[loc.shard as usize]
+                .get_mut()
+                .expect("shard poisoned"),
+            loc.slot as usize,
+            &self.classes,
+            &self.periods,
+            source,
+            self.now,
+            mux.is_some(),
+        );
         if let (Some(mux), Some(lane)) = (mux, lane) {
             mux.retire_lane(sid, &lane);
         }
@@ -659,12 +512,11 @@ impl DynamicEngine {
         Ok(())
     }
 
-    /// Advances the fleet to tick `until`: every shard drains its due
-    /// wheel entries in deadline order (whole arrival batches) and then
-    /// feeds each session's sub-batch tail, fanned over `threads`
-    /// workers (bit-identical for any thread count — shards are disjoint
-    /// and collected in index order). On return every arrival ≤ `until`
-    /// is decided, whatever the batch setting.
+    /// Advances the fleet to tick `until`: every shard feeds each live
+    /// session its arrivals up to and including `until`, in slot order,
+    /// fanned over `threads` workers (bit-identical for any thread count
+    /// — shards are disjoint and collected in index order). On return
+    /// every arrival ≤ `until` is decided.
     pub fn advance_to<S: SizeSource>(&mut self, source: &S, until: u64, threads: usize) {
         self.advance_mux(source, until, threads, false);
     }
@@ -672,41 +524,17 @@ impl DynamicEngine {
     /// [`advance_to`](Self::advance_to), every decision streaming into
     /// its slot's mux lane when `fused`.
     fn advance_mux<S: SizeSource>(&mut self, source: &S, until: u64, threads: usize, fused: bool) {
-        self.drain_mux(source, until, threads, fused);
-        let classes = &self.classes;
-        let periods = &self.periods;
-        let shards = &self.shards;
-        par_map(threads, &self.shard_idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            if fused {
-                shard.flush_until(classes, periods, source, until, &mut ToLane);
-            } else {
-                shard.flush_until(classes, periods, source, until, &mut Discard);
-            }
-        });
-    }
-
-    /// The wheel-only half of [`advance_to`](Self::advance_to): arrivals
-    /// are fed as whole batches come due, but a session's sub-batch tail
-    /// stays outstanding (its `next_arrival` tracks exactly what has
-    /// been fed). [`run_trace`](Self::run_trace) interleaves this with
-    /// churn — a leave catches its own session up, and sessions never
-    /// interact, so deferring other sessions' tails changes no digest
-    /// bit — and settles everything with one streaming flush at the
-    /// horizon.
-    fn drain_mux<S: SizeSource>(&mut self, source: &S, until: u64, threads: usize, fused: bool) {
         assert!(!self.ended, "advance after finish");
         assert!(until >= self.now, "scheduler time runs forward");
         let classes = &self.classes;
         let periods = &self.periods;
-        let batch = self.batch;
         let shards = &self.shards;
         par_map(threads, &self.shard_idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
+            let store = &mut *shards[s].lock().expect("shard poisoned");
             if fused {
-                shard.drain_until(classes, periods, source, until, batch, &mut ToLane);
+                flush_until(store, classes, periods, source, until, &mut ToLane);
             } else {
-                shard.drain_until(classes, periods, source, until, batch, &mut Discard);
+                flush_until(store, classes, periods, source, until, &mut Discard);
             }
         });
         self.now = until;
@@ -721,13 +549,13 @@ impl DynamicEngine {
 
     fn finish_mux<S: SizeSource>(&mut self, source: &S, threads: usize, fused: bool) {
         assert!(!self.ended, "finish twice");
-        // Public boundaries leave nothing outstanding, but settle any
-        // sub-batch tails before ending streams all the same.
+        // Public boundaries leave nothing outstanding, but a replay cut
+        // short by an error does: settle it before ending streams.
         self.advance_mux(source, self.now, threads, fused);
         let classes = &self.classes;
         let shards = &self.shards;
         par_map(threads, &self.shard_idx, |_, &s| {
-            let store = &mut shards[s].lock().expect("shard poisoned").store;
+            let store = &mut *shards[s].lock().expect("shard poisoned");
             if fused {
                 store.sweep(classes, source, 0, true, &mut ToLane);
             } else {
@@ -737,11 +565,11 @@ impl DynamicEngine {
         self.ended = true;
     }
 
-    /// Replays a [`ChurnTrace`]: between event ticks the wheel advances
-    /// the fleet; at each event tick, joins and leaves apply in trace
-    /// order *before* that tick's arrivals (the scan reference follows
-    /// the same rule). Finally advances to the trace horizon. Returns
-    /// the decisions made.
+    /// Replays a [`ChurnTrace`]: at each event tick, joins and leaves
+    /// apply in trace order *before* that tick's arrivals (the scan
+    /// reference follows the same rule); between event ticks the engine
+    /// only moves its clock, and a closing flush feeds the fleet to the
+    /// trace horizon. Returns the decisions made.
     pub fn run_trace<S: SizeSource>(
         &mut self,
         source: &S,
@@ -749,32 +577,7 @@ impl DynamicEngine {
         threads: usize,
     ) -> Result<u64, EngineError> {
         let before = self.decisions();
-        let mut i = 0;
-        while i < trace.events.len() {
-            let t = trace.events[i].0;
-            if t > self.now {
-                // Wheel-only: sub-batch tails stay outstanding across
-                // event ticks (leaves catch their own session up); the
-                // closing advance_to settles the fleet at the horizon.
-                self.drain_mux(source, t - 1, threads, false);
-            }
-            while i < trace.events.len() && trace.events[i].0 == t {
-                match trace.events[i].1 {
-                    ChurnEvent::Join {
-                        class,
-                        stream,
-                        phase,
-                    } => {
-                        // Arm relative to the event tick, not the drain
-                        // position (now may be t - 1).
-                        self.join_at(t, class as usize, stream, phase)?;
-                    }
-                    ChurnEvent::Leave { sid } => self.leave(sid, source)?,
-                }
-                i += 1;
-            }
-        }
-        self.advance_to(source, trace.horizon, threads);
+        self.replay(source, trace, threads, None)?;
         Ok(self.decisions() - before)
     }
 
@@ -784,10 +587,11 @@ impl DynamicEngine {
     /// first-arrival time on the scheduler clock, a leave closes it and
     /// hands its descriptor to `mux`, and the rate events the lanes
     /// buffer are ingested into the summation tree every
-    /// [`MUX_INGEST_SPAN_TICKS`] of trace time and before the call
-    /// returns — the wheel drain and the link aggregation advance
-    /// together, with no materialized schedules, no lock per decision
-    /// and no end-of-run mux pass over the fleet.
+    /// [`MUX_INGEST_SPAN_TICKS`] of trace time (right after a flush of
+    /// the fleet to that tick) and before the call returns — the engine
+    /// and the link aggregation advance together, with no materialized
+    /// schedules, no lock per decision and no end-of-run mux pass over
+    /// the fleet.
     ///
     /// The engine and `mux` must agree on the fleet: a fresh engine
     /// with a [`LiveMux::with_joins`] aggregator sized to every session
@@ -796,9 +600,18 @@ impl DynamicEngine {
     /// [`LiveMux::checkpoint`]) taken at the same trace position.
     /// Call [`finish_fused`](Self::finish_fused) after the final trace
     /// to end still-live sessions and read the stats. Digests and mux
-    /// bits are invariant in `threads`.
+    /// bits are invariant in `threads` and in how a trace is cut into
+    /// calls.
     ///
     /// Returns the decisions made, like [`run_trace`](Self::run_trace).
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::LaneBehindLinkClock`], before anything is fed or
+    /// posted, when a session restored since the last fused call brings
+    /// a lane whose frontier the link clock has passed (see
+    /// [`take`](Self::take)); the errors of
+    /// [`run_trace`](Self::run_trace).
     ///
     /// # Panics
     ///
@@ -810,9 +623,10 @@ impl DynamicEngine {
         threads: usize,
         mux: &mut LiveMux,
     ) -> Result<u64, EngineError> {
+        self.check_restored(mux)?;
         let before = self.decisions();
         self.attach(mux);
-        let replayed = self.replay_fused(source, trace, threads, mux);
+        let replayed = self.replay(source, trace, threads, Some(&mut *mux));
         // Ingest even after an error, so no lane table keeps events
         // past the call: sessions may move between calls.
         self.ingest(mux, threads, self.mux_clock_cap());
@@ -820,24 +634,31 @@ impl DynamicEngine {
         Ok(self.decisions() - before)
     }
 
-    /// The body of [`run_trace_fused`](Self::run_trace_fused), short of
-    /// its closing ingest.
-    fn replay_fused<S: SizeSource>(
+    /// The body of [`run_trace`](Self::run_trace), and of
+    /// [`run_trace_fused`](Self::run_trace_fused) short of its closing
+    /// ingest when given the `mux`.
+    fn replay<S: SizeSource>(
         &mut self,
         source: &S,
         trace: &ChurnTrace,
         threads: usize,
-        mux: &mut LiveMux,
+        mut mux: Option<&mut LiveMux>,
     ) -> Result<(), EngineError> {
         let mut last_ingest = self.now;
         let mut i = 0;
         while i < trace.events.len() {
             let t = trace.events[i].0;
             if t > self.now {
-                self.drain_mux(source, t - 1, threads, true);
-                if self.now - last_ingest >= MUX_INGEST_SPAN_TICKS {
-                    self.ingest(mux, threads, self.mux_clock_cap());
-                    last_ingest = self.now;
+                // Churn at `t` comes before that tick's arrivals, which
+                // wait for the next flush (a leave catches its own
+                // session up).
+                self.now = t - 1;
+                if let Some(mux) = mux.as_deref_mut() {
+                    if self.now - last_ingest >= MUX_INGEST_SPAN_TICKS {
+                        self.advance_mux(source, self.now, threads, true);
+                        self.ingest(mux, threads, self.mux_clock_cap());
+                        last_ingest = self.now;
+                    }
                 }
             }
             while i < trace.events.len() && trace.events[i].0 == t {
@@ -847,46 +668,72 @@ impl DynamicEngine {
                         stream,
                         phase,
                     } => {
+                        // Arm relative to the event tick, not the clock
+                        // (now may be t - 1).
                         let sid = self.join_at(t, class as usize, stream, phase)?;
-                        assert!(
-                            (sid as usize) < mux.session_count(),
-                            "the mux has {} leaves; the trace joins session {sid}",
-                            mux.session_count()
-                        );
-                        // The lane's local t = 0 is the session's first
-                        // picture arrival on the scheduler clock.
-                        let period = self.periods[class as usize];
-                        let first = t + 1 + (phase % period);
-                        let lane =
-                            SessionLane::new(&mux.config(), first as f64 / TICKS_PER_SEC as f64);
-                        let loc = self.locator[sid as usize];
-                        self.shards[loc.shard as usize]
-                            .get_mut()
-                            .expect("shard poisoned")
-                            .store
-                            .link
-                            .open(loc.slot as usize, lane);
+                        if let Some(mux) = mux.as_deref_mut() {
+                            self.open_lane(mux, sid, t, phase);
+                        }
                     }
-                    ChurnEvent::Leave { sid } => self.leave_mux(sid, source, Some(mux))?,
+                    ChurnEvent::Leave { sid } => self.leave_mux(sid, source, mux.as_deref_mut())?,
                 }
                 i += 1;
             }
         }
-        self.advance_mux(source, trace.horizon, threads, true);
+        self.advance_mux(source, trace.horizon, threads, mux.is_some());
         Ok(())
     }
 
-    /// Ends the fused run: settles sub-batch tails, drains every live
-    /// session's end-of-stream decisions into its lane, ends the lanes
-    /// and hands their descriptors to `mux`, ingests everything, and
-    /// finalizes the aggregate — the fused counterpart of
-    /// [`finish`](Self::finish) + [`LiveMux::finalize`].
+    /// Opens the mux lane of session `sid`, joined at event tick `t`
+    /// with `phase`, in the session's slot. The lane's local t = 0 is
+    /// the session's first picture arrival on the scheduler clock.
+    fn open_lane(&mut self, mux: &LiveMux, sid: u64, t: u64, phase: u64) {
+        assert!(
+            (sid as usize) < mux.session_count(),
+            "the mux has {} leaves; the trace joins session {sid}",
+            mux.session_count()
+        );
+        let loc = self.locator[sid as usize];
+        let store = self.shards[loc.shard as usize]
+            .get_mut()
+            .expect("shard poisoned");
+        let period = self.periods[store.hot[loc.slot as usize].class_of as usize];
+        let first = t + 1 + (phase % period);
+        let lane = SessionLane::new(&mux.config(), first as f64 / TICKS_PER_SEC as f64);
+        store.link.open(loc.slot as usize, lane);
+    }
+
+    /// Ends the fused run: drains every live session's end-of-stream
+    /// decisions into its lane, ends the lanes and hands their
+    /// descriptors to `mux`, ingests everything, and finalizes the
+    /// aggregate — the fused counterpart of [`finish`](Self::finish) +
+    /// [`LiveMux::finalize`].
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`EngineError::LaneBehindLinkClock`] where
+    /// [`try_finish_fused`](Self::try_finish_fused) returns it.
     pub fn finish_fused<S: SizeSource>(
         &mut self,
         source: &S,
         threads: usize,
         mux: &mut LiveMux,
     ) -> LiveMuxStats {
+        self.try_finish_fused(source, threads, mux)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`finish_fused`](Self::finish_fused), refusing, before anything
+    /// is fed or posted, a session restored since the last fused call
+    /// with a lane the link clock has passed
+    /// ([`EngineError::LaneBehindLinkClock`]).
+    pub fn try_finish_fused<S: SizeSource>(
+        &mut self,
+        source: &S,
+        threads: usize,
+        mux: &mut LiveMux,
+    ) -> Result<LiveMuxStats, EngineError> {
+        self.check_restored(mux)?;
         self.attach(mux);
         self.finish_mux(source, threads, true);
         for (sid, loc) in self.locator.iter().enumerate() {
@@ -894,7 +741,6 @@ impl DynamicEngine {
                 let link = &mut self.shards[loc.shard as usize]
                     .get_mut()
                     .expect("shard poisoned")
-                    .store
                     .link;
                 link.finish(loc.slot as usize, sid as u64);
                 let lane = link.close(loc.slot as usize).expect("a finished lane");
@@ -902,7 +748,43 @@ impl DynamicEngine {
             }
         }
         self.ingest(mux, threads, f64::INFINITY);
-        mux.finalize()
+        Ok(mux.finalize())
+    }
+
+    /// Checks the lanes of the sessions restored since the last fused
+    /// call against the link clock: a lane taken out across a fused
+    /// call bounded none of its ingest fences, so the clock may have
+    /// passed its frontier, and its next events would land in the
+    /// link's past. Events before the window start only set leaf
+    /// values, so nothing is behind until the clock passes it.
+    fn check_restored(&mut self, mux: &LiveMux) -> Result<(), EngineError> {
+        let clock = mux.clock();
+        if clock > mux.config().t_start {
+            for &sid in &self.restored {
+                let Ok(loc) = self.locate(sid) else {
+                    continue; // left or taken out again since
+                };
+                let store = self.shards[loc.shard as usize]
+                    .lock()
+                    .expect("shard poisoned");
+                let Some(frontier) = store
+                    .link
+                    .lane(loc.slot as usize)
+                    .map(SessionLane::frontier)
+                else {
+                    continue;
+                };
+                if frontier < clock {
+                    return Err(EngineError::LaneBehindLinkClock {
+                        sid,
+                        frontier,
+                        clock,
+                    });
+                }
+            }
+        }
+        self.restored.clear();
+        Ok(())
     }
 
     /// Binds every shard's lane table to `mux`, with room for a lane in
@@ -910,7 +792,7 @@ impl DynamicEngine {
     fn attach(&mut self, mux: &LiveMux) {
         let slots = self.shard_size.min(self.capacity);
         for shard in &mut self.shards {
-            let link = &mut shard.get_mut().expect("shard poisoned").store.link;
+            let link = &mut shard.get_mut().expect("shard poisoned").link;
             link.attach(mux);
             link.reserve(slots);
         }
@@ -921,7 +803,7 @@ impl DynamicEngine {
         let tables = self
             .shards
             .iter_mut()
-            .map(|s| &mut s.get_mut().expect("shard poisoned").store.link);
+            .map(|s| &mut s.get_mut().expect("shard poisoned").link);
         mux.ingest_lanes(threads, clock_cap, tables);
     }
 
@@ -929,14 +811,9 @@ impl DynamicEngine {
     /// may only move between shards then, so that its events never sit
     /// in two tables.
     fn lanes_drained(&self) -> bool {
-        self.shards.iter().all(|s| {
-            s.lock()
-                .expect("shard poisoned")
-                .store
-                .link
-                .pending_events()
-                == 0
-        })
+        self.shards
+            .iter()
+            .all(|s| s.lock().expect("shard poisoned").link.pending_events() == 0)
     }
 
     /// Mux lanes resident across the shards' lane tables: bounded by
@@ -944,7 +821,7 @@ impl DynamicEngine {
     pub fn resident_lanes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").store.link.resident())
+            .map(|s| s.lock().expect("shard poisoned").link.resident())
             .sum()
     }
 
@@ -958,8 +835,9 @@ impl DynamicEngine {
     }
 
     /// [`join`](Self::join) anchored at event tick `t` (≥ the current
-    /// position): the trace replay drains to `t - 1` first, so arrivals
-    /// must be armed relative to `t`.
+    /// position): a trace replay's clock stands at `t - 1` while it
+    /// applies the churn of tick `t`, so arrivals must be armed relative
+    /// to `t`.
     fn join_at(
         &mut self,
         t: u64,
@@ -973,17 +851,10 @@ impl DynamicEngine {
         }
         let s = self.place()?;
         let sid = self.locator.len() as u64;
-        let period = self.periods[class_id];
-        let first = t + 1 + (phase % period);
-        let shard = self.shards[s].get_mut().expect("shard poisoned");
-        let slot = shard.store.alloc();
-        let gen = shard
-            .store
-            .install(slot, sid, stream, class_id as u16, first);
-        // Armed at the first batch boundary, `first + (batch − 1) · τ`.
-        shard
-            .wheel
-            .schedule(first + (self.batch - 1) * period, wheel_item(gen, slot));
+        let first = t + 1 + (phase % self.periods[class_id]);
+        let store = self.shards[s].get_mut().expect("shard poisoned");
+        let slot = store.alloc();
+        store.install(slot, sid, stream, &self.classes, class_id as u16, first);
         self.locator.push(Locator {
             shard: s as u32,
             slot,
@@ -998,7 +869,7 @@ impl DynamicEngine {
     pub fn session_digests(&self) -> Vec<u64> {
         let mut out = self.digests.clone();
         for shard in &self.shards {
-            for (sid, digest) in shard.lock().expect("shard poisoned").store.live_digests() {
+            for (sid, digest) in shard.lock().expect("shard poisoned").live_digests() {
                 out[sid as usize] = digest;
             }
         }
@@ -1019,10 +890,10 @@ impl DynamicEngine {
     /// Captures session `sid`'s complete state.
     pub fn snapshot(&self, sid: u64) -> Result<SessionSnapshot, EngineError> {
         let loc = self.locate(sid)?;
-        let sh = self.shards[loc.shard as usize]
+        let store = self.shards[loc.shard as usize]
             .lock()
             .expect("shard poisoned");
-        Ok(sh.store.snapshot_slot(loc.slot as usize))
+        Ok(store.snapshot_slot(loc.slot as usize))
     }
 
     /// Removes session `sid` *without* ending its stream (migration,
@@ -1030,15 +901,17 @@ impl DynamicEngine {
     /// re-installs it here or in another engine with the same classes.
     /// In a fused run the snapshot carries the session's mux lane, which
     /// bounds no ingest fence while it is out: restore it before the
-    /// next fused call (the mux refuses events that land behind its
-    /// clock).
+    /// next fused call. A fused call made while it is out may move the
+    /// link clock past the lane's frontier; the first fused call after
+    /// the restore then returns [`EngineError::LaneBehindLinkClock`],
+    /// before feeding anything, since the lane's next events would land
+    /// in the link's past.
     pub fn take(&mut self, sid: u64) -> Result<SessionSnapshot, EngineError> {
         let loc = self.locate(sid)?;
         debug_assert!(self.lanes_drained(), "fused calls ingest before returning");
-        let store = &mut self.shards[loc.shard as usize]
+        let store = self.shards[loc.shard as usize]
             .get_mut()
-            .expect("shard poisoned")
-            .store;
+            .expect("shard poisoned");
         let snap = store.snapshot_slot(loc.slot as usize);
         store.free_slot(loc.slot as usize);
         self.locator[sid as usize] = GONE;
@@ -1086,17 +959,18 @@ impl DynamicEngine {
         }
         let s = self.place()?;
         self.install_snapshot(s, &snap);
+        if snap.lane.is_some() {
+            self.restored.push(snap.sid);
+        }
         Ok(())
     }
 
-    /// Installs `snap` into a fresh slot of shard `s`, armed at its next
-    /// batch boundary, and records where the session lives.
+    /// Installs `snap` into a fresh slot of shard `s` and records where
+    /// the session lives.
     fn install_snapshot(&mut self, s: usize, snap: &SessionSnapshot) {
-        let arm = snap.next_arrival + (self.batch - 1) * self.periods[snap.class as usize];
-        let shard = self.shards[s].get_mut().expect("shard poisoned");
-        let slot = shard.store.alloc();
-        let gen = shard.store.install_snapshot(slot, snap);
-        shard.wheel.schedule(arm, wheel_item(gen, slot));
+        let store = self.shards[s].get_mut().expect("shard poisoned");
+        let slot = store.alloc();
+        store.install_snapshot(slot, snap, &self.classes);
         self.locator[snap.sid as usize] = Locator {
             shard: s as u32,
             slot,
@@ -1120,7 +994,7 @@ impl DynamicEngine {
         let mut moved: VecDeque<SessionSnapshot> = VecDeque::new();
         for i in 0..n {
             let target = q + usize::from(i < r);
-            let store = &mut self.shards[i].get_mut().expect("shard poisoned").store;
+            let store = self.shards[i].get_mut().expect("shard poisoned");
             let mut excess = store.live.saturating_sub(target);
             let mut j = 0;
             while excess > 0 {
@@ -1138,10 +1012,9 @@ impl DynamicEngine {
         self.live -= count;
         for i in 0..n {
             let target = q + usize::from(i < r);
-            while {
-                let sh = self.shards[i].get_mut().expect("shard poisoned");
-                sh.store.live < target && !moved.is_empty()
-            } {
+            while self.shards[i].get_mut().expect("shard poisoned").live < target
+                && !moved.is_empty()
+            {
                 let snap = moved.pop_front().expect("checked non-empty");
                 self.install_snapshot(i, &snap);
             }
@@ -1161,10 +1034,10 @@ impl DynamicEngine {
             if *loc == GONE {
                 retired.push((sid as u64, self.digests[sid]));
             } else {
-                let sh = self.shards[loc.shard as usize]
+                let store = self.shards[loc.shard as usize]
                     .lock()
                     .expect("shard poisoned");
-                sessions.push(sh.store.snapshot_slot(loc.slot as usize));
+                sessions.push(store.snapshot_slot(loc.slot as usize));
             }
         }
         EngineCheckpoint {
@@ -1191,13 +1064,6 @@ impl DynamicEngine {
         let mut engine = Self::new(classes, capacity, shard_size)?;
         engine.now = cp.now;
         engine.recovered_decisions = cp.decisions;
-        // Fast-forward every (empty) shard wheel to the checkpoint
-        // position — O(1) while empty.
-        let mut scratch = Vec::new();
-        for s in &mut engine.shards {
-            let sh = s.get_mut().expect("shard poisoned");
-            let _ = sh.wheel.pop_due(cp.now, &mut scratch);
-        }
         engine.locator = vec![GONE; cp.joined as usize];
         engine.digests = vec![FNV_OFFSET; cp.joined as usize];
         for &(sid, digest) in &cp.retired {
@@ -1353,14 +1219,12 @@ mod tests {
     fn restore_rejects_a_stale_snapshot() {
         let src = fleet();
         let mut a = DynamicEngine::new(vec![test_class(5)], 4, 4).unwrap();
-        a.set_arrival_batch(1);
         let sid = a.join(0, 5, 0).unwrap();
         a.advance_to(&src, 100, 1);
         let snap = a.take(sid).unwrap();
         assert_eq!(snap.next_arrival, 101);
 
         let mut late = DynamicEngine::new(vec![test_class(5)], 4, 4).unwrap();
-        late.set_arrival_batch(1);
         late.advance_to(&src, 205, 1);
         assert_eq!(
             late.restore(snap.clone()).unwrap_err(),
@@ -1510,6 +1374,70 @@ mod tests {
             crate::livemux::mux_digest(&got, &mux.descriptors()),
             want_digest
         );
+    }
+
+    /// A session taken out across a fused call comes back with a lane
+    /// the link clock has passed: the next fused call refuses it with a
+    /// typed error before feeding anything, where posting its events
+    /// would put them in the link's past.
+    #[test]
+    fn a_lane_restored_behind_the_link_clock_is_refused() {
+        let src = fleet();
+        // One picture a second on the scheduler, 30 a second on the
+        // session's own clock: its lane's frontier lags the link.
+        let classes = vec![test_class(20), test_class(600)];
+        let mut engine = DynamicEngine::new(classes, 4, 2).unwrap();
+        let mut mux = LiveMux::with_joins(2, 2, small_cfg());
+        let joins = ChurnTrace {
+            events: vec![
+                (
+                    0,
+                    ChurnEvent::Join {
+                        class: 0,
+                        stream: 1,
+                        phase: 0,
+                    },
+                ),
+                (
+                    0,
+                    ChurnEvent::Join {
+                        class: 1,
+                        stream: 2,
+                        phase: 0,
+                    },
+                ),
+            ],
+            horizon: 700,
+            peak_live: 2,
+        };
+        let until = |horizon| ChurnTrace {
+            events: Vec::new(),
+            horizon,
+            peak_live: 2,
+        };
+        engine.run_trace_fused(&src, &joins, 1, &mut mux).unwrap();
+        let slow = engine.take(1).unwrap();
+        let frontier = slow.lane.as_ref().unwrap().frontier();
+        engine
+            .run_trace_fused(&src, &until(1100), 1, &mut mux)
+            .unwrap();
+        let clock = mux.clock();
+        assert!(frontier < clock, "the link clock {clock} passed {frontier}");
+        engine.restore(slow).unwrap();
+        let refused = EngineError::LaneBehindLinkClock {
+            sid: 1,
+            frontier,
+            clock,
+        };
+        // Fed, its next rate change would post behind the clock.
+        let decisions = engine.decisions();
+        assert_eq!(
+            engine.run_trace_fused(&src, &until(7000), 1, &mut mux),
+            Err(refused.clone())
+        );
+        assert_eq!(engine.try_finish_fused(&src, 1, &mut mux), Err(refused));
+        assert_eq!((engine.now(), engine.decisions()), (1100, decisions));
+        assert_eq!(mux.clock(), clock);
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!   session-id order, and a tick, a session-major batch of ticks
 //!   ([`SessionEngine::run`]) or a fused chunk is one slot-order sweep.
 //!   [`DynamicEngine`] advances a churning fleet on per-class clocks
-//!   from per-shard timing wheels ([`dynamic`]).
+//!   with the same slot-order walk, feeding each session what arrived
+//!   since its last visit ([`dynamic`]).
 //! * **Shard-parallel execution.** Sessions are assigned to fixed-size
 //!   shards by session id (never by worker count); ticks fan shards out
 //!   over [`smooth_sweep::par_map`] with index-ordered collection.
@@ -74,7 +75,7 @@ pub use livemux::{
 };
 
 pub use dynamic::{
-    fps_class, DynamicClass, DynamicEngine, EngineCheckpoint, SessionSnapshot, ARRIVAL_BATCH,
+    fps_class, DynamicClass, DynamicEngine, EngineCheckpoint, SessionSnapshot,
     MUX_INGEST_SPAN_TICKS, TICKS_PER_SEC,
 };
 pub use synthetic::{churn_trace, ChurnEvent, ChurnSpec, ChurnTrace, SyntheticFleet};
@@ -148,6 +149,18 @@ pub enum EngineError {
         /// The restoring engine's position, in scheduler ticks.
         now: u64,
     },
+    /// A fused call found a restored session's mux lane behind the link
+    /// clock: the session was taken out across an earlier fused call, so
+    /// its lane bounded none of that call's ingest fences, and its next
+    /// events would land in the link's past.
+    LaneBehindLinkClock {
+        /// The restored session's id.
+        sid: u64,
+        /// Earliest time, in seconds, the lane can still post an event.
+        frontier: f64,
+        /// The mux's link clock, in seconds.
+        clock: f64,
+    },
     /// A fused run was handed an engine that already advanced: it
     /// must see the fleet from picture 0, so a partially-run engine
     /// would silently multiplex a truncated schedule.
@@ -198,6 +211,15 @@ impl std::fmt::Display for EngineError {
                 f,
                 "snapshot of session {sid} arrives next at tick {next_arrival}, \
                  not after the engine's position {now}"
+            ),
+            EngineError::LaneBehindLinkClock {
+                sid,
+                frontier,
+                clock,
+            } => write!(
+                f,
+                "session {sid} was restored with a mux lane at {frontier} s, behind the \
+                 link clock at {clock} s (it was taken out across a fused call)"
             ),
             EngineError::StaleEngine { ticks, finished } => write!(
                 f,
@@ -423,11 +445,24 @@ impl SessionEngine {
     /// Appends `count` sessions of class `class_id` to `store`, the
     /// first with id `first_sid`. Each session reads the stream of its
     /// own id, so slot order is session-id order.
-    fn fill(store: &mut SlotStore, first_sid: u64, class_id: usize, count: usize) {
+    fn fill(
+        store: &mut SlotStore,
+        classes: &[ClassInfo],
+        first_sid: u64,
+        class_id: usize,
+        count: usize,
+    ) {
         store.reserve(count);
         for k in 0..count as u64 {
             let slot = store.alloc();
-            store.install(slot, first_sid + k, first_sid + k, class_id as u16, 0);
+            store.install(
+                slot,
+                first_sid + k,
+                first_sid + k,
+                classes,
+                class_id as u16,
+                0,
+            );
         }
     }
 
@@ -457,7 +492,7 @@ impl SessionEngine {
                 .expect("just ensured")
                 .get_mut()
                 .expect("unshared");
-            Self::fill(store, self.sessions as u64, class_id, take);
+            Self::fill(store, &self.classes, self.sessions as u64, class_id, take);
             self.sessions += take;
             left -= take;
         }

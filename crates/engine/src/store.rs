@@ -6,8 +6,8 @@
 //! a fixed `ring_cap`-word `u32` slice of one flat ring (slot `j`'s
 //! history starts at `j * ring_cap`), and its sliding lookahead window
 //! as a [`WindowState`] plus a fixed `window_cap`-slot slice of one
-//! flat slab — the [`SlotShape`]. Decision scratch ([`BlockLanes`]) and
-//! the widened staging tail are shared by every slot of the store.
+//! flat slab — the [`SlotShape`]. Decision scratch ([`BlockLanes`]) is
+//! shared by every slot of the store.
 //!
 //! A fused dynamic run also keeps each session's `LiveMux` lane in its
 //! slot: the store's [`LaneTable`] holds one lane per slot beside the
@@ -22,17 +22,20 @@
 //! push a run of arrivals, make every decision the paper's
 //! preconditions allow, prune the history in whole GOP periods as soon
 //! as a period falls out of use (renumbering the window, not refilling
-//! it), so a slot never holds more than Theorem 1's live bound. It runs
-//! [`decide_live`]'s two halves itself: [`live_ready`] once on entry
-//! and once after each decision, so a push that completes no decision
-//! costs one integer compare, and the inlined [`decide_ready`] for each
-//! ready picture; the end-of-stream drain calls `decide_live`. The
-//! lockstep [`SessionEngine`](crate::SessionEngine) drives it through
-//! [`sweep`](SlotStore::sweep), every slot in slot order; the
-//! [`DynamicEngine`](crate::DynamicEngine) drives it from its timing
-//! wheel, one due slot at a time. Sessions are independent state
-//! machines, so a session's schedule depends only on its stream and
-//! class, never on which engine or visit pattern ran it.
+//! it), so a slot never holds more than Theorem 1's live bound.
+//! Decisions read the slot's `u32` history words in place: the window
+//! and the estimator widen each read, which is exact. The header keeps
+//! the next decision's `need` (what [`live_ready`] derives, and only
+//! it), so a push that completes no decision costs one integer compare
+//! and `t_i` is derived only for a decision that is made; the inlined
+//! [`decide_ready`] makes it. The end-of-stream drain calls
+//! `decide_live`. Both engines drive the step body through slot-order
+//! walks — the lockstep [`SessionEngine`](crate::SessionEngine) through
+//! [`sweep`](SlotStore::sweep), the
+//! [`DynamicEngine`](crate::DynamicEngine) through its flush, feeding
+//! each slot what arrived since its last visit. Sessions are independent
+//! state machines, so a session's schedule depends only on its stream
+//! and class, never on which engine or visit pattern ran it.
 //!
 //! Every narrowed word widens *exactly* (`u32 → u64`/`usize`/`f64` are
 //! all value-preserving), so the compact layout changes no decision bit
@@ -40,7 +43,8 @@
 
 use smooth_core::{
     decide_live, decide_ready, live_ready, prunable_prefix, window_capacity, BlockLanes,
-    LiveCursor, LiveParams, PictureSchedule, SizeHistory, WindowMut, WindowState,
+    LiveCursor, LiveParams, PatternEstimator, PictureSchedule, Ready, SizeHistory, WindowMut,
+    WindowState,
 };
 
 use std::cell::RefCell;
@@ -97,11 +101,10 @@ impl Sink for ToLane {
 pub(crate) const FREE: u16 = u16::MAX;
 
 /// One slot's complete per-event scalar state, packed into exactly one
-/// cache line. The wheel path visits slots in *deadline* order —
-/// effectively random within the store — and with parallel per-field
-/// arrays every visit paid ~9 scattered demand misses before any
-/// smoothing work started; one 64-byte header turns those into a single
-/// line fill. The slot-order sweep streams the headers instead.
+/// cache line: a visit reads one line before any smoothing work starts,
+/// where parallel per-field arrays cost ~9 demand misses on a slot out
+/// of cache (a leave's catch-up visit), and the slot-order walks stream
+/// the headers.
 #[repr(C, align(64))]
 pub(crate) struct SlotHot {
     /// Decisions already emitted (the next undecided picture index).
@@ -110,10 +113,11 @@ pub(crate) struct SlotHot {
     pub(crate) watermark: u32,
     /// Logical index of the first retained size.
     pub(crate) base: u32,
-    /// Bumped every time the slot is freed; a wheel item whose
-    /// generation does not match is a departed session's stale entry
-    /// (lazy delete).
-    pub(crate) gen: u32,
+    /// Arrivals the next decision needs in hand: [`live_ready`]'s
+    /// `need` for the state above, derived when the state is installed
+    /// and after each decision, and checked against `live_ready` on
+    /// every visit in debug builds.
+    pub(crate) need: u32,
     /// Retained history length; bounded by the class `ring_cap`, which
     /// [`ClassInfo::try_new`] checks fits `u16`.
     pub(crate) len: u16,
@@ -143,7 +147,7 @@ impl SlotHot {
             decided: 0,
             watermark: 0,
             base: 0,
-            gen: 0,
+            need: 0,
             len: 0,
             class_of: FREE,
             depart: 0.0,
@@ -212,12 +216,6 @@ pub(crate) struct SlotStore {
     window_slots: Vec<f64>,
     /// Recycled slots, LIFO.
     free: Vec<u32>,
-    /// Widened `u64` mirror of the *active* slot's retained tail:
-    /// refilled when a slot is entered (once per visit), kept in sync by
-    /// push/prune, and always L1-hot — decisions read sizes from
-    /// here, so only the halved `u32` ring streams from DRAM. The
-    /// widening is exact, so this changes no bits.
-    stage: Vec<u64>,
     /// Decision scratch, shared by every slot of the store.
     lanes: BlockLanes,
     /// The mux lane of each slot whose session streams into a
@@ -318,7 +316,6 @@ impl SlotStore {
             windows,
             window_slots,
             free: Vec::new(),
-            stage: Vec::new(),
             link: LaneTable::new(),
             lanes: BlockLanes::default(),
             decisions: 0,
@@ -369,40 +366,41 @@ impl SlotStore {
         }
     }
 
-    /// Installs a fresh session into an allocated slot, its first
-    /// picture arriving at `first_arrival`. Returns the slot's
-    /// generation.
+    /// Installs a fresh session of class `classes[class_id]` into an
+    /// allocated slot, its first picture arriving at `first_arrival`.
     pub(crate) fn install(
         &mut self,
         slot: u32,
         sid: u64,
         stream: u64,
+        classes: &[ClassInfo],
         class_id: u16,
         first_arrival: u64,
-    ) -> u32 {
+    ) {
         let j = slot as usize;
         let h = &mut self.hot[j];
         debug_assert_eq!(h.class_of, FREE, "installing into an occupied slot");
-        // The generation survives the reset — it is the lazy-delete
-        // witness for wheel items armed by previous occupants.
-        let gen = h.gen;
         *h = SlotHot::fresh();
-        h.gen = gen;
         h.class_of = class_id;
         h.stream = stream;
         h.next_arrival = first_arrival;
+        h.need = next_need(&classes[class_id as usize], &LiveCursor::new());
         self.sid[j] = sid;
         self.windows[j].reset();
         self.live += 1;
-        gen
     }
 
     /// Installs a snapshot into an allocated slot: scalars and retained
-    /// history are copied back verbatim; the lookahead window rebuilds
-    /// from that history (exactly — the compaction-reset property), so
-    /// the continued schedule is bit-identical. Returns the slot's
-    /// generation.
-    pub(crate) fn install_snapshot(&mut self, slot: u32, snap: &SessionSnapshot) -> u32 {
+    /// history are copied back verbatim and the next decision's `need`
+    /// is derived afresh; the lookahead window rebuilds from that
+    /// history (exactly — the compaction-reset property), so the
+    /// continued schedule is bit-identical.
+    pub(crate) fn install_snapshot(
+        &mut self,
+        slot: u32,
+        snap: &SessionSnapshot,
+        classes: &[ClassInfo],
+    ) {
         let j = slot as usize;
         let off = j * self.shape.ring_cap;
         let h = &mut self.hot[j];
@@ -417,7 +415,7 @@ impl SlotStore {
         h.digest = snap.digest;
         h.base = snap.base;
         h.next_arrival = snap.next_arrival;
-        let gen = h.gen;
+        h.need = next_need(&classes[snap.class as usize], &cursor_of(h));
         self.sid[j] = snap.sid;
         self.ring[off..off + snap.history.len()].copy_from_slice(&snap.history);
         self.windows[j].reset();
@@ -425,7 +423,6 @@ impl SlotStore {
             self.link.open(j, lane.clone());
         }
         self.live += 1;
-        gen
     }
 
     /// Captures slot `j` as a [`SessionSnapshot`].
@@ -450,14 +447,12 @@ impl SlotStore {
         }
     }
 
-    /// Frees slot `j`: bumps the generation (the slot's pending wheel
-    /// item dies lazily), pushes it onto the free list, and returns the
-    /// mux lane it held, if any.
+    /// Frees slot `j`: pushes it onto the free list and returns the mux
+    /// lane it held, if any.
     pub(crate) fn free_slot(&mut self, j: usize) -> Option<SessionLane> {
         let h = &mut self.hot[j];
         debug_assert_ne!(h.class_of, FREE, "double free");
         h.class_of = FREE;
-        h.gen = h.gen.wrapping_add(1);
         self.live -= 1;
         self.free.push(j as u32);
         self.link.close(j)
@@ -548,44 +543,23 @@ impl SlotStore {
         let stream = h.stream;
         let sid = self.sid[j];
 
-        let mut cursor = LiveCursor {
-            decided: h.decided as usize,
-            depart: h.depart,
-            prev_rate: if h.decided > 0 {
-                Some(h.prev_rate)
-            } else {
-                None
-            },
-            watermark: h.watermark as usize,
-        };
+        let mut cursor = cursor_of(h);
         let mut base = h.base as usize;
         let mut len = h.len as usize;
+        let mut need = h.need as usize;
         let mut digest = h.digest;
         let mut made = 0u64;
 
-        // Stage the retained tail as `u64` once per visit (exact
-        // widening); decisions read the L1-hot stage, not the ring.
-        self.stage.clear();
-        self.stage
-            .extend(self.ring[off..off + len].iter().map(|&s| u64::from(s)));
-
-        let cfg = LiveParams {
-            params: &info.class.params,
-            pattern: info.class.pattern,
-            estimator: &info.class.estimator,
-            selection: info.class.selection,
-            total: None,
-        };
-
-        // The next decision's readiness, carried through the visit:
-        // derived on entry and again after each decision (from the new
-        // `depart`), so a push that completes no decision costs one
-        // integer compare. A live session (`total: None`, not ended)
-        // always has a next picture.
-        let next = |cursor: &LiveCursor| {
-            live_ready(&cfg, 0, false, cursor).expect("a live session has a next picture")
-        };
-        let mut ready = next(&cursor);
+        let cfg = live_params(info);
+        debug_assert_eq!(
+            need,
+            ready_of(&cfg, &cursor).need,
+            "slot {j}: stale cached need"
+        );
+        // The next decision's full readiness, once this visit has
+        // derived it: after each decision (for the next `need`), or when
+        // a push reaches the cached `need` (for `t_i`).
+        let mut ready: Option<Ready> = None;
 
         for _ in 0..pushes {
             if len == cap {
@@ -604,24 +578,23 @@ impl SlotStore {
             self.ring[off + len] = u32::try_from(size).unwrap_or_else(|_| {
                 panic!("picture size {size} bits exceeds the engine's u32 size word")
             });
-            self.stage.push(size);
             len += 1;
 
-            debug_assert_eq!(Some(ready), live_ready(&cfg, base + len, false, &cursor));
-            if base + len < ready.need {
+            if base + len < need {
                 // Nothing decidable, so nothing newly prunable either:
                 // the cursor is unchanged since the last prune.
                 continue;
             }
-            while base + len >= ready.need {
+            while base + len >= need {
+                let now = ready.unwrap_or_else(|| ready_of(&cfg, &cursor));
                 let history = SizeHistory {
                     base,
-                    tail: &self.stage[..len],
+                    tail: &self.ring[off..off + len],
                 };
                 let decision = decide_ready(
                     &cfg,
                     history,
-                    ready,
+                    now,
                     &mut cursor,
                     WindowMut::new(&mut self.windows[j], &mut self.window_slots[wslots.clone()]),
                     &mut self.lanes,
@@ -629,7 +602,9 @@ impl SlotStore {
                 digest = fold_decision(digest, &decision);
                 sink.decision(&mut self.link, j, sid, &decision);
                 made += 1;
-                ready = next(&cursor);
+                let next = ready_of(&cfg, &cursor);
+                need = next.need;
+                ready = Some(next);
             }
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
         }
@@ -641,7 +616,7 @@ impl SlotStore {
             loop {
                 let history = SizeHistory {
                     base,
-                    tail: &self.stage[..len],
+                    tail: &self.ring[off..off + len],
                 };
                 let Some(decision) = decide_live(
                     &cfg,
@@ -658,12 +633,14 @@ impl SlotStore {
                 made += 1;
             }
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
+            need = ready_of(&cfg, &cursor).need;
         }
 
         let h = &mut self.hot[j];
         h.decided = u32::try_from(cursor.decided).expect("picture index fits u32");
         h.watermark = u32::try_from(cursor.watermark).expect("watermark fits u32");
         h.base = u32::try_from(base).expect("history base fits u32");
+        h.need = u32::try_from(need).expect("arrival count fits u32");
         // len <= ring_cap, checked to fit u16 at class construction.
         h.len = len as u16;
         h.depart = cursor.depart;
@@ -698,20 +675,53 @@ impl SlotStore {
         }
     }
 
-    /// Drops slot `j`'s retained sizes below logical index `cut` from
-    /// the ring and the stage.
+    /// Drops slot `j`'s retained sizes below logical index `cut`.
     fn drop_prefix(&mut self, j: usize, cut: usize, base: &mut usize, len: &mut usize) {
         let off = j * self.shape.ring_cap;
         let drop = cut - *base;
         self.ring.copy_within(off + drop..off + *len, off);
-        self.stage.copy_within(drop..*len, 0);
         *len -= drop;
-        self.stage.truncate(*len);
         *base = cut;
         // The window indexes base-shifted pictures; renumber it (its
         // cached values survive a whole-pattern shift — pinned by the
         // lookahead proptests).
         self.windows[j].rebase(drop);
+    }
+}
+
+/// The decision configuration of a live session of class `info`.
+#[inline(always)]
+fn live_params(info: &ClassInfo) -> LiveParams<'_, PatternEstimator> {
+    LiveParams {
+        params: &info.class.params,
+        pattern: info.class.pattern,
+        estimator: &info.class.estimator,
+        selection: info.class.selection,
+        total: None,
+    }
+}
+
+/// The readiness of a live session's next decision ([`live_ready`]; a
+/// live session, `total: None` and not ended, always has one).
+#[inline(always)]
+fn ready_of(cfg: &LiveParams<'_, PatternEstimator>, cursor: &LiveCursor) -> Ready {
+    live_ready(cfg, 0, false, cursor).expect("a live session has a next picture")
+}
+
+/// The `need` a header caches for a session of class `info` at `cursor`.
+fn next_need(info: &ClassInfo, cursor: &LiveCursor) -> u32 {
+    let need = ready_of(&live_params(info), cursor).need;
+    u32::try_from(need).expect("arrival count fits u32")
+}
+
+/// The decision cursor a header holds.
+#[inline(always)]
+fn cursor_of(h: &SlotHot) -> LiveCursor {
+    LiveCursor {
+        decided: h.decided as usize,
+        depart: h.depart,
+        prev_rate: (h.decided > 0).then_some(h.prev_rate),
+        watermark: h.watermark as usize,
     }
 }
 

@@ -1,7 +1,7 @@
 //! A live step allocates nothing: once a churn-free fused fleet is warm,
 //! stepping it one 10-tick slice at a time through `run_trace_fused` —
-//! the wheel drain, the flush, the lane hooks and the mux ingest — makes
-//! no heap allocation at all. Every buffer those layers use is kept
+//! the flush, the lane hooks and the mux ingest — makes no heap
+//! allocation at all. Every buffer those layers use is kept
 //! across calls.
 //!
 //! "Warm" means the buffers have seen their high-water marks. A buffer

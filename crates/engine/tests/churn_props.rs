@@ -1,13 +1,14 @@
 //! The dynamic engine's load-bearing equalities, pinned property-style:
 //!
-//! 1. **Wheel vs. scan.** Replaying a churn trace through the
-//!    timing-wheel [`DynamicEngine`] yields the same per-session
-//!    digests, fleet digest, and decision count as the frozen
-//!    brute-force scan-all reference (`smooth_oracle::scanref`) —
-//!    the wheel, the compact store, and slot recycling are invisible.
+//! 1. **Engine vs. scan.** Replaying a churn trace through the
+//!    [`DynamicEngine`] yields the same per-session digests, fleet
+//!    digest, and decision count as the frozen brute-force scan-all
+//!    reference (`smooth_oracle::scanref`) — deferred feeding, the
+//!    compact store, and slot recycling are invisible.
 //! 2. **Determinism.** The digests are invariant under thread count and
-//!    shard size, and under mid-run snapshot/restore migration,
-//!    rebalancing, and checkpoint/recovery.
+//!    shard size, under any cut of the trace into calls (bare or fused
+//!    with the link, whose digest is invariant too), and under mid-run
+//!    snapshot/restore migration, rebalancing, and checkpoint/recovery.
 //! 3. **Slot recycling.** Interleaved add/remove/re-add over the shards
 //!    leaves every *surviving* session with exactly the digest a fresh
 //!    engine fed only the survivors' traces produces — a recycled slot
@@ -16,8 +17,8 @@
 use proptest::prelude::*;
 use smooth_core::SmootherParams;
 use smooth_engine::{
-    churn_trace, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass, DynamicEngine, SessionClass,
-    SyntheticFleet,
+    churn_trace, mux_digest, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass, DynamicEngine,
+    LiveMux, MuxConfig, SessionClass, SyntheticFleet, TICKS_PER_SEC,
 };
 use smooth_mpeg::GopPattern;
 use smooth_oracle::scanref::run_scan;
@@ -86,6 +87,87 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
         })
 }
 
+/// A scenario for cutting: broadcast-clock classes (τ = one period on
+/// the 600 ticks/s scheduler, so lane times track the link clock) and a
+/// horizon of 0.5–2.5 s, long enough for slices past
+/// [`MUX_INGEST_SPAN_TICKS`](smooth_engine::MUX_INGEST_SPAN_TICKS).
+fn arb_long_scenario() -> impl Strategy<Value = Scenario> {
+    let class = (
+        arb_pattern(),
+        prop_oneof![Just(24u64), Just(25), Just(30), Just(60)],
+        1usize..=3,
+        1usize..=12,
+        0.0f64..0.2,
+    )
+        .prop_map(|(pattern, fps, k, h, extra_slack)| {
+            let tau = 1.0 / fps as f64;
+            let d = (k as f64 + 1.0) * tau + extra_slack;
+            DynamicClass {
+                class: SessionClass::new(
+                    SmootherParams::new(d, k, h, tau).expect("feasible by construction"),
+                    pattern,
+                ),
+                period_ticks: TICKS_PER_SEC / fps,
+            }
+        });
+    (
+        proptest::collection::vec((class, 1u32..=3), 1..=3),
+        1usize..=8,
+        300u64..1500,
+        0u64..3_000_000,
+        any::<u64>(),
+    )
+        .prop_map(|(weighted, initial, horizon, churn_ppm_per_sec, seed)| {
+            let (classes, weights): (Vec<_>, Vec<_>) = weighted.into_iter().unzip();
+            let spec = ChurnSpec {
+                seed,
+                initial,
+                weights,
+                periods: classes.iter().map(|c| c.period_ticks).collect(),
+                ticks_per_sec: TICKS_PER_SEC,
+                horizon,
+                churn_ppm_per_sec,
+            };
+            Scenario {
+                trace: churn_trace(&spec),
+                classes,
+                seed,
+            }
+        })
+}
+
+/// `trace` cut into consecutive slices of the given widths (cycled),
+/// each replaying its events up to and including its horizon; the last
+/// ends at the trace horizon.
+fn cut(trace: &ChurnTrace, widths: &[u64]) -> Vec<ChurnTrace> {
+    let mut out = Vec::new();
+    let (mut lo, mut start) = (0, 0);
+    for &width in widths.iter().cycle() {
+        let horizon = (start + width - 1).min(trace.horizon);
+        let hi = lo + trace.events[lo..].partition_point(|(t, _)| *t <= horizon);
+        out.push(ChurnTrace {
+            events: trace.events[lo..hi].to_vec(),
+            horizon,
+            peak_live: trace.peak_live,
+        });
+        lo = hi;
+        start = horizon + 1;
+        if horizon == trace.horizon {
+            break;
+        }
+    }
+    out
+}
+
+/// A tick in `[done.horizon, next_event − 1]`, capped at `next`'s
+/// horizon: where a caller may stop the engine between two slices
+/// without passing a churn tick.
+fn stop_between(done: &ChurnTrace, next: &ChurnTrace, r: u64) -> u64 {
+    let first = next.events.first().map_or(next.horizon + 1, |&(t, _)| t);
+    let last = (first - 1).min(next.horizon);
+    done.horizon + r % (last - done.horizon + 1)
+}
+
 fn source(s: &Scenario) -> SyntheticFleet {
     SyntheticFleet {
         seed: s.seed,
@@ -100,7 +182,7 @@ fn capacity(s: &Scenario) -> usize {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Wheel vs. frozen scan-all reference, with and without the final
+    /// Engine vs. frozen scan-all reference, with and without the final
     /// end-of-run drain.
     #[test]
     fn wheel_matches_scan_reference(s in arb_scenario()) {
@@ -152,33 +234,6 @@ proptest! {
                 prop_assert_eq!(&engine.session_digests(), &want_sessions);
                 prop_assert_eq!(engine.decisions(), baseline.decisions());
             }
-        }
-    }
-
-    /// The arrival-batch quantum is a pure throughput knob: replays at
-    /// B ∈ {1, 2, 7, 16} all match the frozen scan-all reference bit
-    /// for bit. B=1 is the unbatched wheel (one arrival per visit), so
-    /// this pins batching itself, not just batch-vs-batch agreement.
-    #[test]
-    fn churn_digests_invariant_in_arrival_batch(s in arb_scenario()) {
-        let src = source(&s);
-        let cap = capacity(&s);
-        let want = run_scan(&s.classes, &s.trace, &src, true);
-        for batch in [1u64, 2, 7, 16] {
-            let mut engine =
-                DynamicEngine::new(s.classes.clone(), cap, 4).expect("valid");
-            engine.set_arrival_batch(batch);
-            engine.run_trace(&src, &s.trace, 1).expect("fits");
-            engine.finish(&src, 1);
-            prop_assert_eq!(
-                engine.digest(),
-                want.digest,
-                "digest diverged at batch={} seed={}",
-                batch,
-                s.seed
-            );
-            prop_assert_eq!(&engine.session_digests(), &want.session_digests);
-            prop_assert_eq!(engine.decisions(), want.decisions);
         }
     }
 
@@ -289,6 +344,106 @@ proptest! {
             }
         }
         prop_assert!(checked > 0);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The cut of a trace into calls never matters: slices of 1–400
+    /// ticks (shorter than every period, and longer than a mux ingest
+    /// span), with the engine stopped at a random tick between slices
+    /// (`advance_to` bare, an empty fused call fused) and a random
+    /// session taken out and restored there, replay to the scan
+    /// reference's digests and decision count, bare and fused, at one
+    /// and two threads — and fused, to the mux digest of one
+    /// whole-trace fused call.
+    #[test]
+    fn any_cut_of_the_trace_matches_scan_reference(
+        s in arb_long_scenario(),
+        widths in proptest::collection::vec(1u64..=400, 1..=6),
+        salt in any::<u64>(),
+    ) {
+        let src = source(&s);
+        let cap = capacity(&s);
+        let want = run_scan(&s.classes, &s.trace, &src, true);
+        let cfg = MuxConfig {
+            capacity_bps: 0.5e6 * s.trace.peak_live as f64,
+            buffer_bits: 2.0e5,
+            t_start: 0.0,
+            t_end: s.trace.horizon as f64 / TICKS_PER_SEC as f64,
+            descriptor_rho_bps: 1.0e6,
+        };
+        let joins = s.trace.total_joins();
+        let engine = || DynamicEngine::new(s.classes.clone(), cap, 3).expect("valid");
+
+        let mut whole = engine();
+        let mut mux = LiveMux::with_joins(joins, 4, cfg);
+        whole.run_trace_fused(&src, &s.trace, 1, &mut mux).expect("fits");
+        let stats = whole.finish_fused(&src, 1, &mut mux);
+        prop_assert_eq!(whole.digest(), want.digest);
+        let want_mux = mux_digest(&stats, &mux.descriptors());
+
+        let slices = cut(&s.trace, &widths);
+        for threads in [1usize, 2] {
+            for fused in [false, true] {
+                let mut rng = salt | 1;
+                let mut next = move || {
+                    rng ^= rng << 13;
+                    rng ^= rng >> 7;
+                    rng ^= rng << 17;
+                    rng
+                };
+                let mut e = engine();
+                let mut mux = LiveMux::with_joins(joins, 4, cfg);
+                for (k, slice) in slices.iter().enumerate() {
+                    if fused {
+                        e.run_trace_fused(&src, slice, threads, &mut mux).expect("fits");
+                    } else {
+                        e.run_trace(&src, slice, threads).expect("fits");
+                    }
+                    let Some(following) = slices.get(k + 1) else { break };
+                    let stop = stop_between(slice, following, next());
+                    if fused {
+                        let empty = ChurnTrace {
+                            events: Vec::new(),
+                            horizon: stop,
+                            peak_live: s.trace.peak_live,
+                        };
+                        e.run_trace_fused(&src, &empty, threads, &mut mux).expect("fits");
+                    } else {
+                        e.advance_to(&src, stop, threads);
+                    }
+                    if e.live_sessions() > 0 {
+                        let sid = next() % e.joined();
+                        if let Ok(snap) = e.take(sid) {
+                            e.restore(snap).expect("restores where it was taken");
+                        }
+                    }
+                }
+                if fused {
+                    let stats = e.finish_fused(&src, threads, &mut mux);
+                    prop_assert_eq!(
+                        mux_digest(&stats, &mux.descriptors()),
+                        want_mux,
+                        "mux digest, threads={} widths={:?}",
+                        threads,
+                        &widths
+                    );
+                } else {
+                    e.finish(&src, threads);
+                }
+                prop_assert_eq!(
+                    &e.session_digests(),
+                    &want.session_digests,
+                    "fused={} threads={} widths={:?}",
+                    fused,
+                    threads,
+                    &widths
+                );
+                prop_assert_eq!(e.decisions(), want.decisions);
+            }
+        }
     }
 }
 

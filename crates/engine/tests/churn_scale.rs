@@ -59,7 +59,7 @@ fn million_session_churn_smoke() {
     assert!(engine.live_sessions() > initial * 9 / 10);
     // Churn happened: more sessions ever existed than are live.
     assert!(engine.joined() as usize > initial);
-    // The wheel fed everyone: ~31 pictures/session/s on the mixed
+    // The closing flush fed everyone: ~31 pictures/session/s on the mixed
     // clocks over the post-ramp second, and decisions track arrivals.
     let decided = engine.decisions();
     assert!(

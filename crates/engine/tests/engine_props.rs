@@ -12,10 +12,12 @@
 //!    bit.
 //!
 //! 3. **One store's decisions, two schedulers.** A single-class,
-//!    phase-0, zero-churn [`DynamicEngine`] fleet on the timing wheel
+//!    phase-0, zero-churn [`DynamicEngine`] fleet on its own clock
 //!    decides bit-identically to the same fleet in lockstep on
-//!    [`SessionEngine`] — both run the one slot store, so the wheel's
-//!    visit pattern must change no bit.
+//!    [`SessionEngine`] — both run the one slot store, so the dynamic
+//!    engine's visit pattern, and a session taken out and restored
+//!    mid-run (its header's cached `need` derived afresh), must change
+//!    no bit.
 
 use proptest::prelude::*;
 use smooth_core::{OnlineSmoother, PictureSchedule, SmootherParams};
@@ -303,11 +305,12 @@ proptest! {
 
     /// `n` sessions of one `fps_class(30)` class, every one joined at
     /// tick 0 with phase 0 and never leaving, fed `p` pictures: the
-    /// wheel-scheduled [`DynamicEngine`] (arrivals at ticks 1, 1 + τ, …,
-    /// 1 + (p−1)·τ, then `finish`) makes exactly the decisions of the
+    /// [`DynamicEngine`] (arrivals at ticks 1, 1 + τ, …, 1 + (p−1)·τ,
+    /// advanced in two calls with one session taken out and restored
+    /// between them, then `finish`) makes exactly the decisions of the
     /// lockstep [`SessionEngine`] (`p` ticks, then `finish`) — per-session
-    /// digests and the decision count, for any arrival batch, shard size
-    /// and thread count.
+    /// digests and the decision count, for any cut, shard size and
+    /// thread count.
     #[test]
     fn dynamic_engine_matches_lockstep_engine(
         n in 1usize..=40,
@@ -315,6 +318,7 @@ proptest! {
         seed in any::<u64>(),
         shard_size in prop_oneof![Just(1usize), Just(3), Just(7), Just(64)],
         threads in 1usize..=3,
+        cut_frac in 0.0f64..1.0,
     ) {
         let class = fps_class(30);
         let source = SyntheticFleet { seed, pattern: class.class.pattern };
@@ -325,27 +329,30 @@ proptest! {
             lockstep.tick(&source, threads);
         }
         lockstep.finish(&source, threads);
-        let want_sessions = lockstep.session_digests();
         prop_assert!(lockstep.decisions() > 0);
 
-        for batch in [1u64, 16] {
-            let mut dynamic = DynamicEngine::new(vec![class.clone()], n, shard_size)
-                .expect("valid fleet");
-            dynamic.set_arrival_batch(batch);
-            for sid in 0..n as u64 {
-                prop_assert_eq!(dynamic.join(0, sid, 0).expect("room"), sid);
-            }
-            dynamic.advance_to(&source, 1 + (p - 1) * class.period_ticks, threads);
-            dynamic.finish(&source, threads);
-            prop_assert_eq!(
-                &dynamic.session_digests(),
-                &want_sessions,
-                "batch={} shard_size={} threads={}",
-                batch,
-                shard_size,
-                threads
-            );
-            prop_assert_eq!(dynamic.decisions(), lockstep.decisions());
+        let mut dynamic = DynamicEngine::new(vec![class.clone()], n, shard_size)
+            .expect("valid fleet");
+        for sid in 0..n as u64 {
+            prop_assert_eq!(dynamic.join(0, sid, 0).expect("room"), sid);
         }
+        let end = 1 + (p - 1) * class.period_ticks;
+        let cut = (end as f64 * cut_frac) as u64;
+        dynamic.advance_to(&source, cut, threads);
+        let moved = seed % n as u64;
+        let snap = dynamic.take(moved).expect("live session");
+        dynamic.restore(snap).expect("its next arrival is ahead");
+        dynamic.advance_to(&source, end, threads);
+        dynamic.finish(&source, threads);
+        prop_assert_eq!(
+            &dynamic.session_digests(),
+            &lockstep.session_digests(),
+            "cut={} moved={} shard_size={} threads={}",
+            cut,
+            moved,
+            shard_size,
+            threads
+        );
+        prop_assert_eq!(dynamic.decisions(), lockstep.decisions());
     }
 }

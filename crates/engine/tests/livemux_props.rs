@@ -782,9 +782,8 @@ fn fence_advances_and_pending_stays_bounded() {
         assert_eq!(mux.descriptor(sid as u64).sigma.to_bits(), sigma.to_bits());
     }
 
-    // The whole trace in one call ingests every half second of trace
-    // time, between arrival batches, where lagging lanes rather than the
-    // clock set the fence: same bits.
+    // The whole trace in one call ingests only every half second of
+    // trace time, each time right after flushing the fleet: same bits.
     let mut engine = DynamicEngine::new(classes, trace.peak_live, 4).unwrap();
     let mut whole = LiveMux::with_joins(trace.total_joins(), 4, cfg);
     engine

@@ -751,7 +751,7 @@ struct FleetRun {
 /// determinism witness, identical for every thread count and echoed on
 /// the machine-parsable `fleet_digest=` line. `--pictures` runs a fixed
 /// fleet in lockstep ([`SessionEngine`]); `--seconds` replays a seeded
-/// churn trace on the timing wheel ([`DynamicEngine`]). With
+/// churn trace on the dynamic engine ([`DynamicEngine`]). With
 /// `--mux-capacity-mbps` every decision also streams into the online
 /// link aggregate ([`LiveMux`]), which adds the `mux_digest=` line.
 fn cmd_fleet(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
@@ -1851,10 +1851,10 @@ mod tests {
             vec!["fleet", "--seconds", "2", "--classes", "abc"],
             vec!["fleet", "--seconds", "2", "--wat", "1"],
             // The tuning knobs are not options: digests never depend on
-            // them (churn_props sweeps shard sizes and arrival batches).
+            // them (churn_props sweeps shard sizes and trace cuts).
             vec!["fleet", "--seconds", "2", "--shard-size", "32"],
             vec!["fleet", "--seconds", "2", "--batch", "7"],
-            // One workload at a time, and churn only on the wheel.
+            // One workload at a time, and churn only on the dynamic engine.
             vec!["fleet", "--pictures", "8", "--seconds", "2"],
             vec!["fleet", "--churn-ppm", "100"],
             vec!["fleet", "--pictures", "8", "--churn-ppm", "100"],

@@ -30,7 +30,7 @@
 //!   motivation;
 //! * [`engine`] (`smooth-engine`) — the million-session fleet engines:
 //!   up to 1M concurrent live smoothing sessions advanced in lockstep
-//!   picture ticks or on a timing wheel under churn, with bounded
+//!   picture ticks or on per-class clocks under churn, with bounded
 //!   per-session memory (the `fleet` CLI subcommand drives both).
 //!
 //! ## Sixty seconds to smoothed video

@@ -397,7 +397,7 @@ impl SessionLane {
     /// future joins, and they take no decisions); finished lanes never
     /// emit again. See the module docs for why this is a lower bound.
     #[inline]
-    fn frontier(&self) -> f64 {
+    pub fn frontier(&self) -> f64 {
         if !self.is_live() {
             f64::INFINITY
         } else if self.announced {

@@ -12,7 +12,7 @@
 //!   returns every session's schedule as a step function, the input the
 //!   fused fleet-to-link path is compared against;
 //! * [`scanref::run_scan`] — the brute-force scan-all replay of a churn
-//!   trace the timing-wheel `DynamicEngine` is pinned to.
+//!   trace the `DynamicEngine` is pinned to.
 //!
 //! The mux oracles share the canonical [`smooth_sweep::SumTree`] summation
 //! order and the [`smooth_netsim::QueueState`] stepper with the

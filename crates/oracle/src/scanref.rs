@@ -2,15 +2,15 @@
 //!
 //! **Frozen** — like `smooth_core::reference` and [`crate::mux::reference`],
 //! this module is the trusted oracle the churn proptests compare the
-//! timing-wheel [`DynamicEngine`](smooth_engine::DynamicEngine) against, and
+//! [`DynamicEngine`](smooth_engine::DynamicEngine) against, and
 //! must stay the obviously-correct transliteration of the event rules:
 //!
-//! * Time is walked **tick by tick** from 0 to the horizon — no wheel,
-//!   no deadline index.
+//! * Time is walked **tick by tick** from 0 to the horizon — no
+//!   deferred feeding, no deadline index.
 //! * At each tick, the trace's churn events apply first (in trace
 //!   order), then **every live session is scanned** and the ones whose
 //!   next arrival equals the tick are fed — O(sessions live) per tick,
-//!   the cost the wheel exists to avoid.
+//!   with each arrival fed in the tick it lands in.
 //! * Each session is a plain [`smooth_core::OnlineSmoother`] — the
 //!   heap-per-session representation the engines replaced — so the
 //!   comparison also pins the dynamic engine's compact store against
