@@ -183,6 +183,21 @@ pub trait SizeEstimator {
     /// Estimated size of picture `j`, in bits.
     fn estimate(&self, j: usize, arrived: Arrived<'_>, pattern: &GopPattern) -> f64;
 
+    /// Resolves picture `i`'s lookahead: `out[k]` becomes the size of
+    /// picture `i + k` for every `k < out.len()`, exact when it has
+    /// arrived and [`estimate`](Self::estimate) otherwise — the naive
+    /// refill [`crate::reference::fill_lookahead`] computes. An
+    /// estimator may override this with a faster body of the same bits.
+    fn resolve_ahead(&self, i: usize, arrived: Arrived<'_>, pattern: &GopPattern, out: &mut [f64]) {
+        for (slot, j) in out.iter_mut().zip(i..) {
+            *slot = if j < arrived.len() {
+                arrived.get(j) as f64
+            } else {
+                self.estimate(j, arrived, pattern)
+            };
+        }
+    }
+
     /// Short name for reports and ablation tables.
     fn name(&self) -> &'static str;
 
@@ -247,6 +262,49 @@ impl Default for PatternEstimator {
     }
 }
 
+impl PatternEstimator {
+    /// [`resolve_ahead`](SizeEstimator::resolve_ahead) over one word
+    /// width (`w = visible.len()`):
+    ///
+    /// 1. an arrived picture, `j < w`, reads itself;
+    /// 2. the first period past the watermark, `w ≤ j < w + N`, reads
+    ///    one pattern back — `visible[j − N]`, which has arrived, or the
+    ///    type default when `j < N`;
+    /// 3. a later picture repeats the one a period before it: both
+    ///    estimates come from the same most recent same-slot arrival (or
+    ///    the same default). Only when `i > w` is that picture not in
+    ///    `out`, and then it is estimated.
+    ///
+    /// A decision has `w > i`, so with `H ≤ N` its window is the two
+    /// ring runs `[i, w)` and `[w − N, i + H − N)`, read in one loop: the
+    /// split moves between decisions, and a loop per run mispredicts it.
+    #[inline(always)]
+    fn resolve_words<W: SizeWord>(
+        &self,
+        i: usize,
+        visible: &[W],
+        pattern: &GopPattern,
+        out: &mut [f64],
+    ) {
+        let n = pattern.n();
+        let w = visible.len();
+        for (k, j) in (i..i + out.len()).enumerate() {
+            out[k] = if j < w {
+                visible[j].to_f64()
+            } else if j < w + n {
+                match j.checked_sub(n) {
+                    Some(back) => visible[back].to_f64(),
+                    None => self.defaults.for_type(pattern.type_at(j)),
+                }
+            } else if k >= n {
+                out[k - n]
+            } else {
+                self.estimate(j, W::arrived(visible), pattern)
+            };
+        }
+    }
+}
+
 impl SizeEstimator for PatternEstimator {
     /// O(1): the walk-back loop (`back = j − N, j − 2N, …` until an
     /// arrived picture is hit) visits exactly the indices congruent to
@@ -291,6 +349,16 @@ impl SizeEstimator for PatternEstimator {
             }
         }
         self.defaults.for_type(pattern.type_at(j))
+    }
+
+    /// The default's bits, read straight off the history (see
+    /// `resolve_words`).
+    #[inline]
+    fn resolve_ahead(&self, i: usize, arrived: Arrived<'_>, pattern: &GopPattern, out: &mut [f64]) {
+        match arrived {
+            Arrived::Wide(s) => self.resolve_words(i, s, pattern, out),
+            Arrived::Narrow(s) => self.resolve_words(i, s, pattern, out),
+        }
     }
 
     fn name(&self) -> &'static str {

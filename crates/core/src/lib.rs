@@ -68,7 +68,7 @@ pub use estimate::{
     SizeWord, TypeDefaultEstimator,
 };
 pub use eventsim::{validate_against_events, EventSimReport};
-pub use lookahead::{window_capacity, LookaheadWindow, WindowMut, WindowState};
+pub use lookahead::{window_capacity, LookaheadWindow};
 pub use lossy::{cap_peak_with_quantizer, drop_b_pictures, BDropResult, QuantizerControlResult};
 pub use online::{
     decide_live, decide_ready, live_ready, prunable_prefix, smooth_streaming, LiveCursor,

@@ -32,12 +32,12 @@
 //! back to the front whenever an append would run off the end (at most
 //! two slot copies per advance), so the live region is always one
 //! contiguous `&[f64]` —
-//! exactly what `DecideCtx::sizes_ahead` wants. The storage is either
-//! the window's own ([`LookaheadWindow`]) or a slice of a slab a session
-//! store shares across its sessions ([`WindowState`] + [`WindowMut`]).
-//! A caller that prunes whole GOP periods off the history the window
-//! indexes renumbers it with [`WindowState::rebase`] instead of
-//! refilling it.
+//! exactly what `DecideCtx::sizes_ahead` wants. A caller that prunes
+//! whole GOP periods off the history the window indexes renumbers it
+//! with [`LookaheadWindow::rebase`] instead of refilling it. (A session
+//! store holds no window at all: it resolves each decision's lookahead
+//! straight from its history with
+//! [`SizeEstimator::resolve_ahead`](crate::SizeEstimator::resolve_ahead).)
 //!
 //! **Bit-identity.** Every resolved value is the same pure function of
 //! `(j, visible prefix)` the naive refill computes — exact slots are
@@ -66,13 +66,10 @@ pub const fn window_capacity(look: usize) -> usize {
 
 /// A lookahead window's position, without its slot storage: which
 /// storage slots are live and which pictures and arrivals they reflect.
-/// [`LookaheadWindow`] pairs one with its own buffer; a store holding
-/// many sessions keeps these in one array and the slots of all windows
-/// in one slab, and joins the two per decision with [`WindowMut::new`].
 ///
 /// The default value is an empty window: its next advance refills.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct WindowState {
+struct WindowState {
     /// Start of the live window within the storage.
     lo: u32,
     /// Number of live slots; 0 forces a refill on the next advance.
@@ -86,12 +83,66 @@ pub struct WindowState {
     watermark: usize,
 }
 
-impl WindowState {
-    /// Forgets all cached state; the next advance performs a full
-    /// refill.
-    #[inline]
+/// Full refill — the naive resolution, used for the first picture of a
+/// run and as the fallback for non-sliding access. Kept out of line so
+/// the inlined sliding fast path stays small.
+#[cold]
+#[inline(never)]
+fn refill<'a, W: SizeWord>(
+    state: &mut WindowState,
+    slots: &'a mut [f64],
+    i: usize,
+    look: usize,
+    visible: &[W],
+    mut estimate: impl FnMut(usize) -> f64,
+) -> &'a [f64] {
+    assert!(
+        look <= slots.len() && u32::try_from(slots.len()).is_ok(),
+        "a {look}-slot lookahead does not fit a {}-slot window storage",
+        slots.len()
+    );
+    *state = WindowState {
+        lo: 0,
+        len: look as u32,
+        next: i + 1,
+        watermark: visible.len(),
+    };
+    for (slot, j) in slots[..look].iter_mut().zip(i..) {
+        *slot = if j < visible.len() {
+            visible[j].to_f64()
+        } else {
+            estimate(j)
+        };
+    }
+    &slots[..look]
+}
+
+/// Incrementally maintained lookahead window (see the module docs) that
+/// owns its storage.
+///
+/// One instance serves one smoothing run at a time but is designed to be
+/// **reused across runs** (and across traces, in batch mode): `advance`
+/// detects non-successive picture indices and falls back to a full
+/// refill, so a fresh run simply starts with its first picture. The
+/// storage is sized once, to [`window_capacity`] of the longest
+/// lookahead asked, and kept between runs — after warm-up the hot path
+/// performs no allocations at all.
+#[derive(Debug, Default)]
+pub struct LookaheadWindow {
+    state: WindowState,
+    slots: Vec<f64>,
+}
+
+impl LookaheadWindow {
+    /// Creates an empty window. Storage is allocated on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Forgets all cached state; the next [`advance`](Self::advance)
+    /// performs a full refill. Storage is retained.
     pub fn reset(&mut self) {
-        self.len = 0;
+        self.state.len = 0;
     }
 
     /// Renumbers the window after its caller dropped the first `drop`
@@ -105,38 +156,30 @@ impl WindowState {
     /// same argument that keeps pruned schedules bit-identical). A drop
     /// past the next expected picture or past the watermark leaves
     /// nothing to renumber, and resets.
-    #[inline]
     pub fn rebase(&mut self, drop: usize) {
-        if drop > self.next || drop > self.watermark {
-            self.reset();
+        let state = &mut self.state;
+        if drop > state.next || drop > state.watermark {
+            state.len = 0;
         } else {
-            self.next -= drop;
-            self.watermark -= drop;
+            state.next -= drop;
+            state.watermark -= drop;
         }
     }
-}
 
-/// A window's state joined with the storage it resolves into, for one
-/// [`advance`](Self::advance). The storage must be the same slice, with
-/// the same length, on every advance of one window between refills.
-pub struct WindowMut<'a> {
-    state: &'a mut WindowState,
-    slots: &'a mut [f64],
-}
-
-impl<'a> WindowMut<'a> {
-    /// Joins `state` with its slot storage.
-    #[inline(always)]
-    pub fn new(state: &'a mut WindowState, slots: &'a mut [f64]) -> Self {
-        WindowMut { state, slots }
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, cap: usize) {
+        self.slots.reserve_exact(cap - self.slots.len());
+        self.slots.resize(cap, 0.0);
     }
 
     /// Slides the window to picture `i` and returns the resolved sizes
     /// `S_i .. S_{i+look−1}` as a contiguous slice.
     ///
-    /// * `look` — at most the storage length; a storage of
-    ///   [`window_capacity`]`(look)` slots copies at most two slots an
-    ///   advance to stay contiguous.
+    /// * `look` — the window length; the storage grows to
+    ///   [`window_capacity`]`(look)` slots the first time a longer
+    ///   lookahead is asked, and copies at most two slots an advance to
+    ///   stay contiguous.
     /// * `visible` — the arrived prefix (`visible[x]` is the exact size
     ///   of picture `x`, as `u64` or as a store's `u32` word); its length
     ///   is the arrived-watermark and must be non-decreasing across
@@ -152,21 +195,21 @@ impl<'a> WindowMut<'a> {
     /// run, a reset, or any non-sliding access) falls back to a full
     /// refill, which is exactly the naive
     /// [`crate::reference::fill_lookahead`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `look` exceeds the storage.
     #[inline(always)]
     pub fn advance<W: SizeWord>(
-        self,
+        &mut self,
         i: usize,
         look: usize,
         visible: &[W],
         invalidation: Invalidation,
         slot_modulus: usize,
         mut estimate: impl FnMut(usize) -> f64,
-    ) -> &'a [f64] {
-        let WindowMut { state, slots } = self;
+    ) -> &[f64] {
+        let cap = window_capacity(look);
+        if self.slots.len() < cap {
+            self.grow(cap);
+        }
+        let LookaheadWindow { state, slots } = self;
         let w1 = visible.len();
         let sliding = state.len > 0 && i == state.next && w1 >= state.watermark;
         if !sliding {
@@ -272,109 +315,6 @@ impl<'a> WindowMut<'a> {
         state.lo = lo as u32;
         state.len = len as u32;
         &slots[lo..lo + len]
-    }
-}
-
-/// Full refill — the naive resolution, used for the first picture of a
-/// run and as the fallback for non-sliding access. Kept out of line so
-/// the inlined sliding fast path stays small.
-#[cold]
-#[inline(never)]
-fn refill<'a, W: SizeWord>(
-    state: &mut WindowState,
-    slots: &'a mut [f64],
-    i: usize,
-    look: usize,
-    visible: &[W],
-    mut estimate: impl FnMut(usize) -> f64,
-) -> &'a [f64] {
-    assert!(
-        look <= slots.len() && u32::try_from(slots.len()).is_ok(),
-        "a {look}-slot lookahead does not fit a {}-slot window storage",
-        slots.len()
-    );
-    *state = WindowState {
-        lo: 0,
-        len: look as u32,
-        next: i + 1,
-        watermark: visible.len(),
-    };
-    for (slot, j) in slots[..look].iter_mut().zip(i..) {
-        *slot = if j < visible.len() {
-            visible[j].to_f64()
-        } else {
-            estimate(j)
-        };
-    }
-    &slots[..look]
-}
-
-/// Incrementally maintained lookahead window (see the module docs) that
-/// owns its storage.
-///
-/// One instance serves one smoothing run at a time but is designed to be
-/// **reused across runs** (and across traces, in batch mode): `advance`
-/// detects non-successive picture indices and falls back to a full
-/// refill, so a fresh run simply starts with its first picture. The
-/// storage is sized once, to [`window_capacity`] of the longest
-/// lookahead asked, and kept between runs — after warm-up the hot path
-/// performs no allocations at all.
-#[derive(Debug, Default)]
-pub struct LookaheadWindow {
-    state: WindowState,
-    slots: Vec<f64>,
-}
-
-impl LookaheadWindow {
-    /// Creates an empty window. Storage is allocated on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets all cached state; the next [`advance`](Self::advance)
-    /// performs a full refill. Storage is retained.
-    pub fn reset(&mut self) {
-        self.state.reset();
-    }
-
-    /// [`WindowState::rebase`]: renumbers the window after the caller
-    /// pruned `drop` (a whole number of GOP periods) leading pictures.
-    pub fn rebase(&mut self, drop: usize) {
-        self.state.rebase(drop);
-    }
-
-    /// Borrows the window with storage for up to `look` live slots,
-    /// allocating it (exactly [`window_capacity`]`(look)` slots) the
-    /// first time, or when a longer lookahead is asked.
-    #[inline(always)]
-    pub fn view(&mut self, look: usize) -> WindowMut<'_> {
-        let cap = window_capacity(look);
-        if self.slots.len() < cap {
-            self.grow(cap);
-        }
-        WindowMut::new(&mut self.state, &mut self.slots)
-    }
-
-    #[cold]
-    #[inline(never)]
-    fn grow(&mut self, cap: usize) {
-        self.slots.reserve_exact(cap - self.slots.len());
-        self.slots.resize(cap, 0.0);
-    }
-
-    /// [`WindowMut::advance`] on the window's own storage.
-    #[inline(always)]
-    pub fn advance<W: SizeWord>(
-        &mut self,
-        i: usize,
-        look: usize,
-        visible: &[W],
-        invalidation: Invalidation,
-        slot_modulus: usize,
-        estimate: impl FnMut(usize) -> f64,
-    ) -> &[f64] {
-        self.view(look)
-            .advance(i, look, visible, invalidation, slot_modulus, estimate)
     }
 }
 

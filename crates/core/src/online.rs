@@ -36,7 +36,7 @@
 //! proptests against [`crate::reference::smooth_live_reference`]).
 
 use crate::estimate::{PatternEstimator, SizeEstimator, SizeWord};
-use crate::lookahead::{LookaheadWindow, WindowMut};
+use crate::lookahead::LookaheadWindow;
 use crate::params::SmootherParams;
 use crate::smoother::{
     decide_one, BlockLanes, DecideCtx, PictureSchedule, RateSelection, SmoothingResult,
@@ -176,66 +176,55 @@ pub fn live_ready<E: SizeEstimator + ?Sized>(
     Some(Ready { time, need, look })
 }
 
-/// Makes the decision [`live_ready`] found ready: resolves the
-/// lookahead, runs the bound scan and rate selection, and advances
+/// Makes the decision [`live_ready`] found ready over its resolved
+/// lookahead: runs the bound scan and rate selection, and advances
 /// `cursor`. The body of the paper's `notify` step.
 ///
 /// `ready` must be `live_ready`'s value for this `cursor` (and the same
 /// `cfg` and end-of-stream state), and `history` must hold at least
-/// `ready.need` pictures. Inlined so a driver that carries `ready`
-/// between decisions keeps the whole chain `t_i → d_i → t_{i+1}` in
-/// registers; [`decide_live`] is the checked composition.
+/// `ready.need` pictures. `sizes_ahead` is `S_i .. S_{i+look−1}` for `i
+/// = cursor.decided` and `look = ready.look`, resolved over the first
+/// `ready.need` pictures of `history` in `base`-shifted coordinates —
+/// by a [`LookaheadWindow`] ([`decide_live`]) or by the estimator's
+/// [`resolve_ahead`](SizeEstimator::resolve_ahead) (a session store,
+/// straight from its history). Inlined so a driver that
+/// carries `ready` between decisions keeps the whole chain `t_i → d_i →
+/// t_{i+1}` in registers; [`decide_live`] is the checked composition.
 ///
-/// `lanes` is decision scratch a driver hoists across sessions;
-/// `window` is per-session sliding lookahead state with room for
-/// `cfg.params.h` slots, and must see the same session on every call —
-/// [`rebase`](crate::WindowState::rebase) it by the pruned count after
-/// pruning.
+/// `lanes` is decision scratch a driver hoists across sessions.
 #[inline(always)]
 pub fn decide_ready<E: SizeEstimator + ?Sized, W: SizeWord>(
     cfg: &LiveParams<'_, E>,
     history: SizeHistory<'_, W>,
     ready: Ready,
     cursor: &mut LiveCursor,
-    window: WindowMut<'_>,
+    sizes_ahead: &[f64],
     lanes: &mut BlockLanes,
 ) -> PictureSchedule {
     let i = cursor.decided;
-    let visible_len = ready.need;
-    debug_assert!(history.pushed() >= visible_len, "decision not ready");
-    cursor.watermark = cursor.watermark.max(visible_len);
-
-    // All reads below are at logical indices ≥ base: the decision reads
-    // `size_i` at `i ≥ decided ≥ base`, the window at `j ≥ i`, and the
+    debug_assert_eq!(sizes_ahead.len(), ready.look, "lookahead not resolved");
+    debug_assert!(history.pushed() >= ready.need, "decision not ready");
+    // Every read of the decision is at a logical index ≥ base: `size_i`
+    // at `i ≥ decided ≥ base`, the lookahead at `j ≥ i`, and the
     // estimator (per its `history_window` promise) within the retained
     // suffix. Shifting every index by `base` — a multiple of N — keeps
-    // GOP slots, and therefore every estimate and every cached window
-    // slot, bit-identical to the unpruned computation.
-    let base = history.base;
-    debug_assert!(base <= i, "pruned past the next undecided picture");
-    debug_assert!(base % cfg.pattern.n() == 0, "prune not pattern-aligned");
-    let visible = &history.tail[..visible_len - base];
-
-    let pattern = cfg.pattern;
-    let estimator = cfg.estimator;
-    let arrived = W::arrived(visible);
-    let sizes_ahead = window.advance(
-        i - base,
-        ready.look,
-        visible,
-        estimator.invalidation(),
-        pattern.n(),
-        |j| estimator.estimate(j, arrived, &pattern),
+    // GOP slots, and therefore every resolved size, bit-identical to the
+    // unpruned computation.
+    debug_assert!(history.base <= i, "pruned past the next undecided picture");
+    debug_assert!(
+        history.base % cfg.pattern.n() == 0,
+        "prune not pattern-aligned"
     );
+    cursor.watermark = cursor.watermark.max(ready.need);
     let ctx = DecideCtx {
         params: cfg.params,
         sizes_ahead,
-        pattern_n: pattern.n(),
+        pattern_n: cfg.pattern.n(),
         selection: cfg.selection,
         i,
         start: ready.time,
         prev_rate: cursor.prev_rate,
-        size_i: history.tail[i - base].into(),
+        size_i: history.tail[i - history.base].into(),
         // Arrivals stream in, so the size bound needed for the
         // order-free scan is not known up front.
         exact_prefix: false,
@@ -261,20 +250,33 @@ pub fn decide_ready<E: SizeEstimator + ?Sized, W: SizeWord>(
 /// drain; `need` is monotone across consecutive decisions, so `window`
 /// slides instead of refilling.
 ///
-/// `lanes` and `window` are as for [`decide_ready`].
+/// `window` resolves the lookahead: it must see the same session on
+/// every call, [`rebase`](LookaheadWindow::rebase)d by the pruned count
+/// after each prune. `lanes` is as for [`decide_ready`].
 pub fn decide_live<E: SizeEstimator + ?Sized, W: SizeWord>(
     cfg: &LiveParams<'_, E>,
     history: SizeHistory<'_, W>,
     ended: bool,
     cursor: &mut LiveCursor,
-    window: WindowMut<'_>,
+    window: &mut LookaheadWindow,
     lanes: &mut BlockLanes,
 ) -> Option<PictureSchedule> {
     let ready = live_ready(cfg, history.pushed(), ended, cursor)?;
     if history.pushed() < ready.need {
         return None; // wait for more pushes
     }
-    Some(decide_ready(cfg, history, ready, cursor, window, lanes))
+    let visible = &history.tail[..ready.need - history.base];
+    let (estimator, pattern) = (cfg.estimator, cfg.pattern);
+    let arrived = W::arrived(visible);
+    let ahead = window.advance(
+        cursor.decided - history.base,
+        ready.look,
+        visible,
+        estimator.invalidation(),
+        pattern.n(),
+        |j| estimator.estimate(j, arrived, &pattern),
+    );
+    Some(decide_ready(cfg, history, ready, cursor, ahead, lanes))
 }
 
 /// How many leading sizes a session may prune right now: the largest
@@ -454,7 +456,6 @@ impl<E: SizeEstimator> OnlineSmoother<E> {
                 base: *base,
                 tail: buf,
             };
-            let window = window.view(params.h);
             match decide_live(&cfg, history, *ended, cursor, window, &mut lanes) {
                 Some(decision) => out.push(decision),
                 None => break,

@@ -7,9 +7,10 @@
 //! over random inputs in three regimes — offline, online with a declared
 //! length, and live streaming with an unknown length — plus the
 //! closed-form pattern estimate on its own, a window renumbered by
-//! [`LookaheadWindow::rebase`] after a whole-pattern prune, and a live
+//! [`LookaheadWindow::rebase`] after a whole-pattern prune, a live
 //! session deciding over `u32` history words against the same sizes
-//! held as `u64`.
+//! held as `u64`, and the window-free
+//! [`SizeEstimator::resolve_ahead`] a session store decides over.
 
 use proptest::prelude::*;
 use smooth_core::reference::{
@@ -17,9 +18,9 @@ use smooth_core::reference::{
     ReferencePatternEstimator,
 };
 use smooth_core::{
-    decide_live, prunable_prefix, smooth, smooth_streaming, smooth_with, BlockLanes, LiveCursor,
-    LiveParams, LookaheadWindow, OnlineSmoother, PatternEstimator, PictureSchedule, RateSelection,
-    SizeEstimator, SizeHistory, SizeWord, SmootherParams, TypeDefaultEstimator,
+    decide_live, prunable_prefix, smooth, smooth_streaming, smooth_with, Arrived, BlockLanes,
+    LiveCursor, LiveParams, LookaheadWindow, OnlineSmoother, PatternEstimator, PictureSchedule,
+    RateSelection, SizeEstimator, SizeHistory, SizeWord, SmootherParams, TypeDefaultEstimator,
 };
 use smooth_mpeg::{GopPattern, Resolution};
 use smooth_trace::VideoTrace;
@@ -313,7 +314,7 @@ fn live_decisions<W: SizeWord>(
             SizeHistory { base, tail },
             ended,
             &mut cursor,
-            window.view(params.h),
+            &mut window,
             &mut lanes,
         ) {
             out.push(d);
@@ -356,6 +357,112 @@ proptest! {
         prop_assert!(
             from_narrow.iter().map(bits).eq(from_wide.iter().map(bits)),
             "a u32 history decided differently from its u64 widening"
+        );
+    }
+}
+
+/// An estimator that keeps the trait's defaults, [`Invalidation`]
+/// (`OnAnyArrival`) and [`SizeEstimator::resolve_ahead`] included: half
+/// the last arrival plus the GOP slot. It reads only the last arrival
+/// and the slot, so it keeps a one-size history window.
+///
+/// [`Invalidation`]: smooth_core::Invalidation
+struct LastArrivalEstimator;
+
+impl SizeEstimator for LastArrivalEstimator {
+    fn estimate(&self, j: usize, arrived: Arrived<'_>, pattern: &GopPattern) -> f64 {
+        let slot = (j % pattern.n()) as f64;
+        match arrived.len() {
+            0 => 1_000.0 + slot,
+            len => arrived.get(len - 1) as f64 * 0.5 + slot,
+        }
+    }
+
+    fn name(&self) -> &'static str {
+        "last-arrival"
+    }
+
+    fn history_window(&self, _pattern: &GopPattern) -> Option<usize> {
+        Some(1)
+    }
+}
+
+/// `estimator.resolve_ahead` for picture `i` over the history `sizes`
+/// with its first `base` sizes pruned, in `base`-shifted coordinates, as
+/// `f64` bits.
+fn resolved_bits<W: SizeWord>(
+    estimator: &dyn SizeEstimator,
+    pattern: &GopPattern,
+    sizes: &[W],
+    base: usize,
+    i: usize,
+    look: usize,
+) -> Vec<u64> {
+    let mut out = vec![f64::NAN; look];
+    estimator.resolve_ahead(i - base, W::arrived(&sizes[base..]), pattern, &mut out);
+    out.iter().map(|v| v.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The resolver a session store decides over equals the naive
+    /// refill over `estimate` on the unpruned `u64` history, bit for
+    /// bit, for the pattern estimator's override and the trait default
+    /// (type-default and a last-arrival `OnAnyArrival` estimator), all
+    /// through `&dyn`; over `u32` and `u64` words; with the history
+    /// pruned at any whole-pattern cut the pruning contract allows.
+    ///
+    /// Shapes: `H` below, at and past `N` (where the pattern override
+    /// repeats its own output a period back), cold starts at `i < N`
+    /// (type defaults), a decision's arrived prefix `i + max(K, 1)` and
+    /// more for `K` from 0, and a prefix that ends at or before `i`.
+    #[test]
+    fn resolver_equals_the_naive_refill(
+        pattern in arb_pattern(),
+        narrow in proptest::collection::vec(1u32..=u32::MAX, 0..150),
+        which in 0usize..3,
+        look in 0usize..=40,
+        i_raw in 0usize..160,
+        cold in any::<bool>(),
+        k in 0usize..=5,
+        late in 0usize..=8,
+        behind in 0usize..8,
+        pick in 0usize..1_000,
+    ) {
+        let pattern_est = PatternEstimator::default();
+        let type_est = TypeDefaultEstimator::default();
+        let estimator: &dyn SizeEstimator = match which {
+            0 => &pattern_est,
+            1 => &type_est,
+            _ => &LastArrivalEstimator,
+        };
+        let n = pattern.n();
+        let i = if cold { i_raw % (2 * n) } else { i_raw };
+        // Most cases take a decision's arrived prefix; one in eight ends
+        // at or before `i`.
+        let w = if behind == 0 { i - pick % (i + 1) } else { i + k.max(1) + late }
+            .min(narrow.len());
+        let wide: Vec<u64> = narrow[..w].iter().map(|&s| u64::from(s)).collect();
+
+        let mut naive = Vec::new();
+        fill_lookahead(&mut naive, i, look, &wide, |j| {
+            estimator.estimate(j, wide[..].into(), &pattern)
+        });
+        let naive: Vec<u64> = naive.iter().map(|v| v.to_bits()).collect();
+
+        let hist = estimator.history_window(&pattern).expect("bounded window");
+        let cuts = i.min(w.saturating_sub(hist)) / n;
+        let base = if cuts == 0 { 0 } else { n * (pick % (cuts + 1)) };
+        prop_assert_eq!(
+            &resolved_bits(estimator, &pattern, &narrow[..w], base, i, look),
+            &naive,
+            "u32 words, base {}", base
+        );
+        prop_assert_eq!(
+            &resolved_bits(estimator, &pattern, &wide, base, i, look),
+            &naive,
+            "u64 words, base {}", base
         );
     }
 }

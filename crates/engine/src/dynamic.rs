@@ -32,9 +32,8 @@
 //! * **Live churn.** [`DynamicEngine::join`] and
 //!   [`DynamicEngine::leave`] add and remove sessions mid-run. Each
 //!   shard is a slot store that recycles freed slots through a LIFO free
-//!   list — the history slice is zeroed on reuse and the lookahead
-//!   window reset, so a recycled slot is indistinguishable from a fresh
-//!   one (pinned by proptests).
+//!   list — the history slice is zeroed on reuse, so a recycled slot is
+//!   indistinguishable from a fresh one (pinned by proptests).
 //! * **Snapshot / restore.** [`DynamicEngine::snapshot`] captures one
 //!   session's hot+cold state as a self-contained [`SessionSnapshot`];
 //!   [`DynamicEngine::restore`] installs it into any engine with the
@@ -42,8 +41,8 @@
 //!   between shards with it, and [`DynamicEngine::checkpoint`] /
 //!   [`DynamicEngine::restore_checkpoint`] capture the whole fleet for
 //!   crash recovery — all bit-identical to the uninterrupted run
-//!   (the lookahead window rebuilds from retained history exactly;
-//!   pinned by the churn proptests).
+//!   (every lookahead is resolved from the retained history; pinned by
+//!   the churn proptests).
 //! * **Fused link aggregation.** [`DynamicEngine::run_trace_fused`]
 //!   keeps each session's [`LiveMux`] lane in the session's slot (the
 //!   shard store's lane table): a decision goes to the lane inline, with
@@ -127,9 +126,9 @@ pub const MUX_INGEST_SPAN_TICKS: u64 = TICKS_PER_SEC / 2;
 
 /// One session's complete smoother state, self-contained: everything
 /// needed to continue its schedule bit-identically in another slot,
-/// shard, or engine (same classes). The lookahead window is *not*
-/// captured — it is a cache over the retained history and rebuilds
-/// exactly (the same reset the compaction path relies on).
+/// shard, or engine (same classes). There is no lookahead to capture:
+/// a slot resolves each decision's lookahead from its retained history,
+/// which the snapshot carries.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SessionSnapshot {
     /// Engine-assigned session id.
@@ -414,8 +413,8 @@ impl DynamicEngine {
     /// Resident bytes per session slot under the dynamic compact
     /// layout: the one-cache-line scalar header, the cold session id,
     /// the uniform `u32` history slot (the widest class's `ring_cap`, so
-    /// any class can recycle any slot) and the lookahead window (its
-    /// state and `f64` slots for the largest `H`).
+    /// any class can recycle any slot). A slot keeps no lookahead: each
+    /// decision resolves it from the history into shard scratch.
     pub fn state_bytes_per_slot(&self) -> usize {
         self.shape.bytes()
     }

@@ -378,7 +378,7 @@ pub struct SessionEngine {
     /// `sid % shard_size` of shard `sid / shard_size`.
     shards: Vec<Mutex<SlotStore>>,
     shard_size: usize,
-    /// Every slot's storage: the widest class's ring and window.
+    /// Every slot's storage: the widest class's ring.
     shape: SlotShape,
     sessions: usize,
     ticks: u64,
@@ -540,8 +540,9 @@ impl SessionEngine {
     }
 
     /// Resident bytes per session of a class: the one-line scalar
-    /// header, the session id, the `u32` history slot and the lookahead
-    /// window (its state and `f64` slots). Every slot is sized to the
+    /// header, the session id and the `u32` history slot (a slot keeps
+    /// no lookahead: each decision resolves it from the history into
+    /// shard scratch). Every slot is sized to the
     /// fleet's widest class, so the figure is the same for every class
     /// of one engine. Every part lives in a flat per-shard array, so
     /// this is all a session holds and all a batch streams from memory
@@ -932,14 +933,12 @@ mod tests {
         // D/τ = 6, K = 1, N = 9: a lead of 5 pictures, the estimator's
         // 18-size window and a pattern less one.
         assert_eq!(cap, 31);
-        // The 64-byte scalar header, the 8-byte session id, the u32
-        // ring slot, the 24-byte window state and 14 f64 window slots.
+        // The 64-byte scalar header, the 8-byte session id and the u32
+        // ring slot: nothing else, since every decision resolves its
+        // lookahead from the ring.
         let bytes = engine.state_bytes_per_session(0);
-        assert_eq!(
-            bytes,
-            72 + 4 * cap + 24 + 8 * smooth_core::window_capacity(9)
-        );
-        assert_eq!(bytes, 332);
+        assert_eq!(bytes, 72 + 4 * cap);
+        assert_eq!(bytes, 196);
     }
 
     #[test]

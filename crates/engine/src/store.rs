@@ -2,12 +2,15 @@
 //!
 //! A [`SlotStore`] is one shard's worth of smoothing sessions. Each slot
 //! keeps its per-session scalars in a one-cache-line [`SlotHot`]
-//! header, its session id in a cold side array, its arrival history in
-//! a fixed `ring_cap`-word `u32` slice of one flat ring (slot `j`'s
-//! history starts at `j * ring_cap`), and its sliding lookahead window
-//! as a [`WindowState`] plus a fixed `window_cap`-slot slice of one
-//! flat slab — the [`SlotShape`]. Decision scratch ([`BlockLanes`]) is
-//! shared by every slot of the store.
+//! header, its session id in a cold side array, and its arrival history
+//! in a fixed `ring_cap`-word `u32` slice of one flat ring (slot `j`'s
+//! history starts at `j * ring_cap`) — the [`SlotShape`]. A slot keeps
+//! nothing it can recompute: each decision resolves its lookahead
+//! `S_i .. S_{i+H−1}` straight from the ring into one `f64` scratch of
+//! the store ([`SizeEstimator::resolve_ahead`]; for the paper's
+//! estimator, two contiguous runs of the ring). That scratch and the
+//! decision scratch ([`BlockLanes`]) are shared by every slot of the
+//! store.
 //!
 //! A fused dynamic run also keeps each session's `LiveMux` lane in its
 //! slot: the store's [`LaneTable`] holds one lane per slot beside the
@@ -21,16 +24,15 @@
 //! [`step_slot`](SlotStore::step_slot) is the one per-session step body:
 //! push a run of arrivals, make every decision the paper's
 //! preconditions allow, prune the history in whole GOP periods as soon
-//! as a period falls out of use (renumbering the window, not refilling
-//! it), so a slot never holds more than Theorem 1's live bound.
-//! Decisions read the slot's `u32` history words in place: the window
-//! and the estimator widen each read, which is exact. The header keeps
-//! the next decision's `need` (what [`live_ready`] derives, and only
-//! it), so a push that completes no decision costs one integer compare
-//! and `t_i` is derived only for a decision that is made; the inlined
-//! [`decide_ready`] makes it. The end-of-stream drain calls
-//! `decide_live`. Both engines drive the step body through slot-order
-//! walks — the lockstep [`SessionEngine`](crate::SessionEngine) through
+//! as a period falls out of use, so a slot never holds more than
+//! Theorem 1's live bound. Decisions read the slot's `u32` history
+//! words in place: the resolver widens each read, which is exact. The
+//! header keeps the next decision's `need` (what [`live_ready`]
+//! derives, and only it), so a push that completes no decision costs
+//! one integer compare and `t_i` is derived only for a decision that is
+//! made; the inlined [`decide_ready`] makes it, as it does every
+//! decision of the end-of-stream drain. Both engines drive the step
+//! body through slot-order walks — the lockstep [`SessionEngine`](crate::SessionEngine) through
 //! [`sweep`](SlotStore::sweep), the
 //! [`DynamicEngine`](crate::DynamicEngine) through its flush, feeding
 //! each slot what arrived since its last visit. Sessions are independent
@@ -42,9 +44,8 @@
 //! — pinned by the engine-vs-[`smooth_core::OnlineSmoother`] proptests.
 
 use smooth_core::{
-    decide_live, decide_ready, live_ready, prunable_prefix, window_capacity, BlockLanes,
-    LiveCursor, LiveParams, PatternEstimator, PictureSchedule, Ready, SizeHistory, WindowMut,
-    WindowState,
+    decide_ready, live_ready, prunable_prefix, Arrived, BlockLanes, LiveCursor, LiveParams,
+    PatternEstimator, PictureSchedule, Ready, SizeEstimator, SizeHistory,
 };
 
 use std::cell::RefCell;
@@ -166,8 +167,9 @@ impl SlotHot {
 pub(crate) struct SlotShape {
     /// History words a slot holds: the largest class `ring_cap`.
     pub(crate) ring_cap: usize,
-    /// Lookahead window slots: [`window_capacity`] of the largest `H`.
-    pub(crate) window_cap: usize,
+    /// The largest class `H`: the length of the store's lookahead
+    /// scratch, which every slot shares.
+    pub(crate) look: usize,
 }
 
 impl SlotShape {
@@ -176,21 +178,17 @@ impl SlotShape {
         let max = |f: fn(&ClassInfo) -> usize| classes.iter().map(f).max().expect("non-empty");
         SlotShape {
             ring_cap: max(|c| c.ring_cap),
-            window_cap: window_capacity(max(|c| c.class.params.h)),
+            look: max(|c| c.class.params.h),
         }
     }
 
     /// Resident bytes per slot: the one-line header, the cold session
-    /// id, the `u32` history slice, the window state and its `f64`
-    /// slots. Every part lives in one of the store's flat arrays, so
-    /// there is no per-session heap block or allocator header besides.
+    /// id and the `u32` history slice. Every part lives in one of the
+    /// store's flat arrays, so there is no per-session heap block or
+    /// allocator header besides.
     pub(crate) fn bytes(self) -> usize {
         use std::mem::size_of;
-        size_of::<SlotHot>()
-            + size_of::<u64>()
-            + size_of::<u32>() * self.ring_cap
-            + size_of::<WindowState>()
-            + size_of::<f64>() * self.window_cap
+        size_of::<SlotHot>() + size_of::<u64>() + size_of::<u32>() * self.ring_cap
     }
 }
 
@@ -207,15 +205,11 @@ pub(crate) struct SlotStore {
     /// retains logical pictures `base .. base + len` at
     /// `ring[j * ring_cap ..]`, each size a checked-narrowed `u32`.
     ring: Vec<u32>,
-    /// Per-slot lookahead window positions.
-    windows: Vec<WindowState>,
-    /// Flat window storage, one `window_cap` slice per slot: one
-    /// allocation for the whole store, at an address computed from the
-    /// slot, where a window owning its buffer would cost a heap block
-    /// (and a pointer chase) per session.
-    window_slots: Vec<f64>,
     /// Recycled slots, LIFO.
     free: Vec<u32>,
+    /// The lookahead a decision resolves, `shape.look` long: scratch
+    /// shared by every slot of the store.
+    ahead: Box<[f64]>,
     /// Decision scratch, shared by every slot of the store.
     lanes: BlockLanes,
     /// The mux lane of each slot whose session streams into a
@@ -235,8 +229,6 @@ struct Arrays {
     hot: Vec<SlotHot>,
     sid: Vec<u64>,
     ring: Vec<u32>,
-    windows: Vec<WindowState>,
-    window_slots: Vec<f64>,
 }
 
 impl Arrays {
@@ -245,14 +237,12 @@ impl Arrays {
         self.hot.capacity() * size_of::<SlotHot>()
             + self.sid.capacity() * size_of::<u64>()
             + self.ring.capacity() * size_of::<u32>()
-            + self.windows.capacity() * size_of::<WindowState>()
-            + self.window_slots.capacity() * size_of::<f64>()
     }
 }
 
 /// Bytes of dropped stores' arrays a thread keeps for the stores it
 /// builds next: a few default shards' worth (a paper-class shard is
-/// 1.3 MiB).
+/// 0.8 MiB).
 const RETIRED_BYTES: usize = 8 << 20;
 
 thread_local! {
@@ -273,14 +263,10 @@ impl Drop for SlotStore {
             hot: std::mem::take(&mut self.hot),
             sid: std::mem::take(&mut self.sid),
             ring: std::mem::take(&mut self.ring),
-            windows: std::mem::take(&mut self.windows),
-            window_slots: std::mem::take(&mut self.window_slots),
         };
         mine.hot.clear();
         mine.sid.clear();
         mine.ring.clear();
-        mine.windows.clear();
-        mine.window_slots.clear();
         // During thread teardown the list may be gone; the arrays are
         // then simply freed, as are those that do not fit.
         let _ = RETIRED.try_with(|retired| {
@@ -296,13 +282,7 @@ impl Drop for SlotStore {
 
 impl SlotStore {
     pub(crate) fn new(shape: SlotShape) -> Self {
-        let Arrays {
-            hot,
-            sid,
-            ring,
-            windows,
-            window_slots,
-        } = RETIRED
+        let Arrays { hot, sid, ring } = RETIRED
             .with(|retired| {
                 let mut retired = retired.borrow_mut();
                 let largest = (0..retired.len()).max_by_key(|&i| retired[i].bytes())?;
@@ -313,9 +293,8 @@ impl SlotStore {
             hot,
             sid,
             ring,
-            windows,
-            window_slots,
             free: Vec::new(),
+            ahead: vec![0.0; shape.look].into_boxed_slice(),
             link: LaneTable::new(),
             lanes: BlockLanes::default(),
             decisions: 0,
@@ -340,9 +319,6 @@ impl SlotStore {
         self.hot.reserve(additional);
         self.sid.reserve(additional);
         self.ring.reserve(additional * self.shape.ring_cap);
-        self.windows.reserve(additional);
-        self.window_slots
-            .reserve(additional * self.shape.window_cap);
     }
 
     /// Grabs a slot: recycles from the free list (zeroing the history
@@ -359,9 +335,6 @@ impl SlotStore {
             self.hot.push(SlotHot::fresh());
             self.sid.push(0);
             self.ring.resize(self.ring.len() + cap, 0);
-            self.windows.push(WindowState::default());
-            self.window_slots
-                .resize(self.window_slots.len() + self.shape.window_cap, 0.0);
             u32::try_from(j).expect("shard slot fits u32")
         }
     }
@@ -386,15 +359,13 @@ impl SlotStore {
         h.next_arrival = first_arrival;
         h.need = next_need(&classes[class_id as usize], &LiveCursor::new());
         self.sid[j] = sid;
-        self.windows[j].reset();
         self.live += 1;
     }
 
     /// Installs a snapshot into an allocated slot: scalars and retained
     /// history are copied back verbatim and the next decision's `need`
-    /// is derived afresh; the lookahead window rebuilds from that
-    /// history (exactly — the compaction-reset property), so the
-    /// continued schedule is bit-identical.
+    /// is derived afresh, so the continued schedule is bit-identical
+    /// (every lookahead is resolved from that history anyway).
     pub(crate) fn install_snapshot(
         &mut self,
         slot: u32,
@@ -418,7 +389,6 @@ impl SlotStore {
         h.need = next_need(&classes[snap.class as usize], &cursor_of(h));
         self.sid[j] = snap.sid;
         self.ring[off..off + snap.history.len()].copy_from_slice(&snap.history);
-        self.windows[j].reset();
         if let Some(lane) = &snap.lane {
             self.link.open(j, lane.clone());
         }
@@ -459,15 +429,13 @@ impl SlotStore {
     }
 
     /// Pulls slot `j`'s working set toward cache while an earlier slot
-    /// is still being processed: the one-line header, the head of its
-    /// history slice, and the head of its window slots. Out-of-range `j`
-    /// is a no-op.
+    /// is still being processed: the one-line header and the head of its
+    /// history slice. Out-of-range `j` is a no-op.
     #[inline(always)]
     pub(crate) fn prefetch_slot(&self, j: usize) {
         if let Some(h) = self.hot.get(j) {
             std::hint::black_box(h.decided);
             std::hint::black_box(self.ring.get(j * self.shape.ring_cap).copied());
-            std::hint::black_box(self.window_slots.get(j * self.shape.window_cap).copied());
         }
     }
 
@@ -492,8 +460,8 @@ impl SlotStore {
 
     /// Runs every occupied slot, in slot order, through `pushes` arrivals
     /// plus, when `ended` is set, the end-of-stream drain — the lockstep
-    /// access pattern: each slot's header, history slice and window
-    /// stream from memory once per call, and the next slot is prefetched
+    /// access pattern: each slot's header and history slice stream from
+    /// memory once per call, and the next slot is prefetched
     /// behind the current one's work. Returns the decisions made.
     pub(crate) fn sweep<S: SizeSource>(
         &mut self,
@@ -537,8 +505,6 @@ impl SlotStore {
         let info = &classes[h.class_of as usize];
         let off = j * self.shape.ring_cap;
         let cap = info.ring_cap;
-        let wc = self.shape.window_cap;
-        let wslots = j * wc..(j + 1) * wc;
         let n = info.class.pattern.n();
         let stream = h.stream;
         let sid = self.sid[j];
@@ -587,18 +553,7 @@ impl SlotStore {
             }
             while base + len >= need {
                 let now = ready.unwrap_or_else(|| ready_of(&cfg, &cursor));
-                let history = SizeHistory {
-                    base,
-                    tail: &self.ring[off..off + len],
-                };
-                let decision = decide_ready(
-                    &cfg,
-                    history,
-                    now,
-                    &mut cursor,
-                    WindowMut::new(&mut self.windows[j], &mut self.window_slots[wslots.clone()]),
-                    &mut self.lanes,
-                );
+                let decision = self.decide_slot(j, &cfg, base, len, now, &mut cursor);
                 digest = fold_decision(digest, &decision);
                 sink.decision(&mut self.link, j, sid, &decision);
                 made += 1;
@@ -610,28 +565,7 @@ impl SlotStore {
         }
 
         if ended {
-            // End of stream: the lookahead is cut at the last picture,
-            // so every remaining decision is ready; drain them through
-            // the checked composition.
-            loop {
-                let history = SizeHistory {
-                    base,
-                    tail: &self.ring[off..off + len],
-                };
-                let Some(decision) = decide_live(
-                    &cfg,
-                    history,
-                    true,
-                    &mut cursor,
-                    WindowMut::new(&mut self.windows[j], &mut self.window_slots[wslots.clone()]),
-                    &mut self.lanes,
-                ) else {
-                    break;
-                };
-                digest = fold_decision(digest, &decision);
-                sink.decision(&mut self.link, j, sid, &decision);
-                made += 1;
-            }
+            made += self.drain(j, &cfg, (base, len), &mut cursor, &mut digest, sink);
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
             need = ready_of(&cfg, &cursor).need;
         }
@@ -653,6 +587,56 @@ impl SlotStore {
         made
     }
 
+    /// Slot `j`'s end-of-stream drain: `need` and the lookahead are cut
+    /// at the last picture, so every remaining decision is ready. Out of
+    /// line, as a slot drains once: the step body stays small.
+    #[inline(never)]
+    fn drain(
+        &mut self,
+        j: usize,
+        cfg: &LiveParams<'_, PatternEstimator>,
+        (base, len): (usize, usize),
+        cursor: &mut LiveCursor,
+        digest: &mut u64,
+        sink: &mut impl Sink,
+    ) -> u64 {
+        let sid = self.sid[j];
+        let mut made = 0;
+        while let Some(now) = live_ready(cfg, base + len, true, cursor) {
+            let decision = self.decide_slot(j, cfg, base, len, now, cursor);
+            *digest = fold_decision(*digest, &decision);
+            sink.decision(&mut self.link, j, sid, &decision);
+            made += 1;
+        }
+        made
+    }
+
+    /// Makes slot `j`'s next decision, `ready` for `cursor`: resolves
+    /// its lookahead from the slot's ring into the store's scratch, then
+    /// decides over it.
+    #[inline(always)]
+    fn decide_slot(
+        &mut self,
+        j: usize,
+        cfg: &LiveParams<'_, PatternEstimator>,
+        base: usize,
+        len: usize,
+        ready: Ready,
+        cursor: &mut LiveCursor,
+    ) -> PictureSchedule {
+        let off = j * self.shape.ring_cap;
+        let tail = &self.ring[off..off + len];
+        let ahead = &mut self.ahead[..ready.look];
+        cfg.estimator.resolve_ahead(
+            cursor.decided - base,
+            Arrived::Narrow(&tail[..ready.need - base]),
+            &cfg.pattern,
+            ahead,
+        );
+        let history = SizeHistory { base, tail };
+        decide_ready(cfg, history, ready, cursor, ahead, &mut self.lanes)
+    }
+
     /// Prunes slot `j` at every whole-pattern cut: drops the decided
     /// and no longer needed prefix as soon as it is non-empty. The
     /// memmove moves at most the live tail, which Theorem 1 bounds by a
@@ -668,11 +652,15 @@ impl SlotStore {
         base: &mut usize,
         len: &mut usize,
     ) {
-        let cut = prunable_prefix(cursor, Some(hist), n);
-        let drop = cut.saturating_sub(*base);
-        if drop > 0 {
-            self.drop_prefix(j, cut, base, len);
+        // `base` is a multiple of N, so the whole-pattern cut
+        // [`prunable_prefix`] rounds down to passes it only once its
+        // bound reaches `base + N`: the common push, which completes no
+        // period, returns here.
+        if cursor.decided.min(cursor.watermark.saturating_sub(hist)) < *base + n {
+            return;
         }
+        let cut = prunable_prefix(cursor, Some(hist), n);
+        self.drop_prefix(j, cut, base, len);
     }
 
     /// Drops slot `j`'s retained sizes below logical index `cut`.
@@ -682,10 +670,6 @@ impl SlotStore {
         self.ring.copy_within(off + drop..off + *len, off);
         *len -= drop;
         *base = cut;
-        // The window indexes base-shifted pictures; renumber it (its
-        // cached values survive a whole-pattern shift — pinned by the
-        // lookahead proptests).
-        self.windows[j].rebase(drop);
     }
 }
 

@@ -495,13 +495,13 @@ fn hundred_k_churn_events_keep_memory_bounded() {
         engine.allocated_slots(),
         cap
     );
-    // The 64 B header, the 8 B session id, the 28-word ring Theorem 1
+    // The 64 B header, the 8 B session id and the 28-word ring Theorem 1
     // bounds (lead 2 at D/τ = 3, a 2N = 18 estimator window, N − 1 = 8
-    // of pattern alignment), the 24 B window state and H + 4 = 8 window
-    // slots (`window_capacity(4)`): 272 B, all of it in flat arrays.
+    // of pattern alignment): 184 B, all of it in flat arrays. A slot
+    // keeps no lookahead; each decision resolves it from the ring.
     let slot_bytes = engine.state_bytes_per_slot();
     assert!(
-        slot_bytes <= 272,
+        slot_bytes <= 184,
         "slot bytes {slot_bytes} exceed the live bound"
     );
 }
