@@ -241,14 +241,19 @@ fn flush_until<S: SizeSource>(
     sink: &mut impl Sink,
 ) {
     for j in 0..store.allocated() {
-        store.prefetch_slot(j + 1);
         let h = &store.hot[j];
         if h.class_of == FREE || h.next_arrival > until {
             continue;
         }
         let na = h.next_arrival;
         let period = periods[h.class_of as usize];
-        let pushes = (until - na) / period + 1;
+        // A slice shorter than the period — a live server's step —
+        // has one arrival due: no division.
+        let pushes = if until - na < period {
+            1
+        } else {
+            (until - na) / period + 1
+        };
         store.step_slot(j, classes, source, pushes, false, sink);
         store.hot[j].next_arrival = na + pushes * period;
     }

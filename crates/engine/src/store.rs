@@ -116,8 +116,8 @@ pub(crate) struct SlotHot {
     pub(crate) base: u32,
     /// Arrivals the next decision needs in hand: [`live_ready`]'s
     /// `need` for the state above, derived when the state is installed
-    /// and after each decision, and checked against `live_ready` on
-    /// every visit in debug builds.
+    /// and after each decision. Debug builds check the readiness a
+    /// visit builds from it against `live_ready` on every visit.
     pub(crate) need: u32,
     /// Retained history length; bounded by the class `ring_cap`, which
     /// [`ClassInfo::try_new`] checks fits `u16`.
@@ -428,17 +428,6 @@ impl SlotStore {
         self.link.close(j)
     }
 
-    /// Pulls slot `j`'s working set toward cache while an earlier slot
-    /// is still being processed: the one-line header and the head of its
-    /// history slice. Out-of-range `j` is a no-op.
-    #[inline(always)]
-    pub(crate) fn prefetch_slot(&self, j: usize) {
-        if let Some(h) = self.hot.get(j) {
-            std::hint::black_box(h.decided);
-            std::hint::black_box(self.ring.get(j * self.shape.ring_cap).copied());
-        }
-    }
-
     /// `(sid, digest)` of every occupied slot, in slot order.
     pub(crate) fn live_digests(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.hot
@@ -461,8 +450,8 @@ impl SlotStore {
     /// Runs every occupied slot, in slot order, through `pushes` arrivals
     /// plus, when `ended` is set, the end-of-stream drain — the lockstep
     /// access pattern: each slot's header and history slice stream from
-    /// memory once per call, and the next slot is prefetched
-    /// behind the current one's work. Returns the decisions made.
+    /// memory once per call, in address order, which the hardware
+    /// prefetchers follow. Returns the decisions made.
     pub(crate) fn sweep<S: SizeSource>(
         &mut self,
         classes: &[ClassInfo],
@@ -473,7 +462,6 @@ impl SlotStore {
     ) -> u64 {
         let mut made = 0;
         for j in 0..self.allocated() {
-            self.prefetch_slot(j + 1);
             if self.hot[j].class_of != FREE {
                 made += self.step_slot(j, classes, source, pushes, ended, sink);
             }
@@ -512,20 +500,25 @@ impl SlotStore {
         let mut cursor = cursor_of(h);
         let mut base = h.base as usize;
         let mut len = h.len as usize;
-        let mut need = h.need as usize;
         let mut digest = h.digest;
         let mut made = 0u64;
 
         let cfg = live_params(info);
+        // The next decision's readiness: `t_i` from the cursor, `need`
+        // from the header, and the whole `H` of lookahead (a live
+        // session's stream has no known end), so a visit derives no
+        // `arrived_by` before its first decision. [`live_ready`]
+        // re-derives it after each decision.
+        let mut ready = Ready {
+            time: cfg.params.start_time(cursor.decided, cursor.depart),
+            need: h.need as usize,
+            look: cfg.params.h,
+        };
         debug_assert_eq!(
-            need,
-            ready_of(&cfg, &cursor).need,
-            "slot {j}: stale cached need"
+            ready,
+            ready_of(&cfg, &cursor),
+            "slot {j}: stale cached readiness"
         );
-        // The next decision's full readiness, once this visit has
-        // derived it: after each decision (for the next `need`), or when
-        // a push reaches the cached `need` (for `t_i`).
-        let mut ready: Option<Ready> = None;
 
         for _ in 0..pushes {
             if len == cap {
@@ -546,20 +539,17 @@ impl SlotStore {
             });
             len += 1;
 
-            if base + len < need {
+            if base + len < ready.need {
                 // Nothing decidable, so nothing newly prunable either:
                 // the cursor is unchanged since the last prune.
                 continue;
             }
-            while base + len >= need {
-                let now = ready.unwrap_or_else(|| ready_of(&cfg, &cursor));
-                let decision = self.decide_slot(j, &cfg, base, len, now, &mut cursor);
+            while base + len >= ready.need {
+                let decision = self.decide_slot(j, &cfg, base, len, ready, &mut cursor);
                 digest = fold_decision(digest, &decision);
                 sink.decision(&mut self.link, j, sid, &decision);
                 made += 1;
-                let next = ready_of(&cfg, &cursor);
-                need = next.need;
-                ready = Some(next);
+                ready = ready_of(&cfg, &cursor);
             }
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
         }
@@ -567,14 +557,14 @@ impl SlotStore {
         if ended {
             made += self.drain(j, &cfg, (base, len), &mut cursor, &mut digest, sink);
             self.prune(j, &cursor, info.hist, n, &mut base, &mut len);
-            need = ready_of(&cfg, &cursor).need;
+            ready = ready_of(&cfg, &cursor);
         }
 
         let h = &mut self.hot[j];
         h.decided = u32::try_from(cursor.decided).expect("picture index fits u32");
         h.watermark = u32::try_from(cursor.watermark).expect("watermark fits u32");
         h.base = u32::try_from(base).expect("history base fits u32");
-        h.need = u32::try_from(need).expect("arrival count fits u32");
+        h.need = u32::try_from(ready.need).expect("arrival count fits u32");
         // len <= ring_cap, checked to fit u16 at class construction.
         h.len = len as u16;
         h.depart = cursor.depart;

@@ -352,7 +352,10 @@ proptest! {
 
     /// The cut of a trace into calls never matters: slices of 1–400
     /// ticks (shorter than every period, and longer than a mux ingest
-    /// span), with the engine stopped at a random tick between slices
+    /// span), then one period less one tick, one period and one period
+    /// and a tick of every class — either side of the one-arrival visit
+    /// that skips its division — with the engine stopped at a random
+    /// tick between slices
     /// (`advance_to` bare, an empty fused call fused) and a random
     /// session taken out and restored there, replay to the scan
     /// reference's digests and decision count, bare and fused, at one
@@ -384,6 +387,11 @@ proptest! {
         prop_assert_eq!(whole.digest(), want.digest);
         let want_mux = mux_digest(&stats, &mux.descriptors());
 
+        let mut widths = widths;
+        for c in &s.classes {
+            let p = c.period_ticks;
+            widths.extend([(p - 1).max(1), p, p + 1]);
+        }
         let slices = cut(&s.trace, &widths);
         for threads in [1usize, 2] {
             for fused in [false, true] {

@@ -112,13 +112,23 @@
 //! is routed once, when it is posted, whichever sessions the table
 //! holds. An ingest pass hands each non-empty bucket whole to its shard
 //! (the table gets back the buffer it handed over the pass before, now
-//! empty), and the shard sorts only those new events: the events it
-//! holds at or past the fence stay sorted from earlier passes and merge
-//! with the new ones. So a pass costs what was posted since the last
-//! one plus a merge, not a re-sort of everything still held, and no
-//! event is copied before it is applied. [`LiveMux::ingest_counts`]
-//! reports the events posted, routed, applied and held, and the
-//! frontiers the fences read.
+//! empty), and the shard sorts only those new events, in O(n) for a
+//! live step's few hundred: a counting scatter on the top bits of their
+//! time keys, then an insertion sort within each bucket. The events a
+//! shard holds at or past the fence are *batches*, one per earlier pass
+//! that held any, each sorted, back to back in one arena. A pass appends
+//! its new events as the newest batch, takes each batch's prefix below
+//! the fence, and sorts the prefixes together by `(time key, arena
+//! index)`, so at one time earlier passes apply first, then routing
+//! order, then posting order. A held event is written into the arena
+//! once and stays where it is until it applies; the arena drops its
+//! applied slots now and then, once they outnumber half the held
+//! events. When nothing is held, as in a whole run ingested at once,
+//! the new events below the fence apply straight from the buffers they
+//! were routed in. So a pass costs what was posted since the last one
+//! plus what it applies, not a copy of everything still held.
+//! [`LiveMux::ingest_counts`] reports the events posted, routed,
+//! applied and held, and the frontiers the fences read.
 //!
 //! ### Live (σ, ρ) descriptors
 //!
@@ -836,8 +846,28 @@ impl LaneTable {
     }
 
     /// The earliest live frontier (`INFINITY` without live lanes).
+    /// Eight independent running minima, so the compiler keeps them in
+    /// vector registers; a compare-select is `min` exactly here, as no
+    /// frontier is NaN (and the fence's time key gives −0.0 and +0.0
+    /// one key).
     fn fence(&self) -> f64 {
-        self.frontier.iter().fold(f64::INFINITY, |a, &b| a.min(b))
+        let select = |m: &mut f64, f: f64| {
+            if f < *m {
+                *m = f;
+            }
+        };
+        let mut m = [f64::INFINITY; 8];
+        let chunks = self.frontier.chunks_exact(8);
+        for &f in chunks.remainder() {
+            select(&mut m[0], f);
+        }
+        for chunk in chunks {
+            for (m, &f) in m.iter_mut().zip(chunk) {
+                select(m, f);
+            }
+        }
+        m.into_iter()
+            .fold(f64::INFINITY, |a, f| if f < a { f } else { a })
     }
 }
 
@@ -878,20 +908,179 @@ impl LaneBlock {
     }
 }
 
+/// The events a shard holds at or past the fence: one batch per pass
+/// that held any, each sorted by time key with ties in routing order,
+/// then posting order. The batches sit back to back in one arena,
+/// oldest first, so an event's arena index orders the events of one
+/// time as they must apply — earlier passes first. A pass appends its
+/// new events as one batch (only those at or past the fence, when
+/// nothing was held) and takes the prefix below the fence of every
+/// batch, so a held event is written once, when it is routed, and not
+/// copied again while it waits; the arena drops its applied slots once
+/// they outnumber half the live events, which moves an event at most
+/// twice per event applied since the last compaction and keeps the
+/// arena within 1.5 times what it holds (a `sliced_5k` run's peak RSS
+/// is then the merge pass's; at twice, it read 2 % higher).
+#[derive(Debug, Default)]
+struct Held {
+    /// The batches, oldest first, with applied slots before each.
+    arena: Vec<Event>,
+    /// The live range of each batch in `arena`, oldest first.
+    batches: Vec<(usize, usize)>,
+    /// Live events: the batches' total length.
+    live: usize,
+}
+
+impl Held {
+    /// The held events as one time-ordered list, ties in apply order
+    /// (the [`MuxCheckpoint`] form).
+    fn to_vec(&self) -> Vec<Event> {
+        let mut all: Vec<Event> = (self.batches.iter())
+            .flat_map(|&(from, to)| self.arena[from..to].iter().copied())
+            .collect();
+        // Stable: ties keep batch order, then position.
+        all.sort_by_key(|e| e.key);
+        all
+    }
+
+    /// A held set of one batch: `events`, time-ordered.
+    fn from_vec(events: Vec<Event>) -> Self {
+        let live = events.len();
+        Held {
+            arena: events,
+            batches: if live > 0 { vec![(0, live)] } else { vec![] },
+            live,
+        }
+    }
+
+    /// Appends one pass's new events, in `(time key, source, position)`
+    /// order, as the newest batch.
+    fn push_batch(&mut self, order: &[u128], sources: &[Vec<Event>]) {
+        let from = self.arena.len();
+        self.arena.extend(order.iter().map(|&o| routed(sources, o)));
+        if !order.is_empty() {
+            self.batches.push((from, self.arena.len()));
+            self.live += order.len();
+        }
+    }
+
+    /// Takes every event below `fence` out of the held set and keys it
+    /// as `(time key, arena index)` in `keys`, batch by batch. The taken
+    /// events stay readable at their arena index until the next
+    /// [`compact`](Self::compact).
+    fn take_below(&mut self, fence: u64, keys: &mut Vec<u128>) {
+        keys.clear();
+        for (from, to) in &mut self.batches {
+            let cut = self.arena[*from..*to].partition_point(|e| e.key < fence);
+            keys.extend(
+                (*from..*from + cut).map(|i| ((self.arena[i].key as u128) << 64) | i as u128),
+            );
+            *from += cut;
+        }
+        self.live -= keys.len();
+        self.batches.retain(|(from, to)| from < to);
+    }
+
+    /// Moves the live events to the front of the arena, in batch order,
+    /// once the applied slots outnumber half of them.
+    fn compact(&mut self) {
+        if 2 * self.arena.len() <= 3 * self.live {
+            return;
+        }
+        let mut to = 0;
+        for batch in &mut self.batches {
+            let len = batch.1 - batch.0;
+            self.arena.copy_within(batch.0..batch.1, to);
+            *batch = (to, to + len);
+            to += len;
+        }
+        self.arena.truncate(to);
+    }
+}
+
+/// Keys handled by the insertion sort alone: below this, the scatter's
+/// passes cost more than they save.
+const SCATTER_MIN: usize = 32;
+
+/// Keys above which [`sort_keys`] uses the comparison sort, in place:
+/// a live step routes a few hundred events a shard, but a whole run
+/// ingested at once (a lockstep fleet's) routes thousands, and
+/// scattering those would add their size again in scratch.
+const SCATTER_MAX: usize = 4096;
+
+/// Sorts `keys` — a time key in the high 64 bits above a position that
+/// makes every key unique — ascending, in O(n) for time keys spread
+/// over their range: one counting scatter on the top bits in which the
+/// time keys differ, then an insertion sort, which moves a key only
+/// within its bucket. A live fleet's events crowd the newest few
+/// milliseconds of a span that reaches back to the slowest lane's
+/// frontier, so the scatter spreads them over 4 to 8 buckets a key
+/// (on a `sliced_5k` step that sorts about a quarter faster than 1 to
+/// 2 buckets a key, and 8 to 16 is slower again). Keys crowded into a
+/// few buckets fall back to the comparison sort once the insertion sort
+/// has moved more than a few keys a key. `spare` and `starts` are
+/// scratch.
+fn sort_keys(keys: &mut Vec<u128>, spare: &mut Vec<u128>, starts: &mut Vec<u32>) {
+    let n = keys.len();
+    let time = |k: u128| (k >> 64) as u64;
+    if n > SCATTER_MAX {
+        keys.sort_unstable();
+        return;
+    }
+    if n >= SCATTER_MIN {
+        let (min, max) = (keys.iter()).fold((u64::MAX, 0), |(lo, hi), &k| {
+            (lo.min(time(k)), hi.max(time(k)))
+        });
+        let span = max - min;
+        let shift = (u64::BITS - span.leading_zeros()).saturating_sub(n.ilog2() + 3);
+        let bucket = |k: u128| ((time(k) - min) >> shift) as usize;
+        starts.clear();
+        starts.resize((span >> shift) as usize + 2, 0);
+        for &k in keys.iter() {
+            starts[bucket(k) + 1] += 1;
+        }
+        for b in 1..starts.len() {
+            starts[b] += starts[b - 1];
+        }
+        spare.clear();
+        spare.resize(n, 0);
+        for &k in keys.iter() {
+            let at = &mut starts[bucket(k)];
+            spare[*at as usize] = k;
+            *at += 1;
+        }
+        std::mem::swap(keys, spare);
+    }
+    let budget = 8 * n;
+    let mut moved = 0;
+    for i in 1..n {
+        let k = keys[i];
+        let mut j = i;
+        while j > 0 && keys[j - 1] > k {
+            keys[j] = keys[j - 1];
+            j -= 1;
+        }
+        keys[j] = k;
+        moved += i - j;
+        if moved > budget {
+            keys.sort_unstable();
+            return;
+        }
+    }
+}
+
 /// One aggregation shard: the [`SumTree`] subtree over its leaf range,
 /// the events routed to it, and the time-ordered `(t, subtree_root)` run
 /// of the current ingest pass.
 #[derive(Debug)]
 struct MuxShard {
     tree: SumTree,
-    /// Events at or past the last fence, sorted by time; ties keep
-    /// posting order.
-    held: Vec<Event>,
-    /// The next pass's `held` (swapped in, so both keep capacity).
-    spare: Vec<Event>,
+    /// Events at or past the last fence.
+    held: Held,
     /// The lane buffers routed in since the last pass, in routing order:
     /// each taken whole from its lane table, so no event is copied
-    /// before it applies.
+    /// before it is sorted, and one that applies in the pass that sorts
+    /// it is never copied.
     sources: Vec<Vec<Event>>,
     /// The table (its position in the ingest's routing order) each
     /// source came from.
@@ -900,8 +1089,11 @@ struct MuxShard {
     /// exchange for its next one, so each table's bucket alternates
     /// between two buffers that both keep their capacity.
     returned: Vec<Vec<Event>>,
-    /// The pass's sort keys over `sources`.
+    /// Sort keys: the new events', then the applicable events'.
     order: Vec<u128>,
+    /// [`sort_keys`] scratch.
+    spare: Vec<u128>,
+    starts: Vec<u32>,
     run: Vec<(f64, f64)>,
     /// Events the last pass applied.
     applied: u64,
@@ -911,22 +1103,24 @@ impl MuxShard {
     fn new(width: usize) -> Self {
         MuxShard {
             tree: SumTree::new(width),
-            held: Vec::new(),
-            spare: Vec::new(),
+            held: Held::default(),
             sources: Vec::new(),
             origin: Vec::new(),
             returned: Vec::new(),
             order: Vec::new(),
+            spare: Vec::new(),
+            starts: Vec::new(),
             run: Vec::new(),
             applied: 0,
         }
     }
 
-    /// Sorts the routed events, merges them with the held ones, and
-    /// applies every event whose time key is below `fence` in time
-    /// order, recording the subtree root after each distinct time. The
-    /// rest stays held, still sorted, so the next pass only sorts what
-    /// arrives meanwhile.
+    /// Sorts the routed events and applies every event, held or new,
+    /// whose time key is below `fence`, in time order, recording the
+    /// subtree root after each distinct time. The new events at or past
+    /// the fence become the newest held batch, and held events stay
+    /// where they are, so the next pass only sorts what arrives
+    /// meanwhile.
     ///
     /// # Panics
     ///
@@ -935,22 +1129,54 @@ impl MuxShard {
     /// already been advanced past the event, so it would apply out of
     /// time order.
     fn pass(&mut self, lo: usize, floor: u64, fence: u64) {
+        let direct = self.take_applicable(floor, fence);
+        self.apply_taken(lo, direct);
+    }
+
+    /// The second half of a [`pass`](Self::pass): applies what
+    /// [`take_applicable`](Self::take_applicable) left in `order` (named
+    /// as it says by `direct`), then hands the routed buffers back.
+    fn apply_taken(&mut self, lo: usize, direct: bool) {
         let MuxShard {
             tree,
             held,
-            spare,
             sources,
-            origin,
-            returned,
             order,
             run,
             applied,
+            ..
         } = self;
-        // `(time key, source, position)` packed into one integer: a
-        // primitive sort, one compare per step, and ties keep posting
-        // order (the buffers in routing order; a session posts into one
-        // buffer between ingests, so each session's own order).
+        if direct {
+            apply(tree, lo, order, run, |o| routed(sources, o));
+        } else {
+            apply(tree, lo, order, run, |o| held.arena[o as u64 as usize]);
+        }
+        *applied = order.len() as u64;
+        self.return_sources();
+        self.held.compact();
+    }
+
+    /// The first half of a [`pass`](Self::pass): leaves in `order` every
+    /// event below `fence`, sorted into apply order — time order, and at
+    /// one time earlier passes first, then routing order, then posting
+    /// order — and holds the rest. Returns whether the keys are new
+    /// events' `(time key, source, position)`, applied where they were
+    /// routed (nothing was held), rather than `(time key, arena index)`.
+    fn take_applicable(&mut self, floor: u64, fence: u64) -> bool {
+        let MuxShard {
+            held,
+            sources,
+            order,
+            spare,
+            starts,
+            ..
+        } = self;
+        // `(time key, source, position)` packed into one integer, so
+        // ties keep posting order (the buffers in routing order; a
+        // session posts into one buffer between ingests, so each
+        // session's own order).
         order.clear();
+        order.reserve(sources.iter().map(Vec::len).sum());
         for (src, events) in sources.iter().enumerate() {
             assert!(
                 u32::try_from(events.len()).is_ok(),
@@ -963,63 +1189,76 @@ impl MuxShard {
                     .map(|(pos, e)| ((e.key as u128) << 64) | ((src as u128) << 32) | pos as u128),
             );
         }
-        order.sort_unstable();
+        sort_keys(order, spare, starts);
         assert!(
             order.first().map_or(true, |&o| (o >> 64) as u64 >= floor),
             "an event was posted behind the link clock (its lane missed an \
              ingest's fence, as a session taken out across one does)"
         );
-        let new_key = |o: u128| (o >> 64) as u64;
-        let new_event = |o: u128| {
-            let at = o as u64;
-            sources[(at >> 32) as usize][at as u32 as usize]
-        };
         // Apply below the fence: no event at or past it can be
         // undercut by anything a session emits later, so the global
-        // time order across ingest passes is total. At one time, held
-        // events (posted in earlier passes) go first.
-        run.clear();
-        let (mut h, mut k) = (0, 0);
-        loop {
-            let t = match (held.get(h), order.get(k)) {
-                (None, None) => break,
-                (Some(e), None) => e.key,
-                (None, Some(&o)) => new_key(o),
-                (Some(e), Some(&o)) => e.key.min(new_key(o)),
-            };
-            if t >= fence {
-                break;
-            }
-            while let Some(e) = held.get(h).filter(|e| e.key == t) {
-                tree.set(e.leaf as usize - lo, e.v);
-                h += 1;
-            }
-            while let Some(&o) = order.get(k).filter(|&&o| new_key(o) == t) {
-                let e = new_event(o);
-                tree.set(e.leaf as usize - lo, e.v);
-                k += 1;
-            }
-            run.push((key_time(t), tree.total()));
+        // time order across ingest passes is total. Each batch is
+        // sorted, so what applies is a prefix of each.
+        let below = |o: &u128| ((o >> 64) as u64) < fence;
+        if held.live == 0 {
+            // Only new events: their prefix applies from the buffers
+            // they were routed in, uncopied.
+            let cut = order.partition_point(below);
+            held.push_batch(&order[cut..], sources);
+            order.truncate(cut);
+            return true;
         }
-        *applied = (h + k) as u64;
-        // The rest waits, merged in time order (held first on ties):
-        // each new event goes in after the run of held events not later
-        // than it, copied whole.
-        spare.clear();
-        for &o in &order[k..] {
-            let t = new_key(o);
-            let run = held[h..].iter().take_while(|e| e.key <= t).count();
-            spare.extend_from_slice(&held[h..h + run]);
-            h += run;
-            spare.push(new_event(o));
-        }
-        spare.extend_from_slice(&held[h..]);
-        std::mem::swap(held, spare);
+        // The arena index breaks ties between batches in pass order.
+        held.push_batch(order, sources);
+        held.take_below(fence, order);
+        sort_keys(order, spare, starts);
+        false
+    }
+
+    /// Hands each routed buffer, emptied, back to its table.
+    fn return_sources(&mut self) {
+        let MuxShard {
+            sources,
+            origin,
+            returned,
+            ..
+        } = self;
         for (mut events, &table) in sources.drain(..).zip(origin.iter()) {
             events.clear();
             returned[table] = events;
         }
         origin.clear();
+    }
+}
+
+/// The routed event an `(time key, source, position)` key names.
+#[inline(always)]
+fn routed(sources: &[Vec<Event>], o: u128) -> Event {
+    let at = o as u64;
+    sources[(at >> 32) as usize][at as u32 as usize]
+}
+
+/// Applies the events `order` names, in order, to `tree` (the subtree
+/// of leaves from `lo`), recording its root after each distinct time in
+/// `run`, which is sized once, for one entry an event, before it fills.
+fn apply(
+    tree: &mut SumTree,
+    lo: usize,
+    order: &[u128],
+    run: &mut Vec<(f64, f64)>,
+    event: impl Fn(u128) -> Event,
+) {
+    run.clear();
+    run.reserve(order.len());
+    let mut i = 0;
+    while let Some(&o) = order.get(i) {
+        let t = (o >> 64) as u64;
+        while let Some(&o) = order.get(i).filter(|&&o| (o >> 64) as u64 == t) {
+            let e = event(o);
+            tree.set(e.leaf as usize - lo, e.v);
+            i += 1;
+        }
+        run.push((key_time(t), tree.total()));
     }
 }
 
@@ -1243,7 +1482,7 @@ impl LiveMux {
         let held: usize = self
             .shards
             .iter()
-            .map(|s| s.lock().expect("shard poisoned").held.len())
+            .map(|s| s.lock().expect("shard poisoned").held.live)
             .sum();
         buffered + held
     }
@@ -1416,7 +1655,7 @@ impl LiveMux {
         for (shard, run) in self.shards.iter_mut().zip(&mut self.runs) {
             let shard = shard.get_mut().expect("shard poisoned");
             applied += shard.applied;
-            held += shard.held.len() as u64;
+            held += shard.held.live as u64;
             std::mem::swap(run, &mut shard.run);
         }
         self.merge_runs();
@@ -1498,7 +1737,7 @@ impl LiveMux {
         debug_assert!(
             self.shards
                 .iter()
-                .all(|s| s.lock().expect("shard poisoned").held.is_empty()),
+                .all(|s| s.lock().expect("shard poisoned").held.live == 0),
             "finalize with unflushed events"
         );
         if self.cfg.t_end > self.cur_t {
@@ -1600,7 +1839,7 @@ impl LiveMux {
                 .iter()
                 .map(|s| {
                     let s = s.lock().expect("shard poisoned");
-                    (s.tree.clone(), s.held.clone())
+                    (s.tree.clone(), s.held.to_vec())
                 })
                 .collect(),
             top: self.top.clone(),
@@ -1626,7 +1865,7 @@ impl LiveMux {
         for (shard, (tree, held)) in mux.shards.iter_mut().zip(&cp.shards) {
             let shard = shard.get_mut().expect("shard poisoned");
             shard.tree = tree.clone();
-            shard.held = held.clone();
+            shard.held = Held::from_vec(held.clone());
         }
         mux.top = cp.top.clone();
         mux.queue = cp.queue;
@@ -1668,6 +1907,7 @@ fn route(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn cfg(capacity: f64, buffer: f64, a: f64, b: f64) -> MuxConfig {
         MuxConfig {
@@ -1896,5 +2136,176 @@ mod tests {
         let mut mux = LiveMux::new(1, 1, cfg(1.0e6, 0.0, 0.0, 10.0));
         mux.push_decision(0, &sent(0.0, 1.0, 5.0e5));
         mux.push_decision(0, &sent(1.0, 0.5, 5.0e5));
+    }
+
+    /// The shard pass as it was before held batches, kept to pin the
+    /// batched pass to: sort the routed events, merge them with the
+    /// time-ordered held list (held first at one time), apply every
+    /// event below the fence, and copy the rest into the next held list.
+    struct MergePass {
+        tree: SumTree,
+        held: Vec<Event>,
+    }
+
+    impl MergePass {
+        /// One pass; returns the applied events, in apply order.
+        fn pass(
+            &mut self,
+            sources: &[Vec<Event>],
+            fence: u64,
+            run: &mut Vec<(f64, f64)>,
+        ) -> Vec<Event> {
+            let mut order: Vec<u128> = Vec::new();
+            for (src, events) in sources.iter().enumerate() {
+                order.extend(
+                    events.iter().enumerate().map(|(pos, e)| {
+                        ((e.key as u128) << 64) | ((src as u128) << 32) | pos as u128
+                    }),
+                );
+            }
+            order.sort_unstable();
+            let new_key = |o: u128| (o >> 64) as u64;
+            let new_event = |o: u128| routed(sources, o);
+            let (held, tree) = (&self.held, &mut self.tree);
+            let mut applied = Vec::new();
+            run.clear();
+            let (mut h, mut k) = (0, 0);
+            loop {
+                let t = match (held.get(h), order.get(k)) {
+                    (None, None) => break,
+                    (Some(e), None) => e.key,
+                    (None, Some(&o)) => new_key(o),
+                    (Some(e), Some(&o)) => e.key.min(new_key(o)),
+                };
+                if t >= fence {
+                    break;
+                }
+                while let Some(&e) = held.get(h).filter(|e| e.key == t) {
+                    tree.set(e.leaf as usize, e.v);
+                    applied.push(e);
+                    h += 1;
+                }
+                while let Some(&o) = order.get(k).filter(|&&o| new_key(o) == t) {
+                    let e = new_event(o);
+                    tree.set(e.leaf as usize, e.v);
+                    applied.push(e);
+                    k += 1;
+                }
+                run.push((key_time(t), tree.total()));
+            }
+            let mut next = Vec::new();
+            for &o in &order[k..] {
+                let t = new_key(o);
+                let run = held[h..].iter().take_while(|e| e.key <= t).count();
+                next.extend_from_slice(&held[h..h + run]);
+                h += run;
+                next.push(new_event(o));
+            }
+            next.extend_from_slice(&held[h..]);
+            self.held = next;
+            applied
+        }
+    }
+
+    /// An event's bits, for exact comparison.
+    fn bits(e: &Event) -> (u64, u64, u32) {
+        (e.key, e.v.to_bits(), e.leaf)
+    }
+
+    /// Leaves of the shard the proptest drives.
+    const WIDTH: usize = 8;
+
+    /// Event times: a grid that repeats keys across and within sources
+    /// (negative times, −0.0 and +0.0 among them), or any time between.
+    fn event_time() -> BoxedStrategy<f64> {
+        prop_oneof![
+            Just(-2.5),
+            Just(-1.0),
+            Just(-0.0),
+            Just(0.0),
+            Just(0.5),
+            Just(1.0),
+            Just(2.0),
+            Just(3.5),
+            -3.0..4.0f64,
+        ]
+        .boxed()
+    }
+
+    /// A fence: a grid time, so events sit exactly at it, any time, or
+    /// no fence at all.
+    fn fence_time() -> BoxedStrategy<f64> {
+        prop_oneof![
+            Just(-1.0),
+            Just(-0.0),
+            Just(0.0),
+            Just(1.0),
+            Just(2.0),
+            -3.0..4.0f64,
+            Just(f64::INFINITY),
+        ]
+        .boxed()
+    }
+
+    /// One pass's routed buffers: up to three sources of up to 48 events,
+    /// or, now and then, three of 1,500 (past the scatter's limit).
+    fn routed_batch() -> BoxedStrategy<Vec<Vec<Event>>> {
+        let event = (event_time(), 0..WIDTH as u32, -4i32..5).prop_map(|(t, leaf, v)| Event {
+            key: time_key(t),
+            v: f64::from(v) * 0.25e6,
+            leaf,
+        });
+        let source = proptest::collection::vec(event, 0..48);
+        let big = (event_time(), 0..WIDTH as u32).prop_map(|(t, leaf)| {
+            (0..1500u32)
+                .map(|i| Event {
+                    key: time_key(t + f64::from(i % 97) * 0.01),
+                    v: f64::from(i % 7),
+                    leaf: (leaf + i) % WIDTH as u32,
+                })
+                .collect::<Vec<Event>>()
+        });
+        prop_oneof![
+            proptest::collection::vec(source, 0..4),
+            proptest::collection::vec(big, 3..4),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The batched pass applies exactly what the merge pass applied,
+        /// in the same order, records the same run and root, and holds
+        /// the same events in the same order, pass after pass.
+        #[test]
+        fn batched_pass_matches_the_merge_pass(
+            passes in proptest::collection::vec((routed_batch(), fence_time()), 1..7),
+        ) {
+            let mut shard = MuxShard::new(WIDTH);
+            let mut oracle = MergePass { tree: SumTree::new(WIDTH), held: Vec::new() };
+            let mut oracle_run = Vec::new();
+            for (sources, fence) in passes {
+                let fence = time_key(fence);
+                let expect = oracle.pass(&sources, fence, &mut oracle_run);
+                shard.returned.resize_with(sources.len(), Vec::new);
+                shard.origin = (0..sources.len()).collect();
+                shard.sources = sources;
+                let direct = shard.take_applicable(0, fence);
+                let applied: Vec<_> = (shard.order.iter())
+                    .map(|&o| if direct { routed(&shard.sources, o) } else { shard.held.arena[o as u64 as usize] })
+                    .map(|e| bits(&e))
+                    .collect();
+                shard.apply_taken(0, direct);
+                prop_assert_eq!(applied, expect.iter().map(bits).collect::<Vec<_>>());
+                prop_assert_eq!(shard.applied, expect.len() as u64);
+                let run_bits = |r: &[(f64, f64)]| r.iter().map(|(t, v)| (t.to_bits(), v.to_bits())).collect::<Vec<_>>();
+                prop_assert_eq!(run_bits(&shard.run), run_bits(&oracle_run));
+                prop_assert_eq!(shard.tree.total().to_bits(), oracle.tree.total().to_bits());
+                let held: Vec<_> = shard.held.to_vec().iter().map(bits).collect();
+                prop_assert_eq!(held, oracle.held.iter().map(bits).collect::<Vec<_>>());
+                prop_assert_eq!(shard.held.live, oracle.held.len());
+            }
+        }
     }
 }
