@@ -1005,7 +1005,9 @@ const SCATTER_MIN: usize = 32;
 /// Keys above which [`sort_keys`] uses the comparison sort, in place:
 /// a live step routes a few hundred events a shard, but a whole run
 /// ingested at once (a lockstep fleet's) routes thousands, and
-/// scattering those would add their size again in scratch.
+/// scattering those would add their size again in scratch (the 1M
+/// session fused CLI run peaked 19 % higher, at a lockstep step about
+/// 3 % faster).
 const SCATTER_MAX: usize = 4096;
 
 /// Sorts `keys` — a time key in the high 64 bits above a position that
@@ -1202,7 +1204,8 @@ impl MuxShard {
         let below = |o: &u128| ((o >> 64) as u64) < fence;
         if held.live == 0 {
             // Only new events: their prefix applies from the buffers
-            // they were routed in, uncopied.
+            // they were routed in, uncopied (through the arena, the 1M
+            // session fused CLI run peaked 14 % higher).
             let cut = order.partition_point(below);
             held.push_batch(&order[cut..], sources);
             order.truncate(cut);
